@@ -47,7 +47,6 @@ from .hamiltonian import (
 )
 from .oracle import (
     HistoryState,
-    build_history_state,
     expectations,
     reject_probability,
     run_plain_circuit,

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 from .circuit import ProblemShape, sweep_is_rightward, visitation_order
 
 
@@ -123,6 +125,26 @@ class SpinBasis:
             index //= self.local_dim
         return tuple(self.decode(lvl) for lvl in reversed(levels))
 
+    def orbit_indices(self, head_site: int, label_patterns) -> np.ndarray:
+        """Entry (p, q) is the index of config_from_labels(head_site,
+        label_patterns[p], bits of q); BasisError if indices overflow int64."""
+        n, r, n_sites = self.shape.n_qubits, self.shape.n_cycles, self.shape.n_sites
+        if self.config_dim > np.iinfo(np.int64).max:
+            raise BasisError(f"config dim {self.config_dim} does not fit in int64")
+        if not 0 <= head_site <= n:
+            raise BasisError(f"head site {head_site} out of range 0..{n}")
+        labels = np.asarray(label_patterns, dtype=np.int64)
+        if labels.ndim != 2 or labels.shape[1] != n:
+            raise BasisError("need one cycle label per position in every pattern")
+        if labels.size and not (labels.min() >= 0 and labels.max() <= r):
+            raise BasisError(f"cycle label out of range 0..{r}")
+        # Digit weight of the site holding position z (site 0 most significant).
+        sites = (head_site + np.arange(1, n + 1)) % n_sites
+        weights = np.int64(self.local_dim) ** (n_sites - 1 - sites)
+        # Level of Data(bit, cycle, z) is 1 + bit + 2 (cycle + (R+1)(z-1)).
+        base = (1 + 2 * (labels + (r + 1) * np.arange(n))) @ weights
+        return base[:, None] + qubit_bits(n) @ weights
+
 
 def format_config(config: Sequence[SpinState]) -> str:
     return ",".join(repr(s) for s in config)
@@ -135,14 +157,9 @@ def initial_config(bits, head_site: int, shape: ProblemShape) -> RingConfig:
     data spin (x_z, cycle 0, position z).
     """
     shape.require_valid()
-    bits = _as_bits(bits, shape.n_qubits)
     if not 0 <= head_site <= shape.n_qubits:
         raise BasisError(f"head site {head_site} out of range 0..{shape.n_qubits}")
-    sites: list[SpinState] = [HEAD] * shape.n_sites
-    for z in range(1, shape.n_qubits + 1):
-        sites[(head_site + z) % shape.n_sites] = Data(bits[z - 1], 0, z)
-    sites[head_site] = HEAD
-    return tuple(sites)
+    return config_from_labels(head_site, [0] * shape.n_qubits, bits, shape)
 
 
 def config_from_labels(
@@ -157,6 +174,11 @@ def config_from_labels(
         sites[(head_site + z) % shape.n_sites] = Data(bits[z - 1], labels[z - 1], z)
     sites[head_site] = HEAD
     return tuple(sites)
+
+
+def qubit_bits(n: int) -> np.ndarray:
+    """All 2^N bit strings as rows: row q holds the bits of q, qubit 1 first."""
+    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 def _as_bits(bits, n: int) -> list[int]:

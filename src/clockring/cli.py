@@ -10,8 +10,8 @@ import argparse
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
-from .basis import SpinBasis
 from .circuit import (
     ProblemShape,
     ScheduleError,
@@ -27,6 +27,7 @@ from .hamiltonian import (
     assemble,
     assemble_part,
     assemble_total,
+    build_h_comp_bond,
     build_shift_operator,
     check_translation_invariance,
     export_triplets,
@@ -47,6 +48,7 @@ from .promise import (
 )
 from .spectral import (
     SolverOptions,
+    SpectralError,
     frozen_config_indices,
     low_spectrum,
     orbit_block_indices,
@@ -128,9 +130,7 @@ def cmd_oracle(args) -> int:
     witness = args.witness
     if witness is None:
         witness = "0" * shape.n_qubits
-    basis = SpinBasis(shape)
-    hist = simulate_history(schedule, witness, head_site=0)
-    eta = hist.history_vector(basis)
+    eta = simulate_history(schedule, witness, head_site=0).history_vector()
     parts = {
         name: assemble_part(term, shape, name)
         for name, term in standard_parts(schedule).items()
@@ -150,12 +150,8 @@ def cmd_spectrum(args) -> int:
     op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
     options = _solver_options(args)
     if args.orbit_restrict:
-        basis = SpinBasis(schedule.shape)
-        sub = restrict(op, orbit_block_indices(schedule.shape, 0, basis))
-        import scipy.sparse as sp
-
+        sub = restrict(op, orbit_block_indices(schedule.shape, 0))
         report = low_spectrum(sp.csr_matrix(sub), min(args.k, sub.shape[0]), options)
-        report.restricted = True
     else:
         report = low_spectrum(op, args.k, options)
     if args.frozen_scan:
@@ -167,16 +163,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gapscan(args) -> int:
     """Sweep over step counts with the two-qubit ring in orbit-restricted mode."""
-    from .hamiltonian import build_h_comp_bond
-
     print("T gap scaled_gap")
     for t_plus_1 in [int(v) for v in args.tplus.split(",")]:
         total = t_plus_1 - 1
         shape = ProblemShape(2, 1, total).require_valid()
         schedule = SweepSchedule(shape)
-        basis = SpinBasis(shape)
         op = assemble_part(build_h_comp_bond(schedule), shape, "H_comp")
-        sub = restrict(op, orbit_block_indices(shape, 0, basis))
+        sub = restrict(op, orbit_block_indices(shape, 0))
         values = np.linalg.eigvalsh(sub)
         distinct = values[values > values[0] + 1e-10]
         gap_val = float(distinct[0] - values[0])
@@ -213,7 +206,7 @@ def cmd_verify(args) -> int:
     schedule = _load_schedule(args)
     constants = _resolve_constants(schedule, args)
     op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
-    params = PromiseParameters(args.a, args.b, constants=constants)
+    params = PromiseParameters(args.a, args.b)
     decision = decide(op, params, options)
     sys.stdout.write(decision.format(params))
     return 0
@@ -295,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScheduleError, BuildError, ValueError) as exc:
+    except (ScheduleError, BuildError, ValueError, OSError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,12 @@ class BuildError(ValueError):
     """Term construction or assembly failed a structural requirement."""
 
 
+def hermiticity_residual(mat) -> float:
+    """Largest entry of |M - M^H|; exactly 0 for a Hermitian sparse matrix."""
+    delta = mat - mat.conj().T
+    return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
+
+
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
     """Deduplicate COO triples with a fixed, order-independent summation.
 
@@ -73,8 +79,7 @@ class LocalTerm:
         return self.local_dim ** 2
 
     def hermiticity_residual(self) -> float:
-        delta = self.matrix - self.matrix.conj().T
-        return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
+        return hermiticity_residual(self.matrix)
 
     def operator_norm(self) -> float:
         if self.matrix.nnz == 0:
@@ -247,8 +252,7 @@ class RingOperator:
         return self.matrix.nnz
 
     def hermiticity_residual(self) -> float:
-        delta = self.matrix - self.matrix.conj().T
-        return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
+        return hermiticity_residual(self.matrix)
 
 
 DIM_CAP = 2 ** 24
@@ -399,17 +403,29 @@ def export_triplets(op: RingOperator) -> str:
 
 
 def parse_triplets(text: str) -> sp.csr_matrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("%"):
+    """Read export_triplets text; malformed input raises BuildError naming the line."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("%"):
         raise BuildError("missing triplet header")
-    header = lines[0].split()
-    dim, nnz = int(header[2]), int(header[4])
+    header = lines[0][1].split()
+    try:
+        dim, nnz = int(header[2]), int(header[4])
+    except (IndexError, ValueError):
+        raise BuildError(f"line {lines[0][0]}: expected '% dim <D> nnz <K>'") from None
+    if not 0 <= dim <= DIM_CAP:
+        raise BuildError(f"line {lines[0][0]}: dim {dim} out of range 0..{DIM_CAP}")
     rows, cols, vals = [], [], []
-    for ln in lines[1:]:
-        r, c, re, im = ln.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(complex(float(re), float(im)))
+    for lineno, ln in lines[1:]:
+        try:
+            r, c, re, im = ln.split()
+            rows.append(int(r))
+            cols.append(int(c))
+            vals.append(complex(float(re), float(im)))
+        except ValueError:
+            raise BuildError(f"line {lineno}: expected 'row col re im' numbers") from None
+    if rows and not (0 <= min(rows) and 0 <= min(cols) and max(rows) < dim and max(cols) < dim):
+        k = next(k for k, (r, c) in enumerate(zip(rows, cols)) if not (0 <= r < dim and 0 <= c < dim))
+        raise BuildError(f"line {lines[k + 1][0]}: index out of range 0..{dim - 1}")
     if len(rows) != nnz:
         raise BuildError(f"header says nnz {nnz}, found {len(rows)} entries")
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))

@@ -1,8 +1,9 @@
 """Step-by-step simulation of the verifier and its history superposition.
 
 The oracle tracks the computation on the orbit's branch only: a clock
-pattern plus 2^N qubit amplitudes per step, embedded into the full
-configuration space on demand.  Everything here is independent of the
+pattern plus 2^N qubit amplitudes per step.  A history vector is one
+full-space vector into which the (T+1) x 2^N stored amplitudes are
+scattered at their orbit indices.  Everything here is independent of the
 sparse operators it is used to check, except for sharing the level codec.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpinBasis, _as_bits, config_from_labels, orbit_label_walk
+from .basis import SpinBasis, _as_bits, orbit_label_walk, qubit_bits
 from .circuit import ProblemShape, SweepSchedule, visitation_order
 
 ORTHONORMALITY_TOL = 1e-10
@@ -42,11 +43,7 @@ def run_plain_circuit(schedule: SweepSchedule, witness_bits) -> np.ndarray:
     """Apply every scheduled gate in sweep order to |x>; returns the 2^N state."""
     shape = schedule.shape.require_valid()
     bits = _as_bits(witness_bits, shape.n_qubits)
-    psi = np.zeros(2 ** shape.n_qubits, dtype=complex)
-    start = 0
-    for b in bits:
-        start = (start << 1) | b
-    psi[start] = 1.0
+    psi = np.all(qubit_bits(shape.n_qubits) == bits, axis=1).astype(complex)
     for m, n in visitation_order(shape):
         psi = apply_bond_gate(psi, schedule.gate_at(m, n), n, shape.n_qubits)
     return psi
@@ -57,8 +54,7 @@ def reject_probability(schedule: SweepSchedule, witness_bits) -> float:
     psi = run_plain_circuit(schedule, witness_bits)
     n = schedule.shape.n_qubits
     probs = np.abs(psi) ** 2
-    mask = (np.arange(probs.size) >> (n - 1)) & 1
-    return float(probs[mask == 1].sum())
+    return float(probs[qubit_bits(n)[:, 0] == 1].sum())
 
 
 @dataclass
@@ -74,26 +70,31 @@ class HistoryState:
     def n_steps(self) -> int:
         return len(self.clock_walk) - 1
 
-    def snapshot_vector(self, t: int, basis: SpinBasis | None = None) -> np.ndarray:
-        basis = basis or SpinBasis(self.shape)
-        vec = np.zeros(basis.config_dim, dtype=complex)
-        n = self.shape.n_qubits
-        amps = self.amplitudes[t]
-        labels = self.clock_walk[t]
-        for q in range(amps.size):
-            if amps[q] == 0:
-                continue
-            bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
-            vec[basis.config_index(config_from_labels(self.head_site, labels, bits, self.shape))] = amps[q]
-        return vec
-
     def snapshot_vectors(self, basis: SpinBasis | None = None) -> list[np.ndarray]:
+        """One full-space vector per step, each scattered from its amplitudes."""
         basis = basis or SpinBasis(self.shape)
-        return [self.snapshot_vector(t, basis) for t in range(self.n_steps + 1)]
+        vectors = np.zeros((self.n_steps + 1, basis.config_dim), dtype=complex)
+        indices = basis.orbit_indices(self.head_site, self.clock_walk)
+        np.put_along_axis(vectors, indices, np.asarray(self.amplitudes), axis=1)
+        return list(vectors)
 
     def history_vector(self, basis: SpinBasis | None = None) -> np.ndarray:
+        """Uniform superposition (1/sqrt(T+1)) sum_t |snapshot_t>.
+
+        The snapshots are orthonormal exactly when their configuration
+        indices are distinct (disjoint supports) and every amplitude vector
+        has unit norm; anything else raises OracleError.
+        """
         basis = basis or SpinBasis(self.shape)
-        return build_history_state(self.snapshot_vectors(basis))
+        indices = basis.orbit_indices(self.head_site, self.clock_walk)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if np.unique(indices).size != indices.size:
+            raise OracleError("snapshots are not orthonormal: clock patterns repeat")
+        if np.abs(np.linalg.norm(amps, axis=1) ** 2 - 1.0).max() > ORTHONORMALITY_TOL:
+            raise OracleError("snapshots are not orthonormal: amplitudes not unit norm")
+        vec = np.zeros(basis.config_dim, dtype=complex)
+        vec[indices.ravel()] = amps.ravel() / np.sqrt(len(amps))
+        return vec
 
 
 def simulate_history(
@@ -109,11 +110,7 @@ def simulate_history(
     if not 0 <= head_site <= shape.n_qubits:
         raise OracleError(f"head site {head_site} out of range")
     n = shape.n_qubits
-    psi = np.zeros(2 ** n, dtype=complex)
-    start = 0
-    for b in bits:
-        start = (start << 1) | b
-    psi[start] = 1.0
+    psi = np.all(qubit_bits(n) == bits, axis=1).astype(complex)
     amplitudes = [psi]
     for m, bond in visitation_order(shape):
         psi = apply_bond_gate(psi, schedule.gate_at(m, bond), bond, n)
@@ -121,18 +118,6 @@ def simulate_history(
             raise OracleError("snapshot lost normalization")
         amplitudes.append(psi)
     return HistoryState(shape, head_site, orbit_label_walk(shape), amplitudes)
-
-
-def build_history_state(snapshots: list[np.ndarray]) -> np.ndarray:
-    """Uniform superposition (1/sqrt(T+1)) sum_t |snapshot_t>."""
-    count = len(snapshots)
-    if count == 0:
-        raise OracleError("no snapshots")
-    stack = np.stack(snapshots)
-    gram = stack.conj() @ stack.T
-    if np.abs(gram - np.eye(count)).max() > ORTHONORMALITY_TOL:
-        raise OracleError("snapshots are not orthonormal")
-    return stack.sum(axis=0) / np.sqrt(count)
 
 
 def symmetrize_over_head(history_vectors: list[np.ndarray]) -> np.ndarray:

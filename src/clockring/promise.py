@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import SpinBasis, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
     CouplingConstants,
-    assemble,
     assemble_part,
+    assemble_total,
     standard_parts,
 )
 from .oracle import expectations, reject_probability, simulate_history
@@ -44,7 +45,6 @@ class PromiseParameters:
     a: float
     b: float
     epsilon: float = 0.0
-    constants: CouplingConstants | None = None
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -101,7 +101,6 @@ class LemmaTrialReport:
     violations: int
     worst_lower_margin: float
     worst_upper_margin: float
-    hypothesis_rejections: int = 0
 
     def format(self) -> str:
         return (
@@ -180,26 +179,22 @@ def decide(operator, params: PromiseParameters, options: SolverOptions = SolverO
     return PromiseDecision(verdict, lam, params.a - lam, lam - params.b, residual)
 
 
-def auto_constants(
-    schedule: SweepSchedule, j1: float = 1.0, options: SolverOptions = SolverOptions()
-) -> CouplingConstants:
+def auto_constants(schedule: SweepSchedule, j1: float = 1.0) -> CouplingConstants:
     """J1 given; J2 from choose_j(||H1||); alpha from the measured constant.
 
     H1 is the part the nested lemma treats as the perturbation:
-    J1 H_input + R(N-1) H_output.  Both are diagonal, so the norm is exact.
+    J1 H_input + R(N-1) H_output.  Both are sums of one-site diagonal
+    projectors onto distinct levels (H_input's is empty when M = N), so
+    ||H1|| is N+1 sites each holding the heavier penalized level.
     """
     shape = schedule.shape.require_valid()
-    parts = standard_parts(schedule)
     w_out = float(shape.total_steps)
-    h1 = assemble(
-        [(parts["H_input"], j1), (parts["H_output"], w_out)], shape, provenance="H1"
-    )
-    norm_h1 = float(np.abs(h1.matrix.diagonal()).max()) if h1.matrix.nnz else 0.0
-    j2 = choose_j(norm_h1)
-    if j2 == 0:
-        j2 = 1.0
+    per_site = max(j1 if shape.input_len < shape.n_qubits else 0.0, w_out)
+    norm_h1 = 0.0
+    for _ in range(shape.n_sites):  # summed term by term, as the assembled diagonal is
+        norm_h1 += per_site
     alpha = choose_alpha(shape, measured_gap_constant(shape))
-    return CouplingConstants(j1, j2, alpha, w_out)
+    return CouplingConstants(j1, choose_j(norm_h1), alpha, w_out)
 
 
 @dataclass
@@ -207,7 +202,7 @@ class ScheduleEnergies:
     lambda0_full: float
     lambda0_orbit: float
     lambda0_filtered: float  # full space with frozen configurations excluded
-    residual: float
+    residual: float  # of the filtered solve
     best_witness: tuple[int, ...]
     variational_energy: float
     variational_parts: list[tuple[str, float, float]]
@@ -257,30 +252,29 @@ class SeparationReport:
         return "\n".join(lines) + "\n"
 
 
-def _witness_candidates(shape: ProblemShape):
-    n, m = shape.n_qubits, shape.input_len
-    for w in range(2 ** m):
-        bits = [(w >> (m - 1 - i)) & 1 for i in range(m)] + [0] * (n - m)
-        yield tuple(bits)
+def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
+    """Every witness on qubits 1..M with the ancillas M+1..N clear."""
+    step = 2 ** (shape.n_qubits - shape.input_len)
+    return [tuple(bits) for bits in qubit_bits(shape.n_qubits)[::step].tolist()]
 
 
 def _schedule_energies(
     schedule: SweepSchedule, constants: CouplingConstants, options: SolverOptions
 ) -> ScheduleEnergies:
-    from .hamiltonian import assemble_total
-    from .basis import SpinBasis
-
     shape = schedule.shape
     basis = SpinBasis(shape)
     total = assemble_total(schedule, constants)
-    lam_full, _, residual = ground_energy(total, options)
+
+    filtered_mat, keep = frozen_excluded_submatrix(total, shape, basis)
+    filtered = low_spectrum(filtered_mat, 1, options)
+    lam_filtered = float(filtered.eigenvalues[0])
+    # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
+    frozen_diagonal = np.delete(total.matrix.diagonal().real, keep)
+    lam_full = float(min(lam_filtered, frozen_diagonal.min(initial=np.inf)))
 
     block = orbit_block_indices(shape, 0, basis)
     sub = restrict(total, block)
     lam_orbit = float(np.linalg.eigvalsh(sub)[0])
-
-    filtered_mat, _ = frozen_excluded_submatrix(total, shape, basis)
-    lam_filtered = float(low_spectrum(filtered_mat, 1, options).eigenvalues[0])
 
     parts = {name: assemble_part(term, shape, name) for name, term in standard_parts(schedule).items()}
     best = None
@@ -296,7 +290,7 @@ def _schedule_energies(
         lambda0_full=lam_full,
         lambda0_orbit=lam_orbit,
         lambda0_filtered=lam_filtered,
-        residual=residual,
+        residual=float(filtered.residuals[0]),
         best_witness=bits,
         variational_energy=energy,
         variational_parts=part_rows,
@@ -315,7 +309,7 @@ def separation_experiment(
         raise PromiseError("schedules must share one shape")
     shape = accepting.shape.require_valid()
     if constants is None:
-        constants = auto_constants(accepting, options=options)
+        constants = auto_constants(accepting)
     yes_side = _schedule_energies(accepting, constants, options)
     no_side = _schedule_energies(rejecting, constants, options)
     return SeparationReport(shape, constants, yes_side, no_side)

@@ -2,25 +2,29 @@
 
 Dense diagonalization below a dimension threshold, restarted Lanczos above
 it (scipy's implicitly restarted ARPACK with a seeded starting vector, so
-runs are deterministic).  Also: subspace restriction, detection of frozen
-configurations, and the uniform/engineered hopping chains used as exact
-references.
+runs are deterministic).  Also: subspace restriction, orbit and frozen
+configuration indices from the codec in ``basis``, and the
+uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, cos, pi
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import SpinBasis, config_from_labels, orbit_label_walk, slot_edges
+from .basis import SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape
+from .hamiltonian import hermiticity_residual
 
 DENSE_RESIDUAL_TOL = 1e-8
 ITERATIVE_RESIDUAL_TOL = 1e-6
+MAX_MATVECS = 10000
+CLUSTER_RTOL = 1e-7  # eigenvalues within CLUSTER_RTOL * max(1, ||H||) share a cluster
+GAP_K0 = 6
+GAP_K_CAP = 64
 
 
 class SpectralError(RuntimeError):
@@ -39,10 +43,7 @@ class ConvergenceError(SpectralError):
 @dataclass(frozen=True)
 class SolverOptions:
     dense_threshold: int = 4096
-    max_matvecs: int = 10000
     seed: int = 7
-    cluster_tol: float | None = None  # default 1e-7 * max(1, ||H||)
-    residual_tol: float = 1e-8
 
 
 @dataclass
@@ -52,7 +53,7 @@ class SpectralReport:
     residuals: np.ndarray
     clusters: list[list[int]]
     method: str
-    restricted: bool = False
+    vectors: np.ndarray | None = field(default=None, repr=False)  # not in format()
 
     def cluster_values(self) -> list[float]:
         return [float(np.mean(self.eigenvalues[c])) for c in self.clusters]
@@ -73,8 +74,7 @@ def _as_matrix(operator):
 
 
 def _hermiticity_check(mat):
-    delta = mat - mat.conj().T
-    res = 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
+    res = hermiticity_residual(mat)
     if res > 1e-9:
         raise SpectralError(f"operator is not Hermitian: residual {res:.3g}")
 
@@ -117,7 +117,7 @@ def low_spectrum(operator, k: int, options: SolverOptions = SolverOptions()) -> 
         v0 /= np.linalg.norm(v0)
         try:
             values, vectors = spla.eigsh(
-                mat, k=k, which="SA", v0=v0, maxiter=options.max_matvecs, tol=0
+                mat, k=k, which="SA", v0=v0, maxiter=MAX_MATVECS, tol=0
             )
         except spla.ArpackNoConvergence as exc:
             if exc.eigenvalues is None or len(exc.eigenvalues) == 0:
@@ -139,12 +139,8 @@ def low_spectrum(operator, k: int, options: SolverOptions = SolverOptions()) -> 
             best_value=float(values[0]),
             residual=float(residuals.max()),
         )
-    tol = options.cluster_tol
-    if tol is None:
-        tol = 1e-7 * scale
-    report = SpectralReport(k, values, residuals, _cluster(values, tol), method)
-    report._vectors = vectors  # kept for ground-space work; not part of the text report
-    return report
+    clusters = _cluster(values, CLUSTER_RTOL * scale)
+    return SpectralReport(k, values, residuals, clusters, method, vectors=vectors)
 
 
 def ground_energy(operator, options: SolverOptions = SolverOptions()):
@@ -152,7 +148,7 @@ def ground_energy(operator, options: SolverOptions = SolverOptions()):
     mat = _as_matrix(operator)
     k = 1 if mat.shape[0] <= options.dense_threshold else min(6, mat.shape[0] - 2)
     report = low_spectrum(operator, max(1, k), options)
-    vec = report._vectors[:, 0]
+    vec = report.vectors[:, 0]
     return float(report.eigenvalues[0]), vec, float(report.residuals[0])
 
 
@@ -165,22 +161,22 @@ class GapReport:
     resolved: bool
 
 
-def gap(operator, options: SolverOptions = SolverOptions(), k0: int = 6, k_cap: int = 64) -> GapReport:
+def gap(operator, options: SolverOptions = SolverOptions()) -> GapReport:
     """Distance from the lowest eigenvalue cluster to the next one."""
     dim = _as_matrix(operator).shape[0]
-    k = min(max(k0, 2), dim)
+    k = min(GAP_K0, dim)
     while True:
         report = low_spectrum(operator, k, options)
         if len(report.clusters) >= 2:
             ground, nxt = report.cluster_values()[0], report.cluster_values()[1]
             return GapReport(nxt - ground, len(report.clusters[0]), ground, nxt, True)
-        if k >= min(k_cap, dim):
+        if k >= min(GAP_K_CAP, dim):
             ground = report.cluster_values()[0]
             return GapReport(0.0, len(report.clusters[0]), ground, None, False)
-        k = min(k * 2, dim, k_cap)
+        k = min(k * 2, dim, GAP_K_CAP)
 
 
-def restrict(operator, basis_spec, basis: SpinBasis | None = None) -> np.ndarray:
+def restrict(operator, basis_spec) -> np.ndarray:
     """Dense matrix of <b_i|H|b_j> over an orthonormal basis.
 
     basis_spec is either a list of configuration indices (columns of the
@@ -207,68 +203,50 @@ def restrict(operator, basis_spec, basis: SpinBasis | None = None) -> np.ndarray
 
 def orbit_block_indices(shape: ProblemShape, head_site: int = 0, basis: SpinBasis | None = None):
     """Configuration indices of the legal-orbit block: every clock pattern
-    of the walk crossed with every qubit bit pattern."""
+    of the walk crossed with every qubit bit pattern, pattern-major."""
     basis = basis or SpinBasis(shape)
-    n = shape.n_qubits
-    indices = []
-    for labels in orbit_label_walk(shape):
-        for q in range(2 ** n):
-            bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
-            indices.append(basis.config_index(config_from_labels(head_site, labels, bits, shape)))
-    return np.array(indices, dtype=np.int64)
-
-
-def detect_frozen(shape: ProblemShape) -> list[tuple]:
-    """Form-valid configurations no sweep transition touches.
-
-    These have an identically zero H_comp row yet sit outside the legal
-    orbit, so they are exact extra zero modes of the sweep term.
-    """
-    shape.require_valid()
-    edges = slot_edges(shape)
-    patterns_by_bond: dict[int, set] = {}
-    for e in edges:
-        patterns_by_bond.setdefault(e.bond, set()).update((e.pre, e.post))
-    orbit = set(orbit_label_walk(shape))
-    n, r = shape.n_qubits, shape.n_cycles
-
-    frozen = []
-    label_space = np.ndindex(*([r + 1] * n))
-    for labels in label_space:
-        if labels in orbit:
-            continue
-        touched = any(
-            (labels[b - 1], labels[b]) in patterns_by_bond.get(b, ())
-            for b in range(1, n)
-        )
-        if touched:
-            continue
-        for head_site in range(shape.n_sites):
-            for q in range(2 ** n):
-                bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
-                frozen.append(config_from_labels(head_site, list(labels), bits, shape))
-    return frozen
+    return basis.orbit_indices(head_site, orbit_label_walk(shape)).ravel()
 
 
 def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -> np.ndarray:
-    """Configuration indices of every frozen configuration."""
+    """Sorted indices of the form-valid configurations no sweep transition
+    touches.  These have an identically zero H_comp row yet sit outside the
+    legal orbit (each orbit pattern ends a slot edge), so they are exact
+    extra zero modes of the sweep term."""
     basis = basis or SpinBasis(shape)
-    return np.array(
-        sorted(basis.config_index(c) for c in detect_frozen(shape)), dtype=np.int64
-    )
+    n, r = shape.n_qubits, shape.n_cycles
+    patterns = np.indices((r + 1,) * n).reshape(n, -1).T
+    untouched = np.ones(len(patterns), dtype=bool)
+    for edge in slot_edges(shape):
+        left, right = patterns[:, edge.bond - 1], patterns[:, edge.bond]
+        for pair in (edge.pre, edge.post):
+            untouched &= (left != pair[0]) | (right != pair[1])
+    frozen = patterns[untouched]
+    return np.sort(np.concatenate(
+        [basis.orbit_indices(head, frozen) for head in range(shape.n_sites)], axis=None
+    ))
+
+
+def detect_frozen(shape: ProblemShape) -> list[tuple]:
+    """Frozen configurations (see frozen_config_indices), in index order."""
+    basis = SpinBasis(shape)
+    return [basis.config_at(int(i)) for i in frozen_config_indices(shape, basis)]
 
 
 def frozen_excluded_submatrix(operator, shape: ProblemShape, basis: SpinBasis | None = None):
     """Operator restricted to the complement of the frozen configurations.
 
-    Frozen configurations are exact basis-aligned eigenvectors of every
-    assembled part, so this complement is an invariant subspace and the
+    Raises SpectralError unless every frozen row and column holds only its
+    diagonal entry: each frozen configuration is then a 1x1 block, so the
     restriction is a genuine spectral block.
     """
-    basis = basis or SpinBasis(shape)
     mat = _as_matrix(operator).tocsr()
-    frozen = set(frozen_config_indices(shape, basis).tolist())
-    keep = np.array([i for i in range(mat.shape[0]) if i not in frozen], dtype=np.int64)
+    frozen = frozen_config_indices(shape, basis)
+    for lines in (mat[frozen], mat.tocsc()[:, frozen]):
+        owner = np.repeat(frozen, np.diff(lines.indptr))
+        if np.any(lines.indices != owner):
+            raise SpectralError("a frozen configuration is coupled off the diagonal")
+    keep = np.setdiff1d(np.arange(mat.shape[0]), frozen, assume_unique=True)
     return mat[keep][:, keep], keep
 
 

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +68,27 @@ class TestCodec:
         basis = SpinBasis(shape)
         config = initial_config("10", 1, shape)
         assert basis.config_at(basis.config_index(config)) == config
+
+
+class TestOrbitIndices:
+    @pytest.mark.parametrize("n,m,r", [(2, 1, 1), (2, 1, 3), (3, 1, 2), (4, 1, 1)])
+    def test_matches_per_configuration_codec(self, n, m, r):
+        shape = ProblemShape(n, m, r)
+        basis = SpinBasis(shape)
+        patterns = list(itertools.product(range(r + 1), repeat=n))
+        for head in range(shape.n_sites):
+            got = basis.orbit_indices(head, patterns)
+            assert got.dtype == np.int64 and got.shape == (len(patterns), 2 ** n)
+            for p, labels in enumerate(patterns):
+                for q in range(2 ** n):
+                    bits = [(q >> (n - 1 - i)) & 1 for i in range(n)]
+                    want = basis.config_index(config_from_labels(head, labels, bits, shape))
+                    assert got[p, q] == want
+
+    def test_int64_overflow_raises(self):
+        basis = SpinBasis(ProblemShape(8, 1, 100))
+        with pytest.raises(BasisError):
+            basis.orbit_indices(0, [[0] * 8])
 
 
 class TestInitialConfig:

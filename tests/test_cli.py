@@ -142,6 +142,51 @@ class TestLemmaCommand:
         assert "violations 0" in out
 
 
+class TestErrors:
+    def test_missing_circuit_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "spectrum", "--circuit", str(tmp_path / "absent.txt"))
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_k_zero(self, capsys):
+        code, _, err = run_cli(capsys, "spectrum", "--n", "2", "--k", "0")
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# Stdout pinned byte for byte.  `spectrum` is left out: its residual column
+# depends on the BLAS build.
+PINNED_REPORTS = {
+    ("verify", "--mode", "separation", "--desk-pair"): (
+        "constants j1 1 j2 78 alpha 16 w_out 1\n"
+        "yes lambda0 -1248 filtered -1248 orbit -1248 witness 00 variational -1248 p_reject 0\n"
+        "yes parts H_input 0 H_form -1 H_comp 0 H_output 0\n"
+        "no lambda0 -1248 filtered -1247.50160255 orbit -1247.50160255 witness 00 "
+        "variational -1247.5 p_reject 1\n"
+        "no parts H_input 0 H_form -1 H_comp 0 H_output 0.5\n"
+        "separation 0.49839745236 orbit 0.49839745236 raw 0\n"
+    ),
+    ("oracle", "--n", "3", "--r", "2", "--witness", "100"): (
+        "H_input 0 0\nH_form -1 0\nH_comp 0 0\nH_output 0.2 0\n"
+        "p_reject 1\np_reject_over_steps 0.2\n"
+    ),
+    ("gapscan", "--tplus", "3,5,9"): (
+        "T gap scaled_gap\n2 1 9\n4 0.38196601125 9.54915028125\n"
+        "8 0.120614758428 9.76979543268\n"
+    ),
+    ("compile", "--n", "2"): (
+        "dim 729\nnnz 945\nhermiticity_residual 0\ntranslation_residual 0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_REPORTS), ids=" ".join)
+def test_pinned_report_bytes(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_REPORTS[argv]
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, circuit_file):
         outputs = []

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clockring import (
     CouplingConstants,
@@ -24,7 +26,7 @@ from clockring import (
     standard_parts,
 )
 from clockring.basis import config_from_labels, initial_config
-from clockring.hamiltonian import BuildError, parse_triplets
+from clockring.hamiltonian import BuildError, RingOperator, parse_triplets
 from clockring.spectral import path_laplacian
 
 
@@ -275,3 +277,49 @@ class TestExport:
         lines = export_triplets(op).splitlines()
         with pytest.raises(BuildError):
             parse_triplets("\n".join(lines[:-1]))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["% dim 2", "%", "% dim 2 nnz 1\n0 1 1.0", "% dim 2 nnz 1\n0 x 1 0",
+         "% dim 2 nnz 1\n0 2 1 0", "% dim two nnz 1\n", "% dim -1 nnz 0"],
+    )
+    def test_malformed_text_names_the_line(self, text):
+        with pytest.raises(BuildError, match="line|header"):
+            parse_triplets(text)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 5),
+        entries=st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            st.complex_numbers(allow_nan=False, allow_infinity=False),
+            max_size=12,
+        ),
+    )
+    def test_round_trip_is_exact(self, dim, entries):
+        dense = np.zeros((dim, dim), dtype=complex)
+        for (r, c), v in entries.items():
+            if r < dim and c < dim:
+                dense[r, c] = v
+        op = RingOperator(ProblemShape(2, 1, 1), sp.csr_matrix(dense))
+        back = parse_triplets(export_triplets(op))
+        assert back.shape == op.matrix.shape
+        assert (back != op.matrix).nnz == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["%", "dim", "nnz", "hermitian", "0", "1", "2", "-1",
+                                 "1.5", "nan", "1e400", "9" * 30, "x", ""])
+                | st.text(max_size=3),
+                max_size=6,
+            ).map(" ".join),
+            max_size=5,
+        ).map("\n".join)
+    )
+    def test_junk_raises_only_build_error(self, text):
+        try:
+            parse_triplets(text)
+        except BuildError:
+            pass

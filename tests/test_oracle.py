@@ -6,7 +6,6 @@ from clockring import (
     SpinBasis,
     SweepSchedule,
     assemble_part,
-    build_history_state,
     build_shift_operator,
     expectations,
     random_schedule,
@@ -17,8 +16,9 @@ from clockring import (
     standard_parts,
     symmetrize_over_head,
 )
+from clockring.basis import config_from_labels
 from clockring.circuit import PAULI_X, embed_single_qubit
-from clockring.oracle import OracleError, apply_bond_gate
+from clockring.oracle import HistoryState, OracleError, apply_bond_gate
 
 
 def assembled(schedule):
@@ -60,9 +60,9 @@ class TestSimulateHistory:
 class TestHistoryState:
     def test_uniform_two_term_superposition(self, desk_identity_schedule, desk_shape):
         basis = SpinBasis(desk_shape)
-        snaps = simulate_history(desk_identity_schedule, "00").snapshot_vectors(basis)
-        eta = build_history_state(snaps)
-        for snap in snaps:
+        hist = simulate_history(desk_identity_schedule, "00")
+        eta = hist.history_vector(basis)
+        for snap in hist.snapshot_vectors(basis):
             assert np.vdot(snap, eta) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_norm_one(self, rng):
@@ -76,15 +76,35 @@ class TestHistoryState:
         basis = SpinBasis(shape)
         hist = simulate_history(random_schedule(shape, rng), "000")
         snaps = hist.snapshot_vectors(basis)
-        eta = build_history_state(snaps)
+        eta = hist.history_vector(basis)
         t_plus_1 = shape.total_steps + 1
         for snap in snaps:
             assert abs(np.vdot(snap, eta)) == pytest.approx(1 / np.sqrt(t_plus_1), abs=1e-12)
 
-    def test_non_orthogonal_snapshots_rejected(self):
-        v = np.array([1.0, 0.0], dtype=complex)
+    def test_non_orthogonal_snapshots_rejected(self, desk_shape):
+        # one clock pattern twice puts two snapshots on the same support
+        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        hist = HistoryState(desk_shape, 0, [(0, 0), (0, 0)], [v, v])
         with pytest.raises(OracleError):
-            build_history_state([v, v])
+            hist.history_vector()
+
+    def test_non_unit_amplitudes_rejected(self, desk_shape):
+        amps = [np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])]
+        hist = HistoryState(desk_shape, 0, [(0, 0), (1, 1)], amps)
+        with pytest.raises(OracleError):
+            hist.history_vector()
+
+    def test_matches_per_configuration_reference(self, rng):
+        shape = ProblemShape(3, 1, 2)
+        basis = SpinBasis(shape)
+        hist = simulate_history(random_schedule(shape, rng), "011", head_site=2)
+        want = np.zeros(basis.config_dim, dtype=complex)
+        for labels, amps in zip(hist.clock_walk, hist.amplitudes):
+            for q, amp in enumerate(amps):
+                bits = [(q >> (2 - i)) & 1 for i in range(3)]
+                config = config_from_labels(2, labels, bits, shape)
+                want[basis.config_index(config)] = amp / np.sqrt(len(hist.amplitudes))
+        assert np.array_equal(hist.history_vector(basis), want)
 
 
 class TestSymmetrization:

@@ -6,15 +6,18 @@ from clockring import (
     ProblemShape,
     PromiseParameters,
     SweepSchedule,
+    assemble,
     assemble_total,
     auto_constants,
     choose_alpha,
     choose_j,
     decide,
     force_reject_gate,
+    ground_energy,
     projection_bounds,
     schedule_from_placements,
     separation_experiment,
+    standard_parts,
     verify_lemma_numeric,
 )
 from clockring.promise import PromiseError, measured_gap_constant
@@ -179,6 +182,15 @@ class TestSeparation:
         assert a.separation == b.separation
         assert a.yes.lambda0_full == b.yes.lambda0_full
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_full_ground_energy_matches_whole_space_solve(self, r):
+        accepting = schedule_from_placements([], 2, 1, r)
+        rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, r)
+        report = separation_experiment(accepting, rejecting)
+        for schedule, side in ((accepting, report.yes), (rejecting, report.no)):
+            want = ground_energy(assemble_total(schedule, report.constants))[0]
+            assert abs(side.lambda0_full - want) <= 1e-9 * max(1.0, abs(want))
+
     def test_shape_mismatch_rejected(self):
         accepting, _ = desk_pair()
         other = SweepSchedule(ProblemShape(3, 1, 1))
@@ -275,6 +287,20 @@ class TestAutoConstants:
             choose_alpha(shape, measured_gap_constant(shape)), abs=0
         )
         assert constants.w_out == 1.0
+
+    @pytest.mark.parametrize(
+        "n,m,r", [(2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 3), (3, 1, 1), (3, 3, 1), (3, 2, 2)]
+    )
+    def test_closed_form_norm_matches_assembled_h1(self, n, m, r):
+        shape = ProblemShape(n, m, r)
+        schedule = SweepSchedule(shape)
+        parts = standard_parts(schedule)
+        for j1 in (0.1, 1 / 3, 1.0, 2.5, 7.3, 40.0):
+            h1 = assemble(
+                [(parts["H_input"], j1), (parts["H_output"], float(shape.total_steps))], shape
+            )
+            norm_h1 = float(np.abs(h1.matrix.diagonal()).max())
+            assert auto_constants(schedule, j1=j1).j2 == choose_j(norm_h1), (j1, norm_h1)
 
     def test_positive_required(self):
         with pytest.raises(Exception):

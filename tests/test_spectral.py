@@ -30,6 +30,7 @@ from clockring.spectral import (
     SpectralError,
     binomial_chain_vector,
     frozen_config_indices,
+    frozen_excluded_submatrix,
 )
 
 
@@ -217,6 +218,18 @@ class TestDetectFrozen:
         idx = frozen_config_indices(desk_shape)
         assert len(idx) == 24
         assert np.all(np.diff(idx) > 0)
+
+    def test_coupled_frozen_configuration_rejected(self, desk_identity_schedule, desk_shape):
+        op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
+        sub, keep = frozen_excluded_submatrix(op, desk_shape)
+        assert sub.shape == (729 - 24, 729 - 24)
+        frozen = int(frozen_config_indices(desk_shape)[0])
+        other = int(keep[0])
+        coupled = op.matrix.tolil()
+        coupled[frozen, other] = 0.5
+        coupled[other, frozen] = 0.5
+        with pytest.raises(SpectralError):
+            frozen_excluded_submatrix(sp.csr_matrix(coupled), desk_shape)
 
 
 class TestChainModels:
