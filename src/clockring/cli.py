@@ -234,7 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--j2", default="auto")
         p.add_argument("--alpha", default="auto")
         p.add_argument("--k", type=int, default=6)
-        p.add_argument("--dense-threshold", type=int, default=4096, dest="dense_threshold")
+        p.add_argument("--dense-threshold", type=int, default=4096, dest="dense_threshold",
+                       help="largest connected block of the operator solved densely; "
+                            "an operator with a larger block is solved by Lanczos")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--dim-cap", type=int, default=DIM_CAP, dest="dim_cap")
         p.add_argument("--orbit-restrict", action="store_true", dest="orbit_restrict")

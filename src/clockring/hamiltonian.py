@@ -308,10 +308,7 @@ def assemble(
     basis = SpinBasis(shape)
     dim = basis.config_dim
     if dim > dim_cap:
-        raise BuildError(
-            f"configuration space dim {dim} exceeds cap {dim_cap}; "
-            "use orbit-restricted mode instead"
-        )
+        raise BuildError(f"configuration space dim {dim} exceeds cap {dim_cap}")
     d = basis.local_dim
     all_rows, all_cols, all_vals = [], [], []
     for term, weight in parts:

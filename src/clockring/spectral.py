@@ -1,10 +1,13 @@
 """Low-lying spectra of assembled operators, with reference chain models.
 
-Dense diagonalization below a dimension threshold, restarted Lanczos above
-it (scipy's implicitly restarted ARPACK with a seeded starting vector, so
-runs are deterministic).  Also: subspace restriction, orbit and frozen
-configuration indices from the codec in ``basis``, and the
-uniform/engineered hopping chains used as exact references.
+An operator is split into the connected components of its off-diagonal
+pattern; each component spans an invariant block, and every block is
+diagonalized densely (equal-size blocks share one stacked LAPACK call).
+Only an operator with a component larger than the dense threshold goes to
+restarted Lanczos (scipy's implicitly restarted ARPACK with a seeded
+starting vector, so runs are deterministic).  Also: subspace restriction,
+orbit and frozen configuration indices from the codec in ``basis``, and
+the uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from dataclasses import dataclass, field
 from math import comb, cos, pi
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .basis import SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape
@@ -32,7 +37,8 @@ class SpectralError(RuntimeError):
 
 
 class ConvergenceError(SpectralError):
-    """Iteration hit the matvec budget; carries the best estimate."""
+    """A solve did not converge or failed its residual check; carries the
+    best estimate and its residual when there is one."""
 
     def __init__(self, message, best_value=None, residual=None):
         super().__init__(message)
@@ -42,7 +48,7 @@ class ConvergenceError(SpectralError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    dense_threshold: int = 4096
+    dense_threshold: int = 4096  # largest component block diagonalized densely
     seed: int = 7
 
 
@@ -95,36 +101,107 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
+def _components(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Component label of every index, and component sizes, for the graph
+    whose edges are the stored off-diagonal entries of mat."""
+    pattern = sp.csr_matrix(
+        (np.ones(mat.nnz, dtype=bool), mat.indices, mat.indptr), shape=mat.shape
+    )
+    count, labels = connected_components(pattern, directed=False)
+    return labels, np.bincount(labels, minlength=count)
+
+
+def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
+    """The k lowest eigenpairs from dense eigh of every component block.
+
+    Candidates are ordered by component label, then by eigenvalue inside the
+    block, and a stable sort picks the k lowest, so ties break the same way
+    on every run.  Each vector is supported on its own block.
+    """
+    dim = mat.shape[0]
+    members = np.argsort(labels, kind="stable")  # component-major, index order inside
+    start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    local = np.empty(dim, dtype=np.int64)
+    local[members] = np.arange(dim) - np.repeat(start, sizes)
+    coo = mat.tocoo()
+    entry_comp = labels[coo.row]
+    entry_size = sizes[entry_comp]
+    dtype = np.result_type(mat.dtype, np.float64)
+
+    candidates = np.empty(dim)  # eigenvalue j of component c sits at start[c] + j
+    slot = np.empty(len(sizes), dtype=np.int64)  # position of a component in its size group
+    block_vectors = {}
+    for size in np.unique(sizes):
+        comps = np.flatnonzero(sizes == size)
+        slot[comps] = np.arange(len(comps))
+        blocks = np.zeros((len(comps), size, size), dtype=dtype)
+        mine = entry_size == size
+        np.add.at(
+            blocks,
+            (slot[entry_comp[mine]], local[coo.row[mine]], local[coo.col[mine]]),
+            coo.data[mine],
+        )
+        values, vectors = np.linalg.eigh(blocks)
+        candidates[start[comps][:, None] + np.arange(size)] = values
+        block_vectors[size] = vectors
+
+    chosen = np.argsort(candidates, kind="stable")[:k]
+    chosen_comp = labels[members[chosen]]
+    chosen_level = chosen - start[chosen_comp]
+    out = np.zeros((dim, k), dtype=dtype)
+    for size, vectors in block_vectors.items():
+        cols = np.flatnonzero(sizes[chosen_comp] == size)
+        comp = chosen_comp[cols]
+        rows = members[start[comp][:, None] + np.arange(size)]
+        out[rows, cols[:, None]] = vectors[slot[comp], :, chosen_level[cols]]
+    return candidates[chosen], out
+
+
+def _arpack_eigenpairs(mat, k: int, seed: int):
+    """The k lowest eigenpairs by restarted Lanczos from a seeded start."""
+    dim = mat.shape[0]
+    if k >= dim - 1:
+        raise SpectralError("iterative path needs k < dim - 1")
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(dim)
+    v0 /= np.linalg.norm(v0)
+    try:
+        values, vectors = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=MAX_MATVECS, tol=0)
+    except spla.ArpackNoConvergence as exc:
+        best, residual = None, None
+        if exc.eigenvalues is not None and len(exc.eigenvalues):
+            i = int(np.argmin(exc.eigenvalues.real))
+            best = float(exc.eigenvalues[i].real)
+            vec = exc.eigenvectors[:, i]
+            residual = float(np.linalg.norm(mat @ vec - best * vec))
+        raise ConvergenceError(
+            f"Lanczos did not converge for k = {k} within maxiter {MAX_MATVECS}",
+            best_value=best,
+            residual=residual,
+        ) from exc
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
+
+
 def low_spectrum(operator, k: int, options: SolverOptions = SolverOptions()) -> SpectralReport:
-    """The k smallest eigenvalues with residuals and degeneracy clusters."""
+    """The k smallest eigenvalues with residuals and degeneracy clusters.
+
+    Dense per component block when no component exceeds
+    options.dense_threshold states; Lanczos on the whole operator otherwise.
+    """
     mat = _as_matrix(operator).tocsr()
     dim = mat.shape[0]
     if not 1 <= k <= dim:
         raise SpectralError(f"k = {k} out of range 1..{dim}")
     _hermiticity_check(mat)
 
-    if dim <= options.dense_threshold:
-        dense = mat.toarray()
-        values, vectors = np.linalg.eigh(dense)
-        values, vectors = values[:k], vectors[:, :k]
+    labels, sizes = _components(mat)
+    if sizes.max() <= options.dense_threshold:
+        values, vectors = _block_eigenpairs(mat, labels, sizes, k)
         method = "dense"
         tol_scale = DENSE_RESIDUAL_TOL
     else:
-        if k >= dim - 1:
-            raise SpectralError("iterative path needs k < dim - 1")
-        rng = np.random.default_rng(options.seed)
-        v0 = rng.standard_normal(dim)
-        v0 /= np.linalg.norm(v0)
-        try:
-            values, vectors = spla.eigsh(
-                mat, k=k, which="SA", v0=v0, maxiter=MAX_MATVECS, tol=0
-            )
-        except spla.ArpackNoConvergence as exc:
-            if exc.eigenvalues is None or len(exc.eigenvalues) == 0:
-                raise ConvergenceError("no Ritz pairs converged") from exc
-            values, vectors = exc.eigenvalues, exc.eigenvectors
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
+        values, vectors = _arpack_eigenpairs(mat, k, options.seed)
         method = "iterative"
         tol_scale = ITERATIVE_RESIDUAL_TOL
 

@@ -153,6 +153,13 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_orbit_restrict_over_cap_does_not_advise_orbit_mode(self, capsys):
+        # --orbit-restrict assembles the full space too, so the cap applies to it.
+        code, _, err = run_cli(capsys, "spectrum", "--n", "2", "--r", "64", "--orbit-restrict")
+        assert code == 1
+        assert err.startswith("error: ") and "exceeds cap" in err
+        assert "orbit" not in err
+
 
 # Stdout pinned byte for byte.  `spectrum` is left out: its residual column
 # depends on the BLAS build.

@@ -24,8 +24,14 @@ from clockring import (
     random_schedule,
     restrict,
 )
+from clockring import spectral
 from clockring.basis import config_from_labels, is_legal, orbit_label_walk
+from clockring.circuit import force_reject_gate, schedule_from_placements
+from clockring.hamiltonian import assemble_total
+from clockring.promise import auto_constants
 from clockring.spectral import (
+    CLUSTER_RTOL,
+    ConvergenceError,
     SolverOptions,
     SpectralError,
     binomial_chain_vector,
@@ -68,6 +74,7 @@ class TestGroundEnergy:
     def test_dense_and_iterative_agree(self, desk_identity_schedule, desk_shape):
         op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
         shifted = sp.csr_matrix(op.matrix + 2.0 * sp.eye(729, dtype=complex))
+        assert low_spectrum(shifted, 1, SolverOptions(dense_threshold=1)).method == "iterative"
         lam_dense, _, _ = ground_energy(shifted, SolverOptions(dense_threshold=4096))
         lam_iter, _, _ = ground_energy(shifted, SolverOptions(dense_threshold=1))
         assert lam_iter == pytest.approx(lam_dense, abs=1e-8)
@@ -76,6 +83,7 @@ class TestGroundEnergy:
         op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
         shifted = sp.csr_matrix(op.matrix + 2.0 * sp.eye(729, dtype=complex))
         opts = SolverOptions(dense_threshold=1, seed=3)
+        assert low_spectrum(shifted, 1, opts).method == "iterative"
         a = ground_energy(shifted, opts)[0]
         b = ground_energy(shifted, opts)[0]
         assert a == b
@@ -104,6 +112,98 @@ class TestLowSpectrum:
     def test_k_out_of_range(self):
         with pytest.raises(SpectralError):
             low_spectrum(sparse(np.eye(3)), 4)
+
+
+def _mixed_blocks():
+    """Blocks of sizes 1, 2, 3, 1 and 2 on interleaved indices; the levels 0
+    and 2 each occur in several blocks."""
+    blocks = [
+        np.zeros((1, 1)),
+        path_laplacian(2),  # 0, 2
+        path_laplacian(3),  # 0, 1, 3
+        np.full((1, 1), 2.0),
+        path_laplacian(2),  # 0, 2
+    ]
+    perm = np.random.default_rng(5).permutation(9)
+    mat = np.zeros((9, 9), dtype=complex)
+    supports, at = [], 0
+    for block in blocks:
+        idx = perm[at:at + len(block)]
+        mat[np.ix_(idx, idx)] = block
+        supports.append(set(idx.tolist()))
+        at += len(block)
+    return sparse(mat), supports
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_filtered_desk_matrices_match_whole_matrix(self, r):
+        shape = ProblemShape(2, 1, r)
+        accepting = schedule_from_placements([], 2, 1, r)
+        rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, r)
+        constants = auto_constants(accepting)
+        for schedule in (accepting, rejecting):
+            mat, _ = frozen_excluded_submatrix(assemble_total(schedule, constants), shape)
+            dim = mat.shape[0]
+            report = low_spectrum(mat, dim)
+            want = np.linalg.eigvalsh(mat.toarray())
+            scale = max(1.0, np.abs(want).max())
+            assert report.method == "dense"
+            assert np.abs(report.eigenvalues - want).max() <= 1e-10 * scale
+            want_clusters = spectral._cluster(want, CLUSTER_RTOL * max(1.0, spectral._norm_estimate(mat)))
+            assert [len(c) for c in report.clusters] == [len(c) for c in want_clusters]
+
+    def test_mixed_blocks_vectors_and_ties(self):
+        mat, supports = _mixed_blocks()
+        a = low_spectrum(mat, 9)
+        b = low_spectrum(mat, 9)
+        assert np.allclose(a.eigenvalues, [0, 0, 0, 0, 1, 2, 2, 2, 3], atol=1e-12)
+        assert [len(c) for c in a.clusters] == [4, 1, 3, 1]
+        for i in range(9):
+            vec = a.vectors[:, i]
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+            support = set(np.flatnonzero(vec).tolist())
+            assert any(support <= block for block in supports)
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.vectors.tobytes() == b.vectors.tobytes()
+        assert a.residuals.tobytes() == b.residuals.tobytes()
+
+    def test_small_blocks_stay_dense_above_threshold(self):
+        mat, _ = _mixed_blocks()
+        report = low_spectrum(mat, 3, SolverOptions(dense_threshold=3))
+        assert report.method == "dense"
+        assert np.abs(report.eigenvalues).max() <= 1e-12
+
+    def test_component_above_threshold_goes_iterative(self):
+        mat = sparse(path_laplacian(40))
+        report = low_spectrum(mat, 3, SolverOptions(dense_threshold=39))
+        assert report.method == "iterative"
+        want = path_laplacian_eigenvalues(40)[:3]
+        assert np.abs(report.eigenvalues - want).max() <= 1e-8
+
+    def test_partial_lanczos_result_raises(self, monkeypatch):
+        # Two isolated low levels converge at once; the other two requested do not.
+        diag = np.r_[[-10.0, -9.0], np.linspace(0, 1, 298)]
+        mat = sparse(np.diag(diag) + 1e-3 * path_laplacian(300))
+        monkeypatch.setattr(spectral, "MAX_MATVECS", 1)
+        with pytest.raises(ConvergenceError) as info:
+            low_spectrum(mat, 4, SolverOptions(dense_threshold=10))
+        assert info.value.best_value == pytest.approx(-10, abs=1e-2)
+        assert info.value.residual <= 1e-8
+
+    def test_three_qubit_identity_ground_degeneracy(self):
+        schedule = SweepSchedule(ProblemShape(3, 1, 1))
+        total = assemble_total(schedule, auto_constants(schedule))
+        report = low_spectrum(total, 8)
+        assert report.eigenvalues.dtype == np.float64
+        assert len(report.eigenvalues) == 8
+        assert np.abs(report.eigenvalues + 2376).max() <= 1e-9
+        assert len(report.clusters) == 1
+        result = gap(total)
+        assert result.resolved
+        assert result.ground_degeneracy == 44
+        assert result.ground_value == pytest.approx(-2376, abs=1e-9)
+        assert result.next_value == pytest.approx(-2375.66701723, abs=1e-8)
 
 
 class TestRestrict:
