@@ -92,11 +92,11 @@ def cmd_compile(args) -> int:
             print(f"error: {d}", file=sys.stderr)
         return 1
     shape = schedule.shape
-    parts = standard_parts(schedule)
     if args.parts == "all":
         constants = _resolve_constants(schedule, args)
         op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
     else:
+        parts = standard_parts(schedule)
         selected = []
         for name in args.parts.split(","):
             name = name.strip()

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .basis import HEAD, Data, SpinBasis, slot_edges
 from .circuit import ProblemShape, SweepSchedule
+from .spectral import hermiticity_residual, low_spectrum
 
 HERMITICITY_TOL = 1e-12
 RING_HERMITICITY_TOL = 1e-10
@@ -29,12 +29,6 @@ RING_HERMITICITY_TOL = 1e-10
 
 class BuildError(ValueError):
     """Term construction or assembly failed a structural requirement."""
-
-
-def hermiticity_residual(mat) -> float:
-    """Largest entry of |M - M^H|; exactly 0 for a Hermitian sparse matrix."""
-    delta = mat - mat.conj().T
-    return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
 
 
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
@@ -82,12 +76,8 @@ class LocalTerm:
         return hermiticity_residual(self.matrix)
 
     def operator_norm(self) -> float:
-        if self.matrix.nnz == 0:
-            return 0.0
-        if self.dim <= 512:
-            return float(np.abs(np.linalg.eigvalsh(self.matrix.toarray())).max())
-        extreme = spla.eigsh(self.matrix, k=1, which="LM", return_eigenvectors=False)
-        return float(abs(extreme[0]))
+        """max |lambda| as the larger of |lambda_min(M)| and |lambda_min(-M)|."""
+        return max(abs(float(low_spectrum(s * self.matrix, 1).eigenvalues[0])) for s in (1, -1))
 
     def validate(self, max_norm: float | None = None) -> "LocalTerm":
         res = self.hermiticity_residual()

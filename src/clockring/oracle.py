@@ -41,12 +41,7 @@ def apply_bond_gate(psi: np.ndarray, gate: np.ndarray, bond: int, n_qubits: int)
 
 def run_plain_circuit(schedule: SweepSchedule, witness_bits) -> np.ndarray:
     """Apply every scheduled gate in sweep order to |x>; returns the 2^N state."""
-    shape = schedule.shape.require_valid()
-    bits = _as_bits(witness_bits, shape.n_qubits)
-    psi = np.all(qubit_bits(shape.n_qubits) == bits, axis=1).astype(complex)
-    for m, n in visitation_order(shape):
-        psi = apply_bond_gate(psi, schedule.gate_at(m, n), n, shape.n_qubits)
-    return psi
+    return simulate_history(schedule, witness_bits).amplitudes[-1]
 
 
 def reject_probability(schedule: SweepSchedule, witness_bits) -> float:

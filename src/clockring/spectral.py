@@ -5,9 +5,11 @@ pattern; each component spans an invariant block, and every block is
 diagonalized densely (equal-size blocks share one stacked LAPACK call).
 Only an operator with a component larger than the dense threshold goes to
 restarted Lanczos (scipy's implicitly restarted ARPACK with a seeded
-starting vector, so runs are deterministic).  Also: subspace restriction,
-orbit and frozen configuration indices from the codec in ``basis``, and
-the uniform/engineered hopping chains used as exact references.
+starting vector, so runs are deterministic).  Ground energies, gaps and
+the bond-term norms of ``hamiltonian`` all come from ``low_spectrum``.
+Also: the hermiticity residual, subspace restriction, orbit and frozen
+configuration indices from the codec in ``basis``, and the
+uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from scipy.sparse.csgraph import connected_components
 
 from .basis import SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape
-from .hamiltonian import hermiticity_residual
 
 DENSE_RESIDUAL_TOL = 1e-8
 ITERATIVE_RESIDUAL_TOL = 1e-6
 MAX_MATVECS = 10000
 CLUSTER_RTOL = 1e-7  # eigenvalues within CLUSTER_RTOL * max(1, ||H||) share a cluster
-GAP_K0 = 6
 GAP_K_CAP = 64
 
 
@@ -61,9 +61,6 @@ class SpectralReport:
     method: str
     vectors: np.ndarray | None = field(default=None, repr=False)  # not in format()
 
-    def cluster_values(self) -> list[float]:
-        return [float(np.mean(self.eigenvalues[c])) for c in self.clusters]
-
     def format(self) -> str:
         lines = []
         cluster_of = {}
@@ -73,6 +70,12 @@ class SpectralReport:
         for i, (val, res) in enumerate(zip(self.eigenvalues, self.residuals)):
             lines.append(f"eig {i} {val:.12g} {res:.3g} {cluster_of[i]}")
         return "\n".join(lines) + "\n"
+
+
+def hermiticity_residual(mat) -> float:
+    """Largest entry of |M - M^H|; exactly 0 for a Hermitian sparse matrix."""
+    delta = mat - mat.conj().T
+    return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
 
 
 def _as_matrix(operator):
@@ -158,15 +161,17 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
 
 
 def _arpack_eigenpairs(mat, k: int, seed: int):
-    """The k lowest eigenpairs by restarted Lanczos from a seeded start."""
+    """The k lowest of at least min(6, dim - 2) Ritz pairs from restarted
+    Lanczos with a seeded start."""
     dim = mat.shape[0]
     if k >= dim - 1:
         raise SpectralError("iterative path needs k < dim - 1")
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     v0 /= np.linalg.norm(v0)
+    ritz = max(k, min(6, dim - 2))
     try:
-        values, vectors = spla.eigsh(mat, k=k, which="SA", v0=v0, maxiter=MAX_MATVECS, tol=0)
+        values, vectors = spla.eigsh(mat, k=ritz, which="SA", v0=v0, maxiter=MAX_MATVECS, tol=0)
     except spla.ArpackNoConvergence as exc:
         best, residual = None, None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -179,7 +184,7 @@ def _arpack_eigenpairs(mat, k: int, seed: int):
             best_value=best,
             residual=residual,
         ) from exc
-    order = np.argsort(values)
+    order = np.argsort(values)[:k]
     return values[order], vectors[:, order]
 
 
@@ -222,15 +227,17 @@ def low_spectrum(operator, k: int, options: SolverOptions = SolverOptions()) -> 
 
 def ground_energy(operator, options: SolverOptions = SolverOptions()):
     """Smallest eigenvalue, its vector, and the residual norm."""
-    mat = _as_matrix(operator)
-    k = 1 if mat.shape[0] <= options.dense_threshold else min(6, mat.shape[0] - 2)
-    report = low_spectrum(operator, max(1, k), options)
+    report = low_spectrum(operator, 1, options)
     vec = report.vectors[:, 0]
     return float(report.eigenvalues[0]), vec, float(report.residuals[0])
 
 
 @dataclass
 class GapReport:
+    """next_value is the lowest eigenvalue outside the ground cluster; it is
+    None, with gap 0 and resolved False, when that cluster fills all
+    min(GAP_K_CAP, dim) levels solved for."""
+
     gap: float
     ground_degeneracy: int
     ground_value: float
@@ -239,18 +246,13 @@ class GapReport:
 
 
 def gap(operator, options: SolverOptions = SolverOptions()) -> GapReport:
-    """Distance from the lowest eigenvalue cluster to the next one."""
-    dim = _as_matrix(operator).shape[0]
-    k = min(GAP_K0, dim)
-    while True:
-        report = low_spectrum(operator, k, options)
-        if len(report.clusters) >= 2:
-            ground, nxt = report.cluster_values()[0], report.cluster_values()[1]
-            return GapReport(nxt - ground, len(report.clusters[0]), ground, nxt, True)
-        if k >= min(GAP_K_CAP, dim):
-            ground = report.cluster_values()[0]
-            return GapReport(0.0, len(report.clusters[0]), ground, None, False)
-        k = min(k * 2, dim, GAP_K_CAP)
+    """From the lowest eigenvalue to next_value (see GapReport), in one solve."""
+    report = low_spectrum(operator, min(GAP_K_CAP, _as_matrix(operator).shape[0]), options)
+    values, degeneracy = report.eigenvalues.tolist(), len(report.clusters[0])
+    if degeneracy == len(values):
+        return GapReport(0.0, degeneracy, values[0], None, False)
+    ground, nxt = values[0], values[degeneracy]
+    return GapReport(nxt - ground, degeneracy, ground, nxt, True)
 
 
 def restrict(operator, basis_spec) -> np.ndarray:

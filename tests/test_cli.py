@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from clockring import cli, hamiltonian
 from clockring.cli import main
 from clockring.circuit import format_circuit_text, schedule_from_placements
-from clockring.hamiltonian import parse_triplets
+from clockring.hamiltonian import parse_triplets, standard_parts
 
 
 IDENTITY_N2 = "shape 2 1 1\n"
@@ -57,6 +58,19 @@ class TestCompile:
         code, _, err = run_cli(capsys, "compile", "--circuit", str(path))
         assert code == 1
         assert "not unitary" in err
+
+    def test_all_parts_built_once(self, capsys, circuit_file, monkeypatch):
+        calls = []
+
+        def counted(schedule):
+            calls.append(schedule)
+            return standard_parts(schedule)
+
+        monkeypatch.setattr(cli, "standard_parts", counted)
+        monkeypatch.setattr(hamiltonian, "standard_parts", counted)
+        code, _, _ = run_cli(capsys, "compile", "--circuit", circuit_file)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_dimension_cap_guard(self, capsys, circuit_file):
         code, _, err = run_cli(

@@ -26,7 +26,7 @@ from clockring import (
     standard_parts,
 )
 from clockring.basis import config_from_labels, initial_config
-from clockring.hamiltonian import BuildError, RingOperator, parse_triplets
+from clockring.hamiltonian import BuildError, LocalTerm, RingOperator, parse_triplets
 from clockring.spectral import path_laplacian
 
 
@@ -83,6 +83,18 @@ class TestCompBond:
         got = np.sort(np.linalg.eigvalsh(sub))
         want = np.sort(np.repeat(np.linalg.eigvalsh(path_laplacian(5)), 2 ** 3))
         assert np.abs(got - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 1, 1), (2, 1, 4), (4, 1, 1), (3, 1, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_operator_norm_matches_dense_spectrum(dims, sign):
+    # (3,1,3) has bond dim 625; sign -1 makes the negative side dominate.
+    shape = ProblemShape(*dims)
+    parts = standard_parts(random_schedule(shape, np.random.default_rng(sum(dims))))
+    for name, term in parts.items():
+        flipped = LocalTerm(term.local_dim, sign * term.matrix, name)
+        want = np.abs(np.linalg.eigvalsh(flipped.matrix.toarray())).max()
+        assert abs(flipped.operator_norm() - want) <= 1e-10 * max(1.0, want), name
 
 
 class TestInputBond:

@@ -1,4 +1,6 @@
+import ast
 from math import cos, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from clockring import (
     random_schedule,
     restrict,
 )
-from clockring import spectral
+from clockring import hamiltonian, spectral
 from clockring.basis import config_from_labels, is_legal, orbit_label_walk
 from clockring.circuit import force_reject_gate, schedule_from_placements
 from clockring.hamiltonian import assemble_total
@@ -246,6 +248,14 @@ class TestGap:
         assert report.ground_degeneracy == 1
         assert report.gap == pytest.approx(2 * (1 - cos(pi / 5)), abs=1e-10)
 
+    def test_next_value_is_lowest_level_outside_ground_cluster(self):
+        # 1 and 1 + 5e-8 share a cluster; next_value is its lowest level, not its mean.
+        report = gap(sparse(np.diag([0.0] * 6 + [1.0] * 3 + [1 + 5e-8] * 3)))
+        assert report.resolved
+        assert report.ground_degeneracy == 6
+        assert report.next_value == 1.0
+        assert report.gap == 1.0
+
     def test_identity_reports_degenerate_only(self):
         report = gap(sparse(np.eye(5)))
         assert not report.resolved
@@ -361,3 +371,24 @@ class TestChainModels:
             chain_models(1)
         with pytest.raises(SpectralError):
             chain_models(4, "nope")
+
+
+def test_spectral_is_the_only_eigensolver_module():
+    package = Path(spectral.__file__).parent
+    linalg_importers, spectral_sources = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                names = [base] + [base.rstrip(".") + "." + alias.name for alias in node.names]
+            else:
+                continue
+            if any(n.startswith("scipy.sparse.linalg") for n in names):
+                linalg_importers.add(path.stem)
+            if path.stem == "spectral":
+                spectral_sources.update(names)
+    assert linalg_importers == {"spectral"}
+    assert not any("hamiltonian" in n for n in spectral_sources)
+    assert hamiltonian.hermiticity_residual is spectral.hermiticity_residual
