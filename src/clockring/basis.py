@@ -9,6 +9,10 @@ m - 1 when it departs, so every sweep step changes both spins of its
 bond and the label pattern pins the step uniquely.  Starting from the
 all-zero pattern this generates exactly T + 1 = R(N-1) + 1 patterns
 connected in a path, one transition per sweep slot.
+
+Configuration indices read ring site 0 as the most significant digit;
+SpinBasis.translate is the one rule that moves a configuration around the
+ring.
 """
 
 from __future__ import annotations
@@ -125,10 +129,20 @@ class SpinBasis:
             index //= self.local_dim
         return tuple(self.decode(lvl) for lvl in reversed(levels))
 
+    def translate(self, indices, steps: int) -> np.ndarray:
+        """Index after every site's content moves `steps` sites forward (mod N+1).
+
+        Site 0 is the most significant digit, so this rotates the digit
+        string right: the low `steps` digits wrap around to the top.
+        """
+        s = steps % self.shape.n_sites
+        moved, wrapped = np.divmod(np.asarray(indices, dtype=np.int64), self.local_dim ** s)
+        return moved + wrapped * self.local_dim ** (self.shape.n_sites - s) if s else moved
+
     def orbit_indices(self, head_site: int, label_patterns) -> np.ndarray:
         """Entry (p, q) is the index of config_from_labels(head_site,
         label_patterns[p], bits of q); BasisError if indices overflow int64."""
-        n, r, n_sites = self.shape.n_qubits, self.shape.n_cycles, self.shape.n_sites
+        n, r = self.shape.n_qubits, self.shape.n_cycles
         if self.config_dim > np.iinfo(np.int64).max:
             raise BasisError(f"config dim {self.config_dim} does not fit in int64")
         if not 0 <= head_site <= n:
@@ -138,12 +152,11 @@ class SpinBasis:
             raise BasisError("need one cycle label per position in every pattern")
         if labels.size and not (labels.min() >= 0 and labels.max() <= r):
             raise BasisError(f"cycle label out of range 0..{r}")
-        # Digit weight of the site holding position z (site 0 most significant).
-        sites = (head_site + np.arange(1, n + 1)) % n_sites
-        weights = np.int64(self.local_dim) ** (n_sites - 1 - sites)
+        # With the head on site 0, site z holds position z.
+        weights = np.int64(self.local_dim) ** np.arange(n - 1, -1, -1)
         # Level of Data(bit, cycle, z) is 1 + bit + 2 (cycle + (R+1)(z-1)).
         base = (1 + 2 * (labels + (r + 1) * np.arange(n))) @ weights
-        return base[:, None] + qubit_bits(n) @ weights
+        return self.translate(base[:, None] + qubit_bits(n) @ weights, head_site)
 
 
 def format_config(config: Sequence[SpinState]) -> str:
@@ -353,7 +366,6 @@ def is_legal(config: Sequence[SpinState], shape: ProblemShape):
         return False, violations
 
     labels = tuple(s.cycle for s in positions)
-    legal_patterns = {d.labels for _, d in enumerate_legal_orbit(shape)}
-    if labels not in legal_patterns:
+    if labels not in set(orbit_label_walk(shape)):
         violations.append(f"clock-pattern: labels {labels} not in the legal orbit")
     return not violations, violations

@@ -70,17 +70,18 @@ class ProblemShape:
 
 
 def unitarity_deviation(matrix: np.ndarray) -> float:
-    """Max-entry norm of U^H U - 1."""
+    """Max-entry norm of U^H U - 1; NaN or inf for a non-finite or overflowing U."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (4, 4):
         raise ScheduleError(f"expected a 4x4 matrix, got shape {matrix.shape}")
-    return float(np.abs(matrix.conj().T @ matrix - EYE4).max())
+    with np.errstate(all="ignore"):
+        return float(np.abs(matrix.conj().T @ matrix - EYE4).max())
 
 
 def check_unitary(matrix: np.ndarray, where: str = "") -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     dev = unitarity_deviation(matrix)
-    if dev > UNITARITY_TOL:
+    if not dev <= UNITARITY_TOL:  # NaN compares False both ways
         raise NonUnitaryGateError(dev, where)
     return matrix
 
@@ -156,7 +157,7 @@ class SweepSchedule:
             if self.shape.n_qubits >= 2 and not 1 <= n <= self.shape.n_qubits - 1:
                 diags.append(f"slot ({m},{n}): bond out of range")
             dev = unitarity_deviation(gate)
-            if dev > UNITARITY_TOL:
+            if not dev <= UNITARITY_TOL:
                 diags.append(
                     f"slot ({m},{n}): non-unitary, max|U^H U - 1| = {dev:.6g}"
                 )
@@ -299,11 +300,7 @@ def parse_circuit_text(text: str) -> SweepSchedule:
             except ValueError:
                 raise ScheduleError(f"line {lineno}: malformed gate field") from None
             unitary = np.array(entries, dtype=complex).reshape(4, 4)
-            if unitarity_deviation(unitary) > UNITARITY_TOL:
-                raise NonUnitaryGateError(
-                    unitarity_deviation(unitary), where=f"line {lineno}"
-                )
-            placements.append((m, n, unitary))
+            placements.append((m, n, check_unitary(unitary, where=f"line {lineno}")))
         else:
             raise ScheduleError(f"line {lineno}: unknown directive {fields[0]!r}")
     if header is None:

@@ -30,6 +30,7 @@ from .hamiltonian import (
     build_h_comp_bond,
     build_shift_operator,
     check_translation_invariance,
+    checked_dim,
     export_triplets,
     standard_parts,
 )
@@ -96,6 +97,7 @@ def cmd_compile(args) -> int:
         constants = _resolve_constants(schedule, args)
         op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
     else:
+        checked_dim(shape, args.dim_cap)
         parts = standard_parts(schedule)
         selected = []
         for name in args.parts.split(","):
@@ -195,11 +197,7 @@ def cmd_verify(args) -> int:
                 accepting = parse_circuit_text(fh.read())
             with open(args.circuit_no) as fh:
                 rejecting = parse_circuit_text(fh.read())
-        constants = None
-        if args.alpha != "auto" and args.j2 != "auto":
-            constants = CouplingConstants.with_default_output_weight(
-                accepting.shape, args.j1, float(args.j2), float(args.alpha)
-            )
+        constants = _resolve_constants(accepting, args)
         report = separation_experiment(accepting, rejecting, constants, options)
         sys.stdout.write(report.format())
         return 0
@@ -225,50 +223,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def source(p):
         p.add_argument("--circuit", help="circuit text file")
         p.add_argument("--n", type=int, help="qubit count when no circuit file is given")
         p.add_argument("--m", type=int, help="witness length (default 1)")
         p.add_argument("--r", type=int, help="cycle count (default 1)")
+
+    def assembly(p):  # coupling constants and the full-space cap of the total
         p.add_argument("--j1", type=float, default=1.0)
         p.add_argument("--j2", default="auto")
         p.add_argument("--alpha", default="auto")
-        p.add_argument("--k", type=int, default=6)
+        p.add_argument("--dim-cap", type=int, default=DIM_CAP, dest="dim_cap")
+
+    def solver(p):
         p.add_argument("--dense-threshold", type=int, default=4096, dest="dense_threshold",
                        help="largest connected block of the operator solved densely; "
                             "an operator with a larger block is solved by Lanczos")
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--dim-cap", type=int, default=DIM_CAP, dest="dim_cap")
-        p.add_argument("--orbit-restrict", action="store_true", dest="orbit_restrict")
-        p.add_argument("--frozen-scan", action="store_true", dest="frozen_scan")
-        p.add_argument("--out")
 
-    p = sub.add_parser("compile", help="assemble and export the ring operator")
-    common(p)
-    p.add_argument("--parts", default="all", help="comma list of parts or 'all'")
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("export", help="write the sparse triplet file")
-    common(p)
-    p.add_argument("--parts", default="all")
-    p.set_defaults(func=cmd_export)
+    for name, help_text, func in (
+        ("compile", "assemble and export the ring operator", cmd_compile),
+        ("export", "write the sparse triplet file", cmd_export),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        source(p)
+        assembly(p)
+        p.add_argument("--parts", default="all", help="comma list of parts or 'all'")
+        p.add_argument("--out", help="triplet file to write")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("oracle", help="history-state expectations for a witness")
-    common(p)
+    source(p)
     p.add_argument("--witness", help="bit string of length N")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("spectrum", help="low-lying spectrum of the total Hamiltonian")
-    common(p)
+    source(p)
+    assembly(p)
+    solver(p)
+    p.add_argument("--k", type=int, default=6)
+    p.add_argument("--orbit-restrict", action="store_true", dest="orbit_restrict")
+    p.add_argument("--frozen-scan", action="store_true", dest="frozen_scan")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gapscan", help="orbit-restricted gap against step count")
-    common(p)
     p.add_argument("--tplus", default="3,5,9,17", help="comma list of T+1 values")
     p.set_defaults(func=cmd_gapscan)
 
     p = sub.add_parser("verify", help="promise decision or yes/no separation")
-    common(p)
+    source(p)
+    assembly(p)
+    solver(p)
     p.add_argument("--mode", choices=("decide", "separation"), default="separation")
     p.add_argument("--circuit-no", dest="circuit_no", help="rejecting circuit file")
     p.add_argument("--desk-pair", action="store_true", dest="desk_pair",
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemma", help="randomized projection-lemma check")
-    common(p)
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--dim", type=int, default=8)
     p.set_defaults(func=cmd_lemma)

@@ -1,8 +1,10 @@
 """Bond-local Hermitian terms and their translation-invariant ring sums.
 
 Every part of the total Hamiltonian is a single d^2 x d^2 bond term summed
-over all N+1 ring bonds.  The sweep part is a sum of positive semidefinite
-edge operators, one per sweep slot:
+over all N+1 ring bonds: the term is laid on bond (0, 1) and translated
+with SpinBasis.translate, and all contributions meet in one sorted
+reduction, so the sum commutes exactly with the cyclic shift.  The sweep
+part is a sum of positive semidefinite edge operators, one per sweep slot:
 
     P_before + P_after - (hop x U + hop^H x U^H)
 
@@ -34,30 +36,25 @@ class BuildError(ValueError):
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
     """Deduplicate COO triples with a fixed, order-independent summation.
 
-    Triples are sorted by (row, col, value) before the per-entry reduction,
-    so the assembled matrix is bit-identical no matter how contributions
-    were generated or partitioned.  That makes the translation-invariance
-    residual of ring sums exactly zero.
+    Triples are sorted by (row * dim + col, value) before the per-entry
+    reduction, so the assembled matrix is bit-identical no matter how
+    contributions were generated or partitioned.  That makes the
+    translation-invariance residual of ring sums exactly zero.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    if dim > 3_037_000_499:  # row * dim + col would overflow int64
+        raise BuildError(f"dim {dim} too large for int64 entry keys")
+    keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=complex)
-    if rows.size == 0:
+    if keys.size == 0:
         return sp.csr_matrix((dim, dim), dtype=complex)
-    order = np.lexsort((vals.imag, vals.real, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    boundary = np.empty(rows.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=boundary[1:])
-    boundary[1:] |= cols[1:] != cols[:-1]
-    starts = np.flatnonzero(boundary)
+    order = np.lexsort((vals.imag, vals.real, keys))
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     summed = np.add.reduceat(vals, starts)
     keep = summed != 0
-    mat = sp.csr_matrix(
-        (summed[keep], (rows[starts][keep], cols[starts][keep])), shape=(dim, dim)
-    )
-    mat.sort_indices()
-    return mat
+    keys = keys[starts][keep]
+    indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
+    return sp.csr_matrix((summed[keep], keys % dim, indptr), shape=(dim, dim))
 
 
 @dataclass
@@ -100,39 +97,21 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     d = basis.local_dim
     rows, cols, vals = [], [], []
 
-    def pair_index(left: Data, right: Data) -> int:
-        return basis.encode(left) * d + basis.encode(right)
+    def pair_indices(labels, n: int) -> np.ndarray:
+        """Bond indices of the bit pairs (x1, x2) in gate order 2 x1 + x2."""
+        return np.array([
+            basis.encode(Data(x1, labels[0], n)) * d + basis.encode(Data(x2, labels[1], n + 1))
+            for x1 in (0, 1) for x2 in (0, 1)
+        ])
 
     for edge in slot_edges(shape):
+        pre, post = pair_indices(edge.pre, edge.bond), pair_indices(edge.post, edge.bond)
         gate = schedule.gate_at(edge.cycle, edge.bond)
-        n = edge.bond
-        pre = [
-            [pair_index(Data(x1, edge.pre[0], n), Data(x2, edge.pre[1], n + 1))
-             for x2 in (0, 1)] for x1 in (0, 1)
-        ]
-        post = [
-            [pair_index(Data(x1, edge.post[0], n), Data(x2, edge.post[1], n + 1))
-             for x2 in (0, 1)] for x1 in (0, 1)
-        ]
-        for x1 in (0, 1):
-            for x2 in (0, 1):
-                for idx in (pre[x1][x2], post[x1][x2]):
-                    rows.append(idx)
-                    cols.append(idx)
-                    vals.append(1.0)
-        for x1p in (0, 1):
-            for x2p in (0, 1):
-                for x1 in (0, 1):
-                    for x2 in (0, 1):
-                        amp = gate[(x1p << 1) | x2p, (x1 << 1) | x2]
-                        if amp == 0:
-                            continue
-                        rows.append(post[x1p][x2p])
-                        cols.append(pre[x1][x2])
-                        vals.append(-amp)
-                        rows.append(pre[x1][x2])
-                        cols.append(post[x1p][x2p])
-                        vals.append(-np.conj(amp))
+        out, into = np.nonzero(gate)
+        amps = gate[out, into]
+        rows += [*pre, *post, *post[out], *pre[into]]
+        cols += [*pre, *post, *pre[into], *post[out]]
+        vals += [1.0] * 8 + [*-amps, *-amps.conj()]
     term = _term_from_triples(rows, cols, vals, basis, "h_comp")
     return term.validate(max_norm=10 * shape.total_steps)
 
@@ -251,36 +230,26 @@ DIM_CAP = 2 ** 24
 def _bond_triples(term: LocalTerm, bond: int, shape: ProblemShape):
     """Global COO triples for one bond term placed at ring bond (i, i+1).
 
-    Site 0 is the most significant configuration digit.  The wrap bond
-    (N, 0) has its left factor on the least significant digit and its right
-    factor on the most significant one.
+    The term is laid on sites (0, 1) and translated `bond` sites.  A
+    translation only permutes digits, so the term's two digits and the
+    other sites' digits are translated apart and added.
     """
-    d = term.local_dim
-    n_sites = shape.n_sites
+    basis = SpinBasis(shape)
+    rest = basis.config_dim // term.dim
     coo = term.matrix.tocoo()
-    left_r, right_r = coo.row // d, coo.row % d
-    left_c, right_c = coo.col // d, coo.col % d
-    vals = coo.data
+    others = basis.translate(np.arange(rest, dtype=np.int64), bond)
+    rows = (basis.translate(coo.row.astype(np.int64) * rest, bond)[:, None] + others).ravel()
+    cols = (basis.translate(coo.col.astype(np.int64) * rest, bond)[:, None] + others).ravel()
+    vals = np.broadcast_to(coo.data[:, None], (coo.nnz, rest)).ravel()
+    return rows, cols, vals
 
-    if bond < n_sites - 1:
-        high = d ** bond
-        low = d ** (n_sites - 2 - bond)
-        high_idx = np.arange(high, dtype=np.int64) * (d * d * low)
-        low_idx = np.arange(low, dtype=np.int64)
-        base_r = (left_r * d + right_r) * low
-        base_c = (left_c * d + right_c) * low
-        rows = (high_idx[:, None, None] + base_r[None, :, None] + low_idx[None, None, :]).ravel()
-        cols = (high_idx[:, None, None] + base_c[None, :, None] + low_idx[None, None, :]).ravel()
-        out_vals = np.broadcast_to(vals[None, :, None], (high, vals.size, low)).ravel()
-    else:
-        mid = d ** (n_sites - 2)
-        mid_idx = np.arange(mid, dtype=np.int64) * d
-        base_r = right_r * (d ** (n_sites - 1)) + left_r
-        base_c = right_c * (d ** (n_sites - 1)) + left_c
-        rows = (base_r[:, None] + mid_idx[None, :]).ravel()
-        cols = (base_c[:, None] + mid_idx[None, :]).ravel()
-        out_vals = np.broadcast_to(vals[:, None], (vals.size, mid)).ravel()
-    return rows, cols, out_vals
+
+def checked_dim(shape: ProblemShape, dim_cap: int = DIM_CAP) -> int:
+    """Configuration-space dim of a full-space build; BuildError above the cap."""
+    dim = SpinBasis(shape.require_valid()).config_dim
+    if dim > dim_cap:
+        raise BuildError(f"configuration space dim {dim} exceeds cap {dim_cap}")
+    return dim
 
 
 def assemble(
@@ -294,12 +263,8 @@ def assemble(
     All contributions are merged through one canonical sorted reduction, so
     the result is independent of bond order and exactly shift-invariant.
     """
-    shape.require_valid()
-    basis = SpinBasis(shape)
-    dim = basis.config_dim
-    if dim > dim_cap:
-        raise BuildError(f"configuration space dim {dim} exceeds cap {dim_cap}")
-    d = basis.local_dim
+    dim = checked_dim(shape, dim_cap)
+    d = SpinBasis(shape).local_dim
     all_rows, all_cols, all_vals = [], [], []
     for term, weight in parts:
         if term.local_dim != d:
@@ -337,21 +302,28 @@ def assemble_part(term: LocalTerm, shape: ProblemShape, name: str = "") -> RingO
     return assemble([(term, 1.0)], shape, provenance=name or term.provenance)
 
 
-def assemble_total(
-    schedule: SweepSchedule, constants: CouplingConstants, dim_cap: int = DIM_CAP
-) -> RingOperator:
-    """H = J1 H_input + J2 (alpha H_form + H_comp) + w_out H_output."""
-    parts = standard_parts(schedule)
-    weighted = [
+def total_parts(
+    parts: dict[str, LocalTerm], constants: CouplingConstants
+) -> list[tuple[LocalTerm, float]]:
+    """Weighted terms of H = J1 H_input + J2 (alpha H_form + H_comp) + w_out H_output."""
+    return [
         (parts["H_input"], constants.j1),
         (parts["H_form"], constants.j2 * constants.alpha),
         (parts["H_comp"], constants.j2),
         (parts["H_output"], constants.w_out),
     ]
+
+
+def assemble_total(
+    schedule: SweepSchedule, constants: CouplingConstants, dim_cap: int = DIM_CAP
+) -> RingOperator:
+    """The total Hamiltonian of the schedule's standard parts (see total_parts)."""
+    checked_dim(schedule.shape, dim_cap)
     tag = (
         f"total(j1={constants.j1:.12g},j2={constants.j2:.12g},"
         f"alpha={constants.alpha:.12g},w_out={constants.w_out:.12g})"
     )
+    weighted = total_parts(standard_parts(schedule), constants)
     return assemble(weighted, schedule.shape, provenance=tag, dim_cap=dim_cap)
 
 
@@ -359,15 +331,9 @@ def build_shift_operator(shape: ProblemShape) -> RingOperator:
     """Cyclic shift S: the content of site i moves to site i + 1 (mod N+1)."""
     shape.require_valid()
     basis = SpinBasis(shape)
-    d, n_sites = basis.local_dim, shape.n_sites
     dim = basis.config_dim
     src = np.arange(dim, dtype=np.int64)
-    # Site 0 is the most significant digit; shifting site content forward
-    # rotates the digit string right.
-    last = src % d
-    rest = src // d
-    dst = last * (d ** (n_sites - 1)) + rest
-    mat = sp.csr_matrix((np.ones(dim), (dst, src)), shape=(dim, dim), dtype=complex)
+    mat = sp.csr_matrix((np.ones(dim), (basis.translate(src, 1), src)), shape=(dim, dim), dtype=complex)
     return RingOperator(shape, mat, "shift")
 
 

@@ -18,9 +18,10 @@ from .basis import SpinBasis, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
     CouplingConstants,
+    assemble,
     assemble_part,
-    assemble_total,
     standard_parts,
+    total_parts,
 )
 from .oracle import expectations, reject_probability, simulate_history
 from .spectral import (
@@ -263,7 +264,8 @@ def _schedule_energies(
 ) -> ScheduleEnergies:
     shape = schedule.shape
     basis = SpinBasis(shape)
-    total = assemble_total(schedule, constants)
+    terms = standard_parts(schedule)
+    total = assemble(total_parts(terms, constants), shape, provenance="total")
 
     filtered_mat, keep = frozen_excluded_submatrix(total, shape, basis)
     filtered = low_spectrum(filtered_mat, 1, options)
@@ -276,7 +278,7 @@ def _schedule_energies(
     sub = restrict(total, block)
     lam_orbit = float(np.linalg.eigvalsh(sub)[0])
 
-    parts = {name: assemble_part(term, shape, name) for name, term in standard_parts(schedule).items()}
+    parts = {name: assemble_part(term, shape, name) for name, term in terms.items()}
     best = None
     for bits in _witness_candidates(shape):
         eta = simulate_history(schedule, list(bits)).history_vector(basis)

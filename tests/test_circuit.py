@@ -15,6 +15,7 @@ from clockring.circuit import (
     EYE4,
     NonUnitaryGateError,
     ScheduleError,
+    check_unitary,
     ShapeError,
     embed_single_qubit,
     force_reject_gate,
@@ -206,3 +207,85 @@ class TestCircuitText:
     def test_comments_and_blanks_ignored(self):
         sched = parse_circuit_text("# hi\n\nshape 2 1 1\n")
         assert sched.shape == ProblemShape(2, 1, 1)
+
+
+IDENTITY_TOKENS = ["1,0" if i % 5 == 0 else "0,0" for i in range(16)]
+
+
+class TestNonFiniteGates:
+    @pytest.mark.parametrize("token", ["nan,0", "inf,0", "0,nan"])
+    def test_gate_line_rejected(self, token):
+        entries = list(IDENTITY_TOKENS)
+        entries[5] = token
+        with pytest.raises(NonUnitaryGateError, match="line 2"):
+            parse_circuit_text("shape 2 1 1\ngate 1 1 " + " ".join(entries))
+
+    def test_all_nan_gate_line_rejected(self):
+        with pytest.raises(NonUnitaryGateError):
+            parse_circuit_text("shape 2 1 1\ngate 1 1 " + " ".join(["nan,0"] * 16))
+
+    def test_check_unitary_and_validate(self):
+        bad = EYE4.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(NonUnitaryGateError):
+            check_unitary(bad)
+        diags = SweepSchedule(ProblemShape(2, 1, 1), {(1, 1): bad}).validate()
+        assert len(diags) == 1 and "non-unitary" in diags[0]
+
+
+_GATE_TOKENS = st.sampled_from(["nan,0", "inf,0", "-inf,1", "2,0", "1", "x,0", "1,0,0", "0,0", "1,0"])
+
+
+@st.composite
+def _gate_line(draw):
+    entries = list(IDENTITY_TOKENS)
+    for pos in draw(st.lists(st.integers(0, 15), max_size=2)):
+        entries[pos] = draw(_GATE_TOKENS)
+    if draw(st.booleans()):
+        entries = entries[: draw(st.integers(0, 15))]
+    cycle, bond = draw(st.sampled_from([1, 2, 1, 2, 0, 3])), draw(st.sampled_from([1, 2, 1, 2, 0, 3]))
+    return f"gate {cycle} {bond} " + " ".join(entries)
+
+
+_CIRCUIT_LINES = st.one_of(
+    _gate_line(),
+    st.lists(st.sampled_from(["2", "3", "1", "0", "-1", "x", "2.0"]), max_size=4).map(
+        lambda f: " ".join(["shape"] + f)
+    ),
+    st.sampled_from(["", "# note", "shape 2 1 1", "shape 3 2", "gate", "bogus 1"]),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["shape 2 1 1", "shape 3 1 2", "shape 3 2", ""]),
+    st.lists(_CIRCUIT_LINES, max_size=4),
+)
+def test_parser_fuzz_raises_only_schedule_errors(header, lines):
+    text = "\n".join([header] + lines)
+    try:
+        sched = parse_circuit_text(text)
+    except (ScheduleError, ShapeError):
+        return
+    for p in sched.placements():
+        assert np.isfinite(p.unitary).all()
+        assert unitarity_deviation(p.unitary) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1, 1), (2, 2, 3), (3, 1, 2), (4, 3, 1)]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    fill=st.floats(0, 1),
+)
+def test_format_parse_round_trip_is_exact(shape, seed, fill):
+    rng = np.random.default_rng(seed)
+    shape = ProblemShape(*shape)
+    gates = {slot: random_unitary(rng) for slot in visitation_order(shape) if rng.random() < fill}
+    sched = SweepSchedule(shape, gates)
+    back = parse_circuit_text(format_circuit_text(sched))
+    assert back.shape == shape
+    assert sorted(back._gates) == sorted(gates)
+    for slot, gate in gates.items():
+        assert back._gates[slot].tobytes() == gate.tobytes()

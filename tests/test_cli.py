@@ -232,3 +232,48 @@ class TestDeterminism:
             _, out, _ = run_cli(capsys, "oracle", "--circuit", str(path), "--witness", "10")
             outs.add(out)
         assert len(outs) == 1
+
+
+class TestFlagsPerCommand:
+    def test_settable_value_count(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        counts = {
+            name: sum(a.dest not in ("help", "func") for a in p._actions)
+            for name, p in subparsers.items()
+        }
+        assert counts == {"compile": 10, "export": 10, "oracle": 5, "spectrum": 13,
+                          "gapscan": 1, "verify": 15, "lemma": 3}
+
+    @pytest.mark.parametrize("argv", [
+        ("gapscan", "--n", "3"),
+        ("oracle", "--n", "2", "--dim-cap", "10"),
+        ("lemma", "--n", "2"),
+        ("compile", "--n", "2", "--k", "3"),
+    ], ids=" ".join)
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+
+    def test_separation_reads_j1(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--mode", "separation", "--desk-pair", "--j1", "2")
+        assert code == 0
+        assert out.startswith("constants j1 2 j2 300 alpha 16 w_out 1\n")
+
+    def test_separation_reads_a_lone_j2(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--mode", "separation", "--desk-pair", "--j2", "100")
+        assert code == 0
+        assert out.startswith("constants j1 1 j2 100 alpha 16 w_out 1\n")
+
+
+def test_dim_cap_checked_before_bond_terms(capsys, monkeypatch):
+    def refuse(schedule):
+        raise AssertionError("bond terms built before the dim cap check")
+
+    monkeypatch.setattr(cli, "standard_parts", refuse)
+    monkeypatch.setattr(hamiltonian, "standard_parts", refuse)
+    for parts in ("all", "H_comp,H_form"):
+        code, _, err = run_cli(capsys, "compile", "--n", "2", "--r", "100000", "--parts", parts)
+        assert code == 1
+        assert err.startswith("error: ") and "exceeds cap" in err

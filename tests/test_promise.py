@@ -191,6 +191,21 @@ class TestSeparation:
             want = ground_energy(assemble_total(schedule, report.constants))[0]
             assert abs(side.lambda0_full - want) <= 1e-9 * max(1.0, abs(want))
 
+    def test_bond_terms_built_once_per_side(self, monkeypatch):
+        from clockring import hamiltonian, promise
+
+        calls = []
+
+        def counted(schedule):
+            calls.append(schedule)
+            return standard_parts(schedule)
+
+        monkeypatch.setattr(promise, "standard_parts", counted)
+        monkeypatch.setattr(hamiltonian, "standard_parts", counted)
+        accepting, rejecting = desk_pair()
+        separation_experiment(accepting, rejecting)
+        assert len(calls) == 2 and calls[0] is accepting and calls[1] is rejecting
+
     def test_shape_mismatch_rejected(self):
         accepting, _ = desk_pair()
         other = SweepSchedule(ProblemShape(3, 1, 1))

@@ -1,0 +1,174 @@
+"""Ring translation: one digit rule, and bit-identical assembled operators.
+
+The export digests were recorded from the four-key, per-bond-branch
+assembly; any change to the placement or the reduction order that moves a
+single ulp or flips a signed zero changes them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clockring import (
+    CouplingConstants,
+    ProblemShape,
+    SpinBasis,
+    SweepSchedule,
+    assemble_part,
+    assemble_total,
+    build_shift_operator,
+    export_triplets,
+    schedule_from_placements,
+    standard_parts,
+)
+from clockring.circuit import PAULI_X, embed_single_qubit, force_reject_gate
+from clockring.hamiltonian import BuildError, _bond_triples, _canonical_coo
+from clockring.promise import auto_constants
+
+FIXED = CouplingConstants(0.1, 0.7, 1.3, 2.9)
+
+
+def _digest(op) -> str:
+    return hashlib.sha256(export_triplets(op).encode()).hexdigest()
+
+
+def _desk(kind: str, r: int) -> SweepSchedule:
+    placements = [(1, 1, force_reject_gate())] if kind == "reject" else []
+    return schedule_from_placements(placements, 2, 1, r)
+
+
+def _exact_312() -> SweepSchedule:
+    """(3,1,2) with a gate in every slot, each with exact 0/1 entries."""
+    x_left = embed_single_qubit(PAULI_X)
+    x_right = embed_single_qubit(PAULI_X, "right")
+    return schedule_from_placements(
+        [(1, 1, force_reject_gate()), (1, 2, x_left), (2, 2, force_reject_gate()), (2, 1, x_right)],
+        3, 1, 2,
+    )
+
+
+TOTAL_DIGESTS = {
+    ('accept', 1, 'auto'): "110bbbc669061f58b3b389df30a2a85e1b61c7435c5abd224d75db61bbb7112d",
+    ('accept', 1, 'fixed'): "578173de59e00e9376c5ac51d2ff6095a8bffe442b73b85b7a04045efc50f7e1",
+    ('accept', 2, 'auto'): "e007d54c9b26a7efdb5b87b2f9d615df1b77536a8438ddb58963f78f4a3bbb99",
+    ('accept', 2, 'fixed'): "4be1ade7127edc27e3b67abc1f0afef1d43899a79d56021705f6b539da909ef9",
+    ('accept', 4, 'auto'): "8f6820624aa3793a4f67abc0e67855003a272e5a63bae16243cb54e3fe26adbe",
+    ('accept', 4, 'fixed'): "b0f74a27863bd3aa6d5428e85c3b115389486e593efe8ad68a7b9a56bd87b576",
+    ('reject', 1, 'auto'): "b49ff7cee63c0f8947f57cc98f7a8fab214faf501c9d01a95bc2f8353b3f5757",
+    ('reject', 1, 'fixed'): "c11cd6f8ef300e678fcabd82365f0947575ef3bfd6354b8c462d3b55d96215b0",
+    ('reject', 2, 'auto'): "c8e0444f16fbbb88b7fba5ec607f5bd8500d5f7b2ec79c6db26a163490a5f0b1",
+    ('reject', 2, 'fixed'): "d907ad4a0136622c01354ab42bce5e70962d6e50599394870a27a5604c056918",
+    ('reject', 4, 'auto'): "6b15ecd6c9c6d82819cd36b7d75775a94d85c60c713e0289ac13049d8f4f40c7",
+    ('reject', 4, 'fixed'): "74e819680faae9175cab29b4382b7b5799e32fdd29a28bb748759d2f6114a22c",
+    ('id311', 1, 'auto'): "7a2925b68984851b7ef652a82a6a59c8d5057a5fd2c21de36116bd6badb66fb8",
+    ('id311', 1, 'fixed'): "4f1e342bd23513e44085fafdd7ab80e73a6b495a7b63cb54787692d30324182d",
+}
+
+PART_DIGESTS = {
+    'H_input': "1978e4c14844d8b8e61b5fb005ffbf24fecfcfad5e49b46e248ebaa7ff5cf2d2",
+    'H_form': "81dfaa22a05ae7c338daf251a5a69bfe62e58616b215dcb3c6135a50b0220855",
+    'H_comp': "1483e4eddfdec619d686cf42b65b28cce25e8e22ff714940f8ea0ffab2e7a06b",
+    'H_output': "f9828cdfc2f927f09c78e54c13c27826c1381f0bcf8dc60075f3e0f4366281f8",
+}
+
+
+@pytest.mark.parametrize("key", list(TOTAL_DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_total_export_digest(key):
+    kind, r, which = key
+    schedule = SweepSchedule(ProblemShape(3, 1, 1)) if kind == "id311" else _desk(kind, r)
+    constants = auto_constants(schedule) if which == "auto" else FIXED
+    assert _digest(assemble_total(schedule, constants)) == TOTAL_DIGESTS[key]
+
+
+def test_part_export_digests():
+    schedule = _exact_312()
+    got = {
+        name: _digest(assemble_part(term, schedule.shape, name))
+        for name, term in standard_parts(schedule).items()
+    }
+    assert got == PART_DIGESTS
+
+
+def _wrap_reference(term, shape):
+    """Bond (N, 0) placed by the explicit wrap formula: left factor on the
+    least significant digit, right factor on the most significant one."""
+    d, n_sites = term.local_dim, shape.n_sites
+    coo = term.matrix.tocoo()
+    mid_idx = np.arange(d ** (n_sites - 2), dtype=np.int64) * d
+    rows = ((coo.row % d) * d ** (n_sites - 1) + coo.row // d)[:, None] + mid_idx
+    cols = ((coo.col % d) * d ** (n_sites - 1) + coo.col // d)[:, None] + mid_idx
+    vals = np.broadcast_to(coo.data[:, None], rows.shape)
+    return rows.ravel(), cols.ravel(), vals.ravel()
+
+
+def _sorted_triples(rows, cols, vals, dim):
+    order = np.argsort(np.asarray(rows) * dim + np.asarray(cols), kind="stable")
+    return np.asarray(rows)[order], np.asarray(cols)[order], np.asarray(vals)[order]
+
+
+@pytest.mark.parametrize("schedule", [SweepSchedule(ProblemShape(2, 1, 1)), _exact_312()],
+                         ids=["2-1-1", "3-1-2"])
+def test_wrap_bond_matches_explicit_formula(schedule):
+    shape = schedule.shape
+    dim = SpinBasis(shape).config_dim
+    for term in standard_parts(schedule).values():
+        got = _sorted_triples(*_bond_triples(term, shape.n_sites - 1, shape), dim)
+        want = _sorted_triples(*_wrap_reference(term, shape), dim)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+_PART_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 1e-17, 3.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), _PART_VALUES, _PART_VALUES),
+        min_size=1, max_size=24,
+    ),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_canonical_reduction_ignores_triple_order(entries, seed):
+    rows, cols, re, im = (np.array(v) for v in zip(*entries))
+    vals = np.empty(len(entries), dtype=complex)
+    vals.real, vals.imag = re, im  # keeps the signed zeros arithmetic would drop
+    perm = np.random.default_rng(seed).permutation(len(entries))
+    a = _canonical_coo(rows, cols, vals, 4)
+    b = _canonical_coo(rows[perm], cols[perm], vals[perm], 4)
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
+SHAPES = st.sampled_from([(2, 1, 1), (2, 1, 3), (3, 1, 1), (3, 2, 2), (4, 1, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=SHAPES, data=st.data())
+def test_translate_properties(shape, data):
+    basis = SpinBasis(ProblemShape(*shape))
+    n_sites = basis.shape.n_sites
+    idx = np.array(data.draw(st.lists(st.integers(0, basis.config_dim - 1), min_size=1, max_size=8)))
+    a, b = data.draw(st.integers(-2 * n_sites, 2 * n_sites)), data.draw(st.integers(0, 3 * n_sites))
+    assert np.array_equal(basis.translate(idx, n_sites), idx)
+    assert np.array_equal(basis.translate(basis.translate(idx, a), b), basis.translate(idx, a + b))
+    for i, moved in zip(idx.tolist(), basis.translate(idx, a).tolist()):
+        config = basis.config_at(i)
+        rotated = tuple(config[(site - a) % n_sites] for site in range(n_sites))
+        assert moved == basis.config_index(rotated)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 2)], ids=["2-1-1", "3-1-2"])
+def test_one_step_is_the_shift_permutation(shape):
+    shape = ProblemShape(*shape)
+    basis = SpinBasis(shape)
+    column_rows = build_shift_operator(shape).matrix.tocsc().indices
+    assert np.array_equal(column_rows, basis.translate(np.arange(basis.config_dim), 1))
+
+
+def test_entry_key_overflow_raises():
+    with pytest.raises(BuildError):
+        _canonical_coo([0], [0], [1.0], 3_037_000_500)
