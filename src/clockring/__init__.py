@@ -35,6 +35,7 @@ from .hamiltonian import (
     RingOperator,
     assemble,
     assemble_part,
+    assemble_sector,
     assemble_total,
     build_h_comp_bond,
     build_h_form_bond,

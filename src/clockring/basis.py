@@ -12,7 +12,8 @@ connected in a path, one transition per sweep slot.
 
 Configuration indices read ring site 0 as the most significant digit;
 SpinBasis.translate is the one rule that moves a configuration around the
-ring.
+ring.  Configurations of the head-0 form-valid sector V0 also have a short
+key (SpinBasis.sector_keys) that never forms a d^(N+1) index.
 """
 
 from __future__ import annotations
@@ -147,16 +148,39 @@ class SpinBasis:
             raise BasisError(f"config dim {self.config_dim} does not fit in int64")
         if not 0 <= head_site <= n:
             raise BasisError(f"head site {head_site} out of range 0..{n}")
-        labels = np.asarray(label_patterns, dtype=np.int64)
-        if labels.ndim != 2 or labels.shape[1] != n:
-            raise BasisError("need one cycle label per position in every pattern")
-        if labels.size and not (labels.min() >= 0 and labels.max() <= r):
-            raise BasisError(f"cycle label out of range 0..{r}")
+        labels = self._checked_labels(label_patterns)
         # With the head on site 0, site z holds position z.
         weights = np.int64(self.local_dim) ** np.arange(n - 1, -1, -1)
         # Level of Data(bit, cycle, z) is 1 + bit + 2 (cycle + (R+1)(z-1)).
         base = (1 + 2 * (labels + (r + 1) * np.arange(n))) @ weights
         return self.translate(base[:, None] + qubit_bits(n) @ weights, head_site)
+
+    # The head-0 sector V0: the head on site 0 and position z on site z, so a
+    # configuration is fixed by its N data digits bit + 2 * cycle.  Its key
+    # reads them in base 2(R+1), position 1 most significant; key order is
+    # full-space index order.
+    @property
+    def sector_dim(self) -> int:
+        return (2 * (self.shape.n_cycles + 1)) ** self.shape.n_qubits
+
+    def sector_keys(self, label_patterns) -> np.ndarray:
+        """Entry (p, q) is the V0 key of label_patterns[p] with the bits of q;
+        BasisError if keys overflow int64."""
+        n, r = self.shape.n_qubits, self.shape.n_cycles
+        if self.sector_dim > np.iinfo(np.int64).max:
+            raise BasisError(f"sector dim {self.sector_dim} does not fit in int64")
+        labels = self._checked_labels(label_patterns)
+        weights = np.int64(2 * (r + 1)) ** np.arange(n - 1, -1, -1)
+        return (2 * labels @ weights)[:, None] + qubit_bits(n) @ weights
+
+    def _checked_labels(self, label_patterns) -> np.ndarray:
+        n, r = self.shape.n_qubits, self.shape.n_cycles
+        labels = np.asarray(label_patterns, dtype=np.int64)
+        if labels.ndim != 2 or labels.shape[1] != n:
+            raise BasisError("need one cycle label per position in every pattern")
+        if labels.size and not (labels.min() >= 0 and labels.max() <= r):
+            raise BasisError(f"cycle label out of range 0..{r}")
+        return labels
 
 
 def format_config(config: Sequence[SpinState]) -> str:

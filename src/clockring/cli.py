@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import scipy.sparse as sp
 
+from .basis import SpinBasis, orbit_label_walk
 from .circuit import (
     ProblemShape,
     ScheduleError,
@@ -25,7 +26,7 @@ from .hamiltonian import (
     BuildError,
     CouplingConstants,
     assemble,
-    assemble_part,
+    assemble_sector,
     assemble_total,
     build_h_comp_bond,
     build_shift_operator,
@@ -33,6 +34,7 @@ from .hamiltonian import (
     checked_dim,
     export_triplets,
     standard_parts,
+    total_parts,
 )
 from .oracle import (
     expectations,
@@ -47,14 +49,7 @@ from .promise import (
     separation_experiment,
     verify_lemma_numeric,
 )
-from .spectral import (
-    SolverOptions,
-    SpectralError,
-    frozen_config_indices,
-    low_spectrum,
-    orbit_block_indices,
-    restrict,
-)
+from .spectral import SolverOptions, SpectralError, frozen_config_indices, low_spectrum
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -132,9 +127,11 @@ def cmd_oracle(args) -> int:
     witness = args.witness
     if witness is None:
         witness = "0" * shape.n_qubits
-    eta = simulate_history(schedule, witness, head_site=0).history_vector()
+    basis = SpinBasis(shape)
+    eta = simulate_history(schedule, witness, head_site=0).sector_vector(basis)
+    sector = np.arange(basis.sector_dim)  # the history state lives in V0
     parts = {
-        name: assemble_part(term, shape, name)
+        name: assemble_sector([(term, 1.0)], shape, sector)
         for name, term in standard_parts(schedule).items()
     }
     rows = expectations(eta, parts)
@@ -146,15 +143,23 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _orbit_block(schedule: SweepSchedule, weighted_terms) -> sp.csr_matrix:
+    """The legal-orbit block at head site 0, in orbit_block_indices order,
+    built from the (T+1) 2^N orbit configurations alone."""
+    shape = schedule.shape
+    keys = SpinBasis(shape).sector_keys(orbit_label_walk(shape))
+    return assemble_sector(weighted_terms, shape, keys)
+
+
 def cmd_spectrum(args) -> int:
     schedule = _load_schedule(args)
     constants = _resolve_constants(schedule, args)
-    op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
     options = _solver_options(args)
     if args.orbit_restrict:
-        sub = restrict(op, orbit_block_indices(schedule.shape, 0))
-        report = low_spectrum(sp.csr_matrix(sub), min(args.k, sub.shape[0]), options)
+        sub = _orbit_block(schedule, total_parts(standard_parts(schedule), constants))
+        report = low_spectrum(sub, min(args.k, sub.shape[0]), options)
     else:
+        op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
         report = low_spectrum(op, args.k, options)
     if args.frozen_scan:
         frozen = frozen_config_indices(schedule.shape)
@@ -170,9 +175,8 @@ def cmd_gapscan(args) -> int:
         total = t_plus_1 - 1
         shape = ProblemShape(2, 1, total).require_valid()
         schedule = SweepSchedule(shape)
-        op = assemble_part(build_h_comp_bond(schedule), shape, "H_comp")
-        sub = restrict(op, orbit_block_indices(shape, 0))
-        values = np.linalg.eigvalsh(sub)
+        block = _orbit_block(schedule, [(build_h_comp_bond(schedule), 1.0)])
+        values = np.linalg.eigvalsh(block.toarray())
         distinct = values[values > values[0] + 1e-10]
         gap_val = float(distinct[0] - values[0])
         print(f"{total} {_fmt(gap_val)} {_fmt(gap_val * t_plus_1 ** 2)}")

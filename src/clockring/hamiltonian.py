@@ -12,6 +12,14 @@ where the before/after patterns are the slot's bond-local clock labels and
 U is the slot's scheduled gate acting on the two qubit bits.  With this
 normalization the legal orbit carries exactly the path-graph Laplacian and
 the uniform history superposition is an exact zero mode.
+
+Only H_comp has off-diagonal entries, and it rewrites cycle labels and bits
+without moving the head or a position, so the head-0 form-valid sector V0
+((2(R+1))^N configurations) is an invariant block.  assemble_sector builds
+such a block, or any closed subset of it like the legal orbit, without the
+d^(N+1) space; off_sector_floor bounds H from below off the form-valid set,
+which is what makes a sector eigenvalue below it a full-space eigenvalue.
+`assemble` builds the full space, for export and the translation check.
 """
 
 from __future__ import annotations
@@ -286,6 +294,157 @@ def assemble(
     if res > RING_HERMITICITY_TOL:
         raise BuildError(f"assembled operator hermiticity residual {res:.3g}")
     return op
+
+
+def assemble_sector(
+    weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape, configs
+) -> sp.csr_matrix:
+    """The ring sum of weighted bond terms on a closed set of V0 configurations.
+
+    `configs` holds distinct V0 keys (SpinBasis.sector_keys); row and column
+    i of the block belong to configs[i].  On every ring bond, each
+    configuration's two digits select a bond-term row, and its entries give
+    the target configurations, keyed in V0 without any d^(N+1) index.  A
+    target outside `configs` raises BuildError, so a returned block is an
+    invariant block of the full-space sum.  The weighted contributions and
+    their reduction are those of `assemble`, so every entry equals the
+    full-space entry bit for bit.
+    """
+    basis = SpinBasis(shape.require_valid())
+    n, d, base = shape.n_qubits, basis.local_dim, 2 * (shape.n_cycles + 1)
+    if basis.sector_dim > np.iinfo(np.int64).max:
+        raise BuildError(f"sector dim {basis.sector_dim} does not fit in int64")
+    keys = np.asarray(configs, dtype=np.int64).ravel()
+    size = keys.size
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    if size and (ordered[0] < 0 or ordered[-1] >= basis.sector_dim
+                 or np.any(ordered[1:] == ordered[:-1])):
+        raise BuildError("sector configurations must be distinct V0 keys")
+
+    # One row table over all weighted terms: every term entry keeps its own
+    # weighted value, as in `assemble`.
+    term_rows, term_cols, term_vals = [], [], []
+    for term, weight in weighted_terms:
+        if term.local_dim != d:
+            raise BuildError("bond term local dimension mismatch")
+        if weight == 0 or term.matrix.nnz == 0:
+            continue
+        coo = term.matrix.tocoo()
+        term_rows.append(coo.row)
+        term_cols.append(coo.col)
+        term_vals.append(coo.data * weight)
+    if not term_rows or not size:
+        return sp.csr_matrix((size, size), dtype=complex)
+    by_row = np.argsort(np.concatenate(term_rows), kind="stable")
+    table_cols = np.concatenate(term_cols)[by_row].astype(np.int64)
+    table_vals = np.concatenate(term_vals)[by_row]
+    indptr = np.searchsorted(np.concatenate(term_rows)[by_row], np.arange(d * d + 1))
+
+    # Site s holds level lowest[s] + digit, digit < width[s], weighing place[s]
+    # in the key: the head (level 0) on site 0, Data(bit, cycle, z) on site z.
+    lowest = np.concatenate(([0], 1 + base * np.arange(n)))
+    width = np.concatenate(([1], np.full(n, base)))
+    place = np.concatenate(([0], np.int64(base) ** np.arange(n - 1, -1, -1)))
+    levels = np.zeros((size, n + 1), dtype=np.int64)
+    levels[:, 1:] = lowest[1:] + (keys[:, None] // place[1:]) % base
+
+    # Every (configuration, bond) pair; bond b joins sites b and b + 1.
+    left = np.tile(np.arange(n + 1), size)
+    right = (left + 1) % (n + 1)
+    source = np.repeat(np.arange(size), n + 1)
+    row = levels[source, left] * d + levels[source, right]
+    count = indptr[row + 1] - indptr[row]
+    entry = np.arange(count.sum()) + np.repeat(indptr[row] - np.cumsum(count) + count, count)
+    pair = np.repeat(np.arange(row.size), count)
+    owner, left, right = source[pair], left[pair], right[pair]
+    new_left, new_right = np.divmod(table_cols[entry], d)
+    target = keys[owner]
+    inside = np.ones(entry.size, dtype=bool)
+    for site, new in ((left, new_left), (right, new_right)):
+        digit = new - lowest[site]
+        inside &= (digit >= 0) & (digit < width[site])
+        target = target + (new - levels[owner, site]) * place[site]
+    slot = np.minimum(np.searchsorted(ordered, target), size - 1)
+    if not np.all(inside & (ordered[slot] == target)):
+        raise BuildError("a bond term couples a sector configuration outside the sector")
+    return _canonical_coo(owner, order[slot], table_vals[entry], size)
+
+
+def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
+    """Lowest ring sum of the H_form bond term over configurations outside V.
+
+    V is the form-valid set: one head, positions 1..N clockwise from it.
+    A min-plus transfer-matrix pass around the ring keeps, for every digit
+    of the current site, the lowest value of the open paths ending there,
+    how many reach it, and the next distinct value.  The term must be
+    diagonal and integer-valued, the ring minimum must be -1, and exactly
+    |V| = (N+1) (2(R+1))^N configurations must reach it; otherwise
+    BuildError.  Given that every configuration of V sits at -1, the
+    minimizers are exactly V, and the next distinct value is the answer.
+    """
+    basis = SpinBasis(shape.require_valid())
+    d = basis.local_dim
+    coo = form.matrix.tocoo()
+    if np.any(coo.row != coo.col) or np.any(coo.data.imag != 0) or np.any(coo.data.real % 1 != 0):
+        raise BuildError(f"{form.provenance}: bond term is not diagonal and integer-valued")
+    if basis.config_dim > np.iinfo(np.int64).max:
+        raise BuildError(f"config dim {basis.config_dim} does not fit in int64 path counts")
+    bond = np.zeros(d * d)
+    bond[coo.row] = coo.data.real
+    bond = bond.reshape(d, d)  # bond[left digit, right digit]
+
+    def step(low, ways, nxt, weights):
+        """Extend every path by one bond: weights[from digit, to digit]."""
+        cand = low[:, :, None] + weights
+        new_low = cand.min(axis=1)
+        at_low = cand == new_low[:, None]
+        new_nxt = np.minimum(np.where(at_low, np.inf, cand).min(axis=1),
+                             (nxt[:, :, None] + weights).min(axis=1))
+        return new_low, (ways[:, :, None] * at_low).sum(axis=1), new_nxt
+
+    # Row f of each state belongs to the paths that start with digit f on
+    # site 0; rows are taken in chunks of about 2^20 path extensions.
+    ring = []
+    for first in np.array_split(np.arange(d), -(-d ** 3 // 2 ** 20)):
+        low, nxt = bond[first], np.full((first.size, d), np.inf)
+        ways = np.ones((first.size, d), dtype=np.int64)
+        for _ in range(shape.n_qubits - 1):
+            low, ways, nxt = step(low, ways, nxt, bond)
+        # The last bond returns to the digit each path started with.
+        ring.append(step(low, ways, nxt, bond[:, first].T[:, :, None]))
+    low, ways, nxt = (np.concatenate(x, axis=None) for x in zip(*ring))
+    lowest = low.min()
+    count = int(ways[low == lowest].sum())
+    expected = shape.n_sites * basis.sector_dim
+    if lowest != -1 or count != expected:
+        raise BuildError(
+            f"{form.provenance}: ring minimum {lowest:g} reached {count} times, "
+            f"expected -1 reached {expected} times"
+        )
+    return float(min(nxt.min(), low[low > lowest].min(initial=np.inf)))
+
+
+def off_sector_floor(
+    parts: dict[str, LocalTerm], constants: CouplingConstants, shape: ProblemShape
+) -> float:
+    """A lower bound on the total Hamiltonian outside the form-valid set V.
+
+    Every part keeps V invariant (assemble_sector's closure check on V0,
+    and translation for the other heads), so the complement is invariant
+    too.  There weighted H_form is at least its weight times
+    form_minimum_off_sector, and the other weighted parts together are at
+    least N+1 times the lowest eigenvalue of their weighted bond-term sum.
+    """
+    form = parts["H_form"]
+    floor, rest = 0.0, []
+    for term, weight in total_parts(parts, constants):
+        if term is form:
+            floor += weight * form_minimum_off_sector(form, shape)
+        else:
+            rest.append(weight * term.matrix)
+    lowest_other = float(low_spectrum(sum(rest[1:], rest[0]), 1).eigenvalues[0])
+    return floor + shape.n_sites * lowest_other
 
 
 def standard_parts(schedule: SweepSchedule) -> dict[str, LocalTerm]:

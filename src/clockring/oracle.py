@@ -1,10 +1,11 @@
 """Step-by-step simulation of the verifier and its history superposition.
 
 The oracle tracks the computation on the orbit's branch only: a clock
-pattern plus 2^N qubit amplitudes per step.  A history vector is one
-full-space vector into which the (T+1) x 2^N stored amplitudes are
-scattered at their orbit indices.  Everything here is independent of the
-sparse operators it is used to check, except for sharing the level codec.
+pattern plus 2^N qubit amplitudes per step.  A history vector is one vector
+into which the (T+1) x 2^N stored amplitudes are scattered at their orbit
+indices: full-space indices (history_vector) or V0 keys (sector_vector).
+Everything here is independent of the sparse operators it is used to
+check, except for sharing the level codec.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class HistoryState:
         return list(vectors)
 
     def history_vector(self, basis: SpinBasis | None = None) -> np.ndarray:
-        """Uniform superposition (1/sqrt(T+1)) sum_t |snapshot_t>.
+        """Uniform superposition (1/sqrt(T+1)) sum_t |snapshot_t> in the
+        full configuration space.
 
         The snapshots are orthonormal exactly when their configuration
         indices are distinct (disjoint supports) and every amplitude vector
@@ -82,12 +84,21 @@ class HistoryState:
         """
         basis = basis or SpinBasis(self.shape)
         indices = basis.orbit_indices(self.head_site, self.clock_walk)
+        return self._superposition(indices, basis.config_dim)
+
+    def sector_vector(self, basis: SpinBasis | None = None) -> np.ndarray:
+        """The same superposition in the head's own sector, indexed by V0 key
+        (SpinBasis.sector_keys): a vector of sector_dim entries."""
+        basis = basis or SpinBasis(self.shape)
+        return self._superposition(basis.sector_keys(self.clock_walk), basis.sector_dim)
+
+    def _superposition(self, indices: np.ndarray, dim: int) -> np.ndarray:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if np.unique(indices).size != indices.size:
             raise OracleError("snapshots are not orthonormal: clock patterns repeat")
         if np.abs(np.linalg.norm(amps, axis=1) ** 2 - 1.0).max() > ORTHONORMALITY_TOL:
             raise OracleError("snapshots are not orthonormal: amplitudes not unit norm")
-        vec = np.zeros(basis.config_dim, dtype=complex)
+        vec = np.zeros(dim, dtype=complex)
         vec[indices.ravel()] = amps.ravel() / np.sqrt(len(amps))
         return vec
 

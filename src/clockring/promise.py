@@ -6,6 +6,10 @@ eigenvalues at least J > 2||H1||, then
     lambda(H1|_S) - ||H1||^2 / (J - 2||H1||) <= lambda(H) <= lambda(H1|_S).
 
 Selecting J = 8||H1||^2 + 2||H1|| makes the lower-bound slack exactly 1/8.
+
+The separation experiment runs on the head-0 form-valid sector V0 (see
+``hamiltonian``), certified by the off-sector floor; ``decide`` solves the
+operator it is given.
 """
 
 from __future__ import annotations
@@ -14,22 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpinBasis, qubit_bits
+from .basis import SpinBasis, orbit_label_walk, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
     CouplingConstants,
-    assemble,
-    assemble_part,
+    assemble_sector,
+    off_sector_floor,
     standard_parts,
     total_parts,
 )
 from .oracle import expectations, reject_probability, simulate_history
 from .spectral import (
     SolverOptions,
-    frozen_excluded_submatrix,
+    SpectralError,
+    exclude_frozen,
+    frozen_patterns,
     ground_energy,
     low_spectrum,
-    orbit_block_indices,
     path_gap,
     restrict,
 )
@@ -208,6 +213,7 @@ class ScheduleEnergies:
     variational_energy: float
     variational_parts: list[tuple[str, float, float]]
     reject_probability_best: float
+    off_sector_floor: float  # H is at least this off the form-valid set; lambda0s lie below
 
 
 @dataclass
@@ -262,26 +268,41 @@ def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
 def _schedule_energies(
     schedule: SweepSchedule, constants: CouplingConstants, options: SolverOptions
 ) -> ScheduleEnergies:
+    """Energies of one schedule, all computed on the head-0 sector V0.
+
+    V0 is closed under H (assemble_sector checks it), the other head
+    sectors are its translates, and off the form-valid set H is at least
+    off_sector_floor.  A filtered lambda0 below that floor is therefore the
+    full-space value; otherwise SpectralError.
+    """
     shape = schedule.shape
     basis = SpinBasis(shape)
     terms = standard_parts(schedule)
-    total = assemble(total_parts(terms, constants), shape, provenance="total")
+    sector = np.arange(basis.sector_dim)  # all of V0, in full-space index order
+    total = assemble_sector(total_parts(terms, constants), shape, sector)
+    parts = {name: assemble_sector([(term, 1.0)], shape, sector) for name, term in terms.items()}
+    if np.any(parts["H_form"].diagonal() != -1):
+        raise SpectralError("a V0 configuration is off the H_form floor of -1")
+    floor = off_sector_floor(terms, constants, shape)
 
-    filtered_mat, keep = frozen_excluded_submatrix(total, shape, basis)
+    frozen = np.sort(basis.sector_keys(frozen_patterns(shape)), axis=None)
+    filtered_mat, keep = exclude_frozen(total, frozen)
     filtered = low_spectrum(filtered_mat, 1, options)
     lam_filtered = float(filtered.eigenvalues[0])
+    if not lam_filtered < floor:
+        raise SpectralError(
+            f"sector lambda0 {lam_filtered:.12g} is not below the off-sector floor {floor:.12g}"
+        )
     # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
-    frozen_diagonal = np.delete(total.matrix.diagonal().real, keep)
+    frozen_diagonal = np.delete(total.diagonal().real, keep)
     lam_full = float(min(lam_filtered, frozen_diagonal.min(initial=np.inf)))
 
-    block = orbit_block_indices(shape, 0, basis)
-    sub = restrict(total, block)
-    lam_orbit = float(np.linalg.eigvalsh(sub)[0])
+    orbit = basis.sector_keys(orbit_label_walk(shape)).ravel()
+    lam_orbit = float(np.linalg.eigvalsh(restrict(total, orbit))[0])
 
-    parts = {name: assemble_part(term, shape, name) for name, term in terms.items()}
     best = None
     for bits in _witness_candidates(shape):
-        eta = simulate_history(schedule, list(bits)).history_vector(basis)
+        eta = simulate_history(schedule, list(bits)).sector_vector(basis)
         rows = expectations(eta, {"total": total})
         energy = rows[0][1]
         if best is None or energy < best[0]:
@@ -297,6 +318,7 @@ def _schedule_energies(
         variational_energy=energy,
         variational_parts=part_rows,
         reject_probability_best=reject_probability(schedule, list(bits)),
+        off_sector_floor=floor,
     )
 
 

@@ -287,12 +287,11 @@ def orbit_block_indices(shape: ProblemShape, head_site: int = 0, basis: SpinBasi
     return basis.orbit_indices(head_site, orbit_label_walk(shape)).ravel()
 
 
-def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -> np.ndarray:
-    """Sorted indices of the form-valid configurations no sweep transition
-    touches.  These have an identically zero H_comp row yet sit outside the
-    legal orbit (each orbit pattern ends a slot edge), so they are exact
-    extra zero modes of the sweep term."""
-    basis = basis or SpinBasis(shape)
+def frozen_patterns(shape: ProblemShape) -> np.ndarray:
+    """Clock patterns (rows, in lexicographic order) that no sweep
+    transition touches.  Their configurations have an identically zero
+    H_comp row yet sit outside the legal orbit (each orbit pattern ends a
+    slot edge), so they are exact extra zero modes of the sweep term."""
     n, r = shape.n_qubits, shape.n_cycles
     patterns = np.indices((r + 1,) * n).reshape(n, -1).T
     untouched = np.ones(len(patterns), dtype=bool)
@@ -300,7 +299,14 @@ def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -
         left, right = patterns[:, edge.bond - 1], patterns[:, edge.bond]
         for pair in (edge.pre, edge.post):
             untouched &= (left != pair[0]) | (right != pair[1])
-    frozen = patterns[untouched]
+    return patterns[untouched]
+
+
+def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -> np.ndarray:
+    """Sorted full-space indices of the frozen configurations (see
+    frozen_patterns) at every head site."""
+    basis = basis or SpinBasis(shape)
+    frozen = frozen_patterns(shape)
     return np.sort(np.concatenate(
         [basis.orbit_indices(head, frozen) for head in range(shape.n_sites)], axis=None
     ))
@@ -313,14 +319,20 @@ def detect_frozen(shape: ProblemShape) -> list[tuple]:
 
 
 def frozen_excluded_submatrix(operator, shape: ProblemShape, basis: SpinBasis | None = None):
-    """Operator restricted to the complement of the frozen configurations.
+    """Full-space operator restricted to the complement of the frozen
+    configurations (see exclude_frozen)."""
+    return exclude_frozen(operator, frozen_config_indices(shape, basis))
+
+
+def exclude_frozen(operator, frozen: np.ndarray):
+    """Operator restricted to the complement of the sorted indices `frozen`,
+    and the kept indices.
 
     Raises SpectralError unless every frozen row and column holds only its
     diagonal entry: each frozen configuration is then a 1x1 block, so the
     restriction is a genuine spectral block.
     """
     mat = _as_matrix(operator).tocsr()
-    frozen = frozen_config_indices(shape, basis)
     for lines in (mat[frozen], mat.tocsc()[:, frozen]):
         owner = np.repeat(frozen, np.diff(lines.indptr))
         if np.any(lines.indices != owner):

@@ -167,12 +167,50 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    def test_orbit_restrict_over_cap_does_not_advise_orbit_mode(self, capsys):
-        # --orbit-restrict assembles the full space too, so the cap applies to it.
-        code, _, err = run_cli(capsys, "spectrum", "--n", "2", "--r", "64", "--orbit-restrict")
+    def test_cap_error_does_not_advise_orbit_mode(self, capsys):
+        code, _, err = run_cli(capsys, "compile", "--n", "2", "--r", "64")
         assert code == 1
         assert err.startswith("error: ") and "exceeds cap" in err
         assert "orbit" not in err
+
+
+class TestOrbitBlockPastTheCap:
+    # (2,1,64) has d^3 = 17,779,581 configurations, above the 2^24 cap; its
+    # orbit block has 4 (T+1) = 260.
+    def test_orbit_restricted_spectrum_is_the_path_laplacian(self, capsys):
+        from clockring.spectral import path_laplacian_eigenvalues
+
+        code, out, _ = run_cli(
+            capsys, "spectrum", "--n", "2", "--r", "64", "--orbit-restrict", "--k", "260",
+            "--j2", "1", "--alpha", "1",
+        )
+        assert code == 0
+        values = np.array([float(line.split()[2]) for line in out.splitlines()])
+        assert values.size == 260
+        # Witness bits 00 carry no penalty: that chain is -alpha j2 + j2 L.
+        for want in path_laplacian_eigenvalues(65) - 1.0:
+            assert np.abs(values - want).min() <= 1e-9
+
+    def test_gapscan_past_the_cap(self, capsys):
+        from clockring.spectral import path_gap
+
+        code, out, _ = run_cli(capsys, "gapscan", "--tplus", "65")
+        assert code == 0
+        total, gap_value, _ = out.splitlines()[1].split()
+        assert total == "64"
+        assert float(gap_value) == pytest.approx(path_gap(65), rel=1e-9)
+
+    def test_oracle_builds_no_full_space_vector_or_operator(self, capsys, monkeypatch):
+        from clockring.oracle import HistoryState
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-space build")
+
+        monkeypatch.setattr(hamiltonian, "assemble", refuse)
+        monkeypatch.setattr(HistoryState, "history_vector", refuse)
+        code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--r", "2", "--witness", "100")
+        assert code == 0
+        assert out == PINNED_REPORTS[("oracle", "--n", "3", "--r", "2", "--witness", "100")]
 
 
 # Stdout pinned byte for byte.  `spectrum` is left out: its residual column
