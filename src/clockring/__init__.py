@@ -67,7 +67,6 @@ from .promise import (
 )
 from .spectral import (
     GapReport,
-    SolverOptions,
     SpectralReport,
     chain_models,
     detect_frozen,

@@ -49,7 +49,7 @@ from .promise import (
     separation_experiment,
     verify_lemma_numeric,
 )
-from .spectral import SolverOptions, SpectralError, frozen_config_indices, low_spectrum
+from .spectral import SpectralError, frozen_config_indices, low_spectrum
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -74,10 +74,6 @@ def _resolve_constants(schedule: SweepSchedule, args) -> CouplingConstants:
     return CouplingConstants.with_default_output_weight(
         schedule.shape, args.j1, float(args.j2), float(args.alpha)
     )
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(dense_threshold=args.dense_threshold, seed=args.seed)
 
 
 def cmd_compile(args) -> int:
@@ -127,11 +123,10 @@ def cmd_oracle(args) -> int:
     witness = args.witness
     if witness is None:
         witness = "0" * shape.n_qubits
-    basis = SpinBasis(shape)
-    eta = simulate_history(schedule, witness, head_site=0).sector_vector(basis)
-    sector = np.arange(basis.sector_dim)  # the history state lives in V0
+    # The history state lives on the orbit block, which every part keeps closed.
+    keys, eta = simulate_history(schedule, witness, head_site=0).orbit_vector()
     parts = {
-        name: assemble_sector([(term, 1.0)], shape, sector)
+        name: assemble_sector([(term, 1.0)], shape, keys)
         for name, term in standard_parts(schedule).items()
     }
     rows = expectations(eta, parts)
@@ -154,13 +149,12 @@ def _orbit_block(schedule: SweepSchedule, weighted_terms) -> sp.csr_matrix:
 def cmd_spectrum(args) -> int:
     schedule = _load_schedule(args)
     constants = _resolve_constants(schedule, args)
-    options = _solver_options(args)
     if args.orbit_restrict:
         sub = _orbit_block(schedule, total_parts(standard_parts(schedule), constants))
-        report = low_spectrum(sub, min(args.k, sub.shape[0]), options)
+        report = low_spectrum(sub, min(args.k, sub.shape[0]))
     else:
         op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
-        report = low_spectrum(op, args.k, options)
+        report = low_spectrum(op, args.k)
     if args.frozen_scan:
         frozen = frozen_config_indices(schedule.shape)
         print(f"frozen_count {len(frozen)}")
@@ -184,7 +178,6 @@ def cmd_gapscan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    options = _solver_options(args)
     if args.mode == "separation":
         if args.desk_pair:
             shape = ProblemShape(2, 1, 1)
@@ -202,14 +195,14 @@ def cmd_verify(args) -> int:
             with open(args.circuit_no) as fh:
                 rejecting = parse_circuit_text(fh.read())
         constants = _resolve_constants(accepting, args)
-        report = separation_experiment(accepting, rejecting, constants, options)
+        report = separation_experiment(accepting, rejecting, constants)
         sys.stdout.write(report.format())
         return 0
     schedule = _load_schedule(args)
     constants = _resolve_constants(schedule, args)
     op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
     params = PromiseParameters(args.a, args.b)
-    decision = decide(op, params, options)
+    decision = decide(op, params)
     sys.stdout.write(decision.format(params))
     return 0
 
@@ -239,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", default="auto")
         p.add_argument("--dim-cap", type=int, default=DIM_CAP, dest="dim_cap")
 
-    def solver(p):
-        p.add_argument("--dense-threshold", type=int, default=4096, dest="dense_threshold",
-                       help="largest connected block of the operator solved densely; "
-                            "an operator with a larger block is solved by Lanczos")
-        p.add_argument("--seed", type=int, default=7)
-
     for name, help_text, func in (
         ("compile", "assemble and export the ring operator", cmd_compile),
         ("export", "write the sparse triplet file", cmd_export),
@@ -264,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="low-lying spectrum of the total Hamiltonian")
     source(p)
     assembly(p)
-    solver(p)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--orbit-restrict", action="store_true", dest="orbit_restrict")
     p.add_argument("--frozen-scan", action="store_true", dest="frozen_scan")
@@ -277,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="promise decision or yes/no separation")
     source(p)
     assembly(p)
-    solver(p)
     p.add_argument("--mode", choices=("decide", "separation"), default="separation")
     p.add_argument("--circuit-no", dest="circuit_no", help="rejecting circuit file")
     p.add_argument("--desk-pair", action="store_true", dest="desk_pair",

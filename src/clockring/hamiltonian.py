@@ -81,8 +81,14 @@ class LocalTerm:
         return hermiticity_residual(self.matrix)
 
     def operator_norm(self) -> float:
-        """max |lambda| as the larger of |lambda_min(M)| and |lambda_min(-M)|."""
-        return max(abs(float(low_spectrum(s * self.matrix, 1).eigenvalues[0])) for s in (1, -1))
+        """max |lambda| as the larger of |lambda_min(M)| and |lambda_min(-M)|,
+        over the rows and columns that hold stored entries: the others only
+        add the eigenvalue 0."""
+        live = np.union1d(*self.matrix.nonzero())
+        if live.size == 0:
+            return 0.0
+        block = self.matrix[live][:, live]
+        return max(abs(float(low_spectrum(s * block, 1).eigenvalues[0])) for s in (1, -1))
 
     def validate(self, max_norm: float | None = None) -> "LocalTerm":
         res = self.hermiticity_residual()

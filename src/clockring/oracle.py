@@ -3,7 +3,8 @@
 The oracle tracks the computation on the orbit's branch only: a clock
 pattern plus 2^N qubit amplitudes per step.  A history vector is one vector
 into which the (T+1) x 2^N stored amplitudes are scattered at their orbit
-indices: full-space indices (history_vector) or V0 keys (sector_vector).
+indices: full-space indices (history_vector), V0 keys (sector_vector), or
+places among the run's own sorted orbit keys (orbit_vector).
 Everything here is independent of the sparse operators it is used to
 check, except for sharing the level codec.
 """
@@ -91,6 +92,14 @@ class HistoryState:
         (SpinBasis.sector_keys): a vector of sector_dim entries."""
         basis = basis or SpinBasis(self.shape)
         return self._superposition(basis.sector_keys(self.clock_walk), basis.sector_dim)
+
+    def orbit_vector(self, basis: SpinBasis | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The same superposition on the run's orbit configurations alone:
+        their sorted V0 keys, and the vector whose entry i belongs to keys[i]."""
+        basis = basis or SpinBasis(self.shape)
+        walk_keys = basis.sector_keys(self.clock_walk)
+        keys = np.sort(walk_keys, axis=None)
+        return keys, self._superposition(np.searchsorted(keys, walk_keys), keys.size)
 
     def _superposition(self, indices: np.ndarray, dim: int) -> np.ndarray:
         amps = np.asarray(self.amplitudes, dtype=complex)

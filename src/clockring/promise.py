@@ -21,6 +21,8 @@ import numpy as np
 from .basis import SpinBasis, orbit_label_walk, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
+    DIM_CAP,
+    BuildError,
     CouplingConstants,
     assemble_sector,
     off_sector_floor,
@@ -29,7 +31,6 @@ from .hamiltonian import (
 )
 from .oracle import expectations, reject_probability, simulate_history
 from .spectral import (
-    SolverOptions,
     SpectralError,
     exclude_frozen,
     frozen_patterns,
@@ -174,8 +175,8 @@ class PromiseDecision:
         )
 
 
-def decide(operator, params: PromiseParameters, options: SolverOptions = SolverOptions()) -> PromiseDecision:
-    lam, _, residual = ground_energy(operator, options)
+def decide(operator, params: PromiseParameters) -> PromiseDecision:
+    lam, _, residual = ground_energy(operator)
     if lam <= params.a:
         verdict = "Yes"
     elif lam > params.b:
@@ -265,9 +266,7 @@ def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
     return [tuple(bits) for bits in qubit_bits(shape.n_qubits)[::step].tolist()]
 
 
-def _schedule_energies(
-    schedule: SweepSchedule, constants: CouplingConstants, options: SolverOptions
-) -> ScheduleEnergies:
+def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) -> ScheduleEnergies:
     """Energies of one schedule, all computed on the head-0 sector V0.
 
     V0 is closed under H (assemble_sector checks it), the other head
@@ -287,7 +286,7 @@ def _schedule_energies(
 
     frozen = np.sort(basis.sector_keys(frozen_patterns(shape)), axis=None)
     filtered_mat, keep = exclude_frozen(total, frozen)
-    filtered = low_spectrum(filtered_mat, 1, options)
+    filtered = low_spectrum(filtered_mat, 1)
     lam_filtered = float(filtered.eigenvalues[0])
     if not lam_filtered < floor:
         raise SpectralError(
@@ -326,14 +325,17 @@ def separation_experiment(
     accepting: SweepSchedule,
     rejecting: SweepSchedule,
     constants: CouplingConstants | None = None,
-    options: SolverOptions = SolverOptions(),
 ) -> SeparationReport:
-    """Build both Hamiltonians with shared constants and compare ground energies."""
+    """Build both Hamiltonians with shared constants and compare ground
+    energies; BuildError first if V0 has more than DIM_CAP states."""
     if accepting.shape != rejecting.shape:
         raise PromiseError("schedules must share one shape")
     shape = accepting.shape.require_valid()
+    sector_dim = SpinBasis(shape).sector_dim
+    if sector_dim > DIM_CAP:
+        raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
     if constants is None:
         constants = auto_constants(accepting)
-    yes_side = _schedule_energies(accepting, constants, options)
-    no_side = _schedule_energies(rejecting, constants, options)
+    yes_side = _schedule_energies(accepting, constants)
+    no_side = _schedule_energies(rejecting, constants)
     return SeparationReport(shape, constants, yes_side, no_side)

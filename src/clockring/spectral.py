@@ -1,15 +1,14 @@
 """Low-lying spectra of assembled operators, with reference chain models.
 
 An operator is split into the connected components of its off-diagonal
-pattern; each component spans an invariant block, and every block is
-diagonalized densely (equal-size blocks share one stacked LAPACK call).
-Only an operator with a component larger than the dense threshold goes to
-restarted Lanczos (scipy's implicitly restarted ARPACK with a seeded
-starting vector, so runs are deterministic).  Ground energies, gaps and
-the bond-term norms of ``hamiltonian`` all come from ``low_spectrum``.
-Also: the hermiticity residual, subspace restriction, orbit and frozen
-configuration indices from the codec in ``basis``, and the
-uniform/engineered hopping chains used as exact references.
+pattern; each component spans an invariant block, solved on its own:
+densely up to DENSE_THRESHOLD states (equal-size blocks share one stacked
+LAPACK call), by restarted Lanczos above it (scipy's ARPACK from a
+LANCZOS_SEED start vector, so runs are deterministic).  Ground energies,
+gaps and the bond-term norms of ``hamiltonian`` all come from
+``low_spectrum``.  Also: the hermiticity residual, subspace restriction,
+orbit and frozen configuration indices from the codec in ``basis``, and
+the uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ ITERATIVE_RESIDUAL_TOL = 1e-6
 MAX_MATVECS = 10000
 CLUSTER_RTOL = 1e-7  # eigenvalues within CLUSTER_RTOL * max(1, ||H||) share a cluster
 GAP_K_CAP = 64
+DENSE_THRESHOLD = 4096  # largest component block diagonalized densely
+LANCZOS_SEED = 7
 
 
 class SpectralError(RuntimeError):
@@ -44,12 +45,6 @@ class ConvergenceError(SpectralError):
         super().__init__(message)
         self.best_value = best_value
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    dense_threshold: int = 4096  # largest component block diagonalized densely
-    seed: int = 7
 
 
 @dataclass
@@ -115,11 +110,14 @@ def _components(mat) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
-    """The k lowest eigenpairs from dense eigh of every component block.
+    """The k lowest eigenpairs, and whether Lanczos solved any block.
 
-    Candidates are ordered by component label, then by eigenvalue inside the
-    block, and a stable sort picks the k lowest, so ties break the same way
-    on every run.  Each vector is supported on its own block.
+    A component is diagonalized densely with the others of its size, unless
+    it exceeds DENSE_THRESHOLD states and k < size - 1: then by Lanczos on
+    its own block.  Each component offers its min(size, k) lowest levels,
+    ordered by component label, then level; a stable sort picks the k
+    lowest, so ties break the same way on every run.  Each vector is
+    supported on its own block.
     """
     dim = mat.shape[0]
     members = np.argsort(labels, kind="stable")  # component-major, index order inside
@@ -131,43 +129,49 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
     entry_size = sizes[entry_comp]
     dtype = np.result_type(mat.dtype, np.float64)
 
-    candidates = np.empty(dim)  # eigenvalue j of component c sits at start[c] + j
+    offered = np.minimum(sizes, k)
+    owner = np.repeat(np.arange(len(sizes)), offered)
+    first = np.concatenate(([0], np.cumsum(offered)[:-1]))
+    candidates = np.empty(owner.size)  # level j of component c sits at first[c] + j
     slot = np.empty(len(sizes), dtype=np.int64)  # position of a component in its size group
     block_vectors = {}
+    iterative = False
     for size in np.unique(sizes):
         comps = np.flatnonzero(sizes == size)
         slot[comps] = np.arange(len(comps))
-        blocks = np.zeros((len(comps), size, size), dtype=dtype)
-        mine = entry_size == size
-        np.add.at(
-            blocks,
-            (slot[entry_comp[mine]], local[coo.row[mine]], local[coo.col[mine]]),
-            coo.data[mine],
-        )
-        values, vectors = np.linalg.eigh(blocks)
-        candidates[start[comps][:, None] + np.arange(size)] = values
+        if size > DENSE_THRESHOLD and k < size - 1:
+            iterative = True
+            rows = members[start[comps][:, None] + np.arange(size)]
+            values, vectors = map(np.array, zip(*[_arpack_eigenpairs(mat[i][:, i], k) for i in rows]))
+        else:
+            blocks = np.zeros((len(comps), size, size), dtype=dtype)
+            mine = entry_size == size
+            np.add.at(
+                blocks,
+                (slot[entry_comp[mine]], local[coo.row[mine]], local[coo.col[mine]]),
+                coo.data[mine],
+            )
+            values, vectors = np.linalg.eigh(blocks)
+        candidates[first[comps][:, None] + np.arange(min(size, k))] = values[:, :k]
         block_vectors[size] = vectors
 
     chosen = np.argsort(candidates, kind="stable")[:k]
-    chosen_comp = labels[members[chosen]]
-    chosen_level = chosen - start[chosen_comp]
+    chosen_comp = owner[chosen]
+    chosen_level = chosen - first[chosen_comp]
     out = np.zeros((dim, k), dtype=dtype)
     for size, vectors in block_vectors.items():
         cols = np.flatnonzero(sizes[chosen_comp] == size)
         comp = chosen_comp[cols]
         rows = members[start[comp][:, None] + np.arange(size)]
         out[rows, cols[:, None]] = vectors[slot[comp], :, chosen_level[cols]]
-    return candidates[chosen], out
+    return candidates[chosen], out, iterative
 
 
-def _arpack_eigenpairs(mat, k: int, seed: int):
+def _arpack_eigenpairs(mat, k: int):
     """The k lowest of at least min(6, dim - 2) Ritz pairs from restarted
-    Lanczos with a seeded start."""
+    Lanczos, started from a LANCZOS_SEED vector; needs k < dim - 1."""
     dim = mat.shape[0]
-    if k >= dim - 1:
-        raise SpectralError("iterative path needs k < dim - 1")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     v0 /= np.linalg.norm(v0)
     ritz = max(k, min(6, dim - 2))
     try:
@@ -188,27 +192,19 @@ def _arpack_eigenpairs(mat, k: int, seed: int):
     return values[order], vectors[:, order]
 
 
-def low_spectrum(operator, k: int, options: SolverOptions = SolverOptions()) -> SpectralReport:
-    """The k smallest eigenvalues with residuals and degeneracy clusters.
-
-    Dense per component block when no component exceeds
-    options.dense_threshold states; Lanczos on the whole operator otherwise.
-    """
+def low_spectrum(operator, k: int) -> SpectralReport:
+    """The k smallest eigenvalues with residuals and degeneracy clusters,
+    solved block by block (see _block_eigenpairs); method is "iterative",
+    with the looser residual tolerance, when Lanczos solved a block."""
     mat = _as_matrix(operator).tocsr()
     dim = mat.shape[0]
     if not 1 <= k <= dim:
         raise SpectralError(f"k = {k} out of range 1..{dim}")
     _hermiticity_check(mat)
 
-    labels, sizes = _components(mat)
-    if sizes.max() <= options.dense_threshold:
-        values, vectors = _block_eigenpairs(mat, labels, sizes, k)
-        method = "dense"
-        tol_scale = DENSE_RESIDUAL_TOL
-    else:
-        values, vectors = _arpack_eigenpairs(mat, k, options.seed)
-        method = "iterative"
-        tol_scale = ITERATIVE_RESIDUAL_TOL
+    values, vectors, iterative = _block_eigenpairs(mat, *_components(mat), k)
+    method = "iterative" if iterative else "dense"
+    tol_scale = ITERATIVE_RESIDUAL_TOL if iterative else DENSE_RESIDUAL_TOL
 
     residuals = np.array(
         [np.linalg.norm(mat @ vectors[:, i] - values[i] * vectors[:, i]) for i in range(len(values))]
@@ -225,9 +221,9 @@ def low_spectrum(operator, k: int, options: SolverOptions = SolverOptions()) -> 
     return SpectralReport(k, values, residuals, clusters, method, vectors=vectors)
 
 
-def ground_energy(operator, options: SolverOptions = SolverOptions()):
+def ground_energy(operator):
     """Smallest eigenvalue, its vector, and the residual norm."""
-    report = low_spectrum(operator, 1, options)
+    report = low_spectrum(operator, 1)
     vec = report.vectors[:, 0]
     return float(report.eigenvalues[0]), vec, float(report.residuals[0])
 
@@ -245,9 +241,9 @@ class GapReport:
     resolved: bool
 
 
-def gap(operator, options: SolverOptions = SolverOptions()) -> GapReport:
+def gap(operator) -> GapReport:
     """From the lowest eigenvalue to next_value (see GapReport), in one solve."""
-    report = low_spectrum(operator, min(GAP_K_CAP, _as_matrix(operator).shape[0]), options)
+    report = low_spectrum(operator, min(GAP_K_CAP, _as_matrix(operator).shape[0]))
     values, degeneracy = report.eigenvalues.tolist(), len(report.clusters[0])
     if degeneracy == len(values):
         return GapReport(0.0, degeneracy, values[0], None, False)

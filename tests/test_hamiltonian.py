@@ -85,15 +85,26 @@ class TestCompBond:
         assert np.abs(got - want).max() <= 1e-10
 
 
-@pytest.mark.parametrize("dims", [(2, 1, 1), (2, 1, 4), (4, 1, 1), (3, 1, 3)])
+@pytest.mark.parametrize("dims", [(2, 1, 1), (2, 1, 4), (4, 1, 1), (3, 1, 3), (2, 1, 64)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_operator_norm_matches_dense_spectrum(dims, sign):
     # (3,1,3) has bond dim 625; sign -1 makes the negative side dominate.
+    # (2,1,64), T+1 = 65, has bond dim 68,121: its H_comp is checked on the
+    # rows and columns holding entries, the others only add the eigenvalue 0.
     shape = ProblemShape(*dims)
-    parts = standard_parts(random_schedule(shape, np.random.default_rng(sum(dims))))
+    schedule = random_schedule(shape, np.random.default_rng(sum(dims)))
+    if dims == (2, 1, 64):
+        parts = {"H_comp": build_h_comp_bond(schedule)}
+    else:
+        parts = standard_parts(schedule)
     for name, term in parts.items():
         flipped = LocalTerm(term.local_dim, sign * term.matrix, name)
-        want = np.abs(np.linalg.eigvalsh(flipped.matrix.toarray())).max()
+        mat = flipped.matrix
+        if dims == (2, 1, 64):
+            coo = mat.tocoo()
+            live = np.union1d(coo.row, coo.col)
+            mat = mat[live][:, live]
+        want = np.abs(np.linalg.eigvalsh(mat.toarray())).max()
         assert abs(flipped.operator_norm() - want) <= 1e-10 * max(1.0, want), name
 
 

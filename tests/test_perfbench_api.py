@@ -1,0 +1,43 @@
+"""The benchmark in perfbench/ drives clockring through public names only.
+
+These tests read perfbench/ without changing it, so renaming or removing a
+name it uses fails here and not first in a benchmark run.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def load(monkeypatch):
+    def loader(name):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+        return module
+
+    return loader
+
+
+def test_warmup_and_job_lists(load):
+    workloads = load("workloads")
+    workloads.warmup()
+    for name, inputs in workloads.WORKLOADS.items():
+        assert inputs(0), name
+
+
+def test_every_traced_function_resolves(load):
+    spans = load("spans")
+    for layer, entries in spans.LAYERS.items():
+        for module_name, attr in entries:
+            owner = importlib.import_module(f"clockring.{module_name}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), (layer, module_name, attr)

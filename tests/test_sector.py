@@ -247,6 +247,20 @@ class TestSeparationOnSector:
         with pytest.raises(SpectralError, match="off-sector floor"):
             separation_experiment(*desk_pair(1), constants)
 
+    def test_sector_cap_checked_before_bond_terms(self, monkeypatch):
+        from clockring import promise
+
+        def refuse(schedule):
+            raise AssertionError("bond terms built before the sector cap check")
+
+        monkeypatch.setattr(promise, "standard_parts", refuse)
+        monkeypatch.setattr(hamiltonian, "standard_parts", refuse)
+        shape = ProblemShape(3, 1, 200)
+        assert SpinBasis(shape).sector_dim == 402 ** 3 > DIM_CAP
+        rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 3, 1, 200)
+        with pytest.raises(BuildError, match="exceeds cap"):
+            separation_experiment(SweepSchedule(shape), rejecting)
+
     @pytest.mark.parametrize("n,want", [(4, 0.249880497142), (5, 0.199948462029)])
     def test_separation_past_the_dim_cap(self, capsys, tmp_path, n, want):
         shape = ProblemShape(n, 1, 1)

@@ -34,7 +34,6 @@ from clockring.promise import auto_constants
 from clockring.spectral import (
     CLUSTER_RTOL,
     ConvergenceError,
-    SolverOptions,
     SpectralError,
     binomial_chain_vector,
     frozen_config_indices,
@@ -73,21 +72,27 @@ class TestGroundEnergy:
         with pytest.raises(SpectralError):
             ground_energy(sparse([[0, 1], [0, 0]]))
 
-    def test_dense_and_iterative_agree(self, desk_identity_schedule, desk_shape):
-        op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
-        shifted = sp.csr_matrix(op.matrix + 2.0 * sp.eye(729, dtype=complex))
-        assert low_spectrum(shifted, 1, SolverOptions(dense_threshold=1)).method == "iterative"
-        lam_dense, _, _ = ground_energy(shifted, SolverOptions(dense_threshold=4096))
-        lam_iter, _, _ = ground_energy(shifted, SolverOptions(dense_threshold=1))
+    @staticmethod
+    def _shifted_comp():
+        # (2,1,2) H_comp has 3-state blocks, which Lanczos can take at k = 1.
+        shape = ProblemShape(2, 1, 2)
+        op = assemble_part(build_h_comp_bond(SweepSchedule(shape)), shape)
+        return sp.csr_matrix(op.matrix + 2.0 * sp.eye(op.dim, dtype=complex))
+
+    def test_dense_and_iterative_agree(self, monkeypatch):
+        shifted = self._shifted_comp()
+        lam_dense, _, _ = ground_energy(shifted)
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 1)
+        assert low_spectrum(shifted, 1).method == "iterative"
+        lam_iter, _, _ = ground_energy(shifted)
         assert lam_iter == pytest.approx(lam_dense, abs=1e-8)
 
-    def test_iterative_deterministic_across_runs(self, desk_identity_schedule, desk_shape):
-        op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
-        shifted = sp.csr_matrix(op.matrix + 2.0 * sp.eye(729, dtype=complex))
-        opts = SolverOptions(dense_threshold=1, seed=3)
-        assert low_spectrum(shifted, 1, opts).method == "iterative"
-        a = ground_energy(shifted, opts)[0]
-        b = ground_energy(shifted, opts)[0]
+    def test_iterative_deterministic_across_runs(self, monkeypatch):
+        shifted = self._shifted_comp()
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 1)
+        assert low_spectrum(shifted, 1).method == "iterative"
+        a = ground_energy(shifted)[0]
+        b = ground_energy(shifted)[0]
         assert a == b
 
 
@@ -170,26 +175,62 @@ class TestBlockEngine:
         assert a.vectors.tobytes() == b.vectors.tobytes()
         assert a.residuals.tobytes() == b.residuals.tobytes()
 
-    def test_small_blocks_stay_dense_above_threshold(self):
+    def test_small_blocks_stay_dense_above_threshold(self, monkeypatch):
         mat, _ = _mixed_blocks()
-        report = low_spectrum(mat, 3, SolverOptions(dense_threshold=3))
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 3)
+        report = low_spectrum(mat, 3)
         assert report.method == "dense"
         assert np.abs(report.eigenvalues).max() <= 1e-12
 
-    def test_component_above_threshold_goes_iterative(self):
+    def test_component_above_threshold_goes_iterative(self, monkeypatch):
         mat = sparse(path_laplacian(40))
-        report = low_spectrum(mat, 3, SolverOptions(dense_threshold=39))
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 39)
+        report = low_spectrum(mat, 3)
         assert report.method == "iterative"
         want = path_laplacian_eigenvalues(40)[:3]
         assert np.abs(report.eigenvalues - want).max() <= 1e-8
+
+    def test_lanczos_runs_per_component(self, monkeypatch):
+        # Two equal 40-state chains above the threshold, small blocks between them.
+        chain = path_laplacian(40) - 0.03 * np.eye(40)
+        blocks = [chain, np.zeros((1, 1)), path_laplacian(3) - 0.01 * np.eye(3), chain,
+                  np.full((1, 1), 0.02), path_laplacian(2)]
+        dim = sum(len(b) for b in blocks)
+        perm = np.random.default_rng(3).permutation(dim)
+        mat = np.zeros((dim, dim), dtype=complex)
+        at = 0
+        for block in blocks:
+            idx = perm[at:at + len(block)]
+            mat[np.ix_(idx, idx)] = block
+            at += len(block)
+        solved = []
+        arpack = spectral._arpack_eigenpairs
+
+        def recording(sub, k):
+            solved.append(sub.shape[0])
+            return arpack(sub, k)
+
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
+        monkeypatch.setattr(spectral, "_arpack_eigenpairs", recording)
+        k = 12
+        report = low_spectrum(sparse(mat), k)
+        assert report.method == "iterative"
+        assert solved == [40, 40]
+        want = np.linalg.eigvalsh(mat)[:k]
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(report.eigenvalues - want).max() <= 1e-8 * scale
+        tol = CLUSTER_RTOL * max(1.0, spectral._norm_estimate(sparse(mat)))
+        assert [len(c) for c in report.clusters] == [len(c) for c in spectral._cluster(want, tol)]
+        assert [len(c) for c in report.clusters][:2] == [2, 2]  # one level from each chain
 
     def test_partial_lanczos_result_raises(self, monkeypatch):
         # Two isolated low levels converge at once; the other two requested do not.
         diag = np.r_[[-10.0, -9.0], np.linspace(0, 1, 298)]
         mat = sparse(np.diag(diag) + 1e-3 * path_laplacian(300))
         monkeypatch.setattr(spectral, "MAX_MATVECS", 1)
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
         with pytest.raises(ConvergenceError) as info:
-            low_spectrum(mat, 4, SolverOptions(dense_threshold=10))
+            low_spectrum(mat, 4)
         assert info.value.best_value == pytest.approx(-10, abs=1e-2)
         assert info.value.residual <= 1e-8
 
