@@ -287,6 +287,10 @@ def main(argv=None) -> int:
     except (ScheduleError, BuildError, ValueError, OSError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the failed allocation
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,14 @@
 
 Every part of the total Hamiltonian is a single d^2 x d^2 bond term summed
 over all N+1 ring bonds: the term is laid on bond (0, 1) and translated
-with SpinBasis.translate, and all contributions meet in one sorted
-reduction, so the sum commutes exactly with the cyclic shift.  The sweep
-part is a sum of positive semidefinite edge operators, one per sweep slot:
+with SpinBasis.translate, and all contributions meet in one canonical
+reduction, so the sum commutes exactly with the cyclic shift.  The
+reduction ranks every value in a small table of the values in (real, imag)
+order, one entry per run of equal bits, and sorts one int64 code per
+contribution, the entry key row * dim + col times the table size plus the
+rank; equal ranks hold equal bits, so each entry's sum does not depend on
+how contributions arrived.  The sweep part is a sum of positive
+semidefinite edge operators, one per sweep slot:
 
     P_before + P_after - (hop x U + hop^H x U^H)
 
@@ -41,28 +46,88 @@ class BuildError(ValueError):
     """Term construction or assembly failed a structural requirement."""
 
 
+def _value_table(vals) -> tuple[np.ndarray, np.ndarray]:
+    """The values in (real, imag) order, one table entry per run of equal
+    bits, and the index in that table of every value in `vals`.
+
+    Values that compare equal but differ in the sign of a zero get separate
+    entries, so table[rank] gives every value back bit for bit.
+    """
+    vals = np.ascontiguousarray(vals, dtype=complex).ravel()
+    order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    bits = ordered.view(np.int64)  # real and imaginary part of each value
+    differs = bits[2:] != bits[:-2]
+    first = np.ones(vals.size, dtype=bool)
+    first[1:] = differs[::2] | differs[1::2]
+    rank = np.empty(vals.size, dtype=np.int64)
+    rank[order] = first.cumsum() - 1
+    return ordered[first], rank
+
+
+def _packs(dim: int, width: int) -> bool:
+    """Whether (row * dim + col) * width + rank fits in int64 for every
+    entry; BuildError when the entry key row * dim + col itself does not."""
+    if dim > 3_037_000_499:
+        raise BuildError(f"dim {dim} too large for int64 entry keys")
+    return dim * dim * width <= 2 ** 63
+
+
+def _sum_sorted(keys, ranks, table, dim: int) -> sp.csr_matrix:
+    """CSR of the per-key sums of table[ranks], in the given order; `keys` sorted."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    summed = np.add.reduceat(table[ranks], starts)
+    keep = summed != 0
+    rows, cols = np.divmod(keys[starts[keep]], dim)
+    # scipy's index dtype for this shape and entry count, so it keeps the arrays
+    index = sp.get_index_dtype(maxval=max(dim, cols.size))
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    return sp.csr_matrix((summed[keep], cols.astype(index), indptr), shape=(dim, dim))
+
+
+def _reduce_packed(codes, table, dim: int) -> sp.csr_matrix:
+    """Sum entries packed as (row * dim + col) * len(table) + rank.
+
+    `codes` is sorted in place and then overwritten by the ranks.
+    """
+    codes.sort()
+    keys = codes // table.size
+    np.remainder(codes, table.size, out=codes)
+    return _sum_sorted(keys, codes, table, dim)
+
+
+def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
+    """Sum the values table[ranks] per entry key row * dim + col, each
+    entry's contributions ordered by rank; `keys` is overwritten."""
+    packed = _packs(dim, table.size)
+    if keys.size == 0:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    if packed:
+        keys *= table.size
+        keys += ranks
+        return _reduce_packed(keys, table, dim)
+    order = np.lexsort((ranks, keys))
+    return _sum_sorted(keys[order], ranks[order], table, dim)
+
+
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
     """Deduplicate COO triples with a fixed, order-independent summation.
 
-    Triples are sorted by (row * dim + col, value) before the per-entry
-    reduction, so the assembled matrix is bit-identical no matter how
-    contributions were generated or partitioned.  That makes the
-    translation-invariance residual of ring sums exactly zero.
+    Every value gets its rank in the value table (_value_table), and one
+    sort of the packed int64 codes (row * dim + col) * len(table) + rank
+    orders the triples before the per-entry reduction.  Ranks follow
+    (real, imag) order and equal ranks hold equal bits, so each entry is
+    summed in value order, and values that compare equal give the same
+    sum in either order.  The assembled matrix is thus bit-identical no
+    matter how contributions were generated or partitioned, which makes
+    the translation-invariance residual of ring sums exactly zero.  When
+    the codes would overflow int64, a two-key lexsort on (key, rank) gives
+    the same order.
     """
-    if dim > 3_037_000_499:  # row * dim + col would overflow int64
-        raise BuildError(f"dim {dim} too large for int64 entry keys")
     keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=complex)
-    if keys.size == 0:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    order = np.lexsort((vals.imag, vals.real, keys))
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    summed = np.add.reduceat(vals, starts)
-    keep = summed != 0
-    keys = keys[starts][keep]
-    indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
-    return sp.csr_matrix((summed[keep], keys % dim, indptr), shape=(dim, dim))
+    table, ranks = _value_table(vals)
+    return _reduce(keys, ranks, table, dim)
 
 
 @dataclass
@@ -241,29 +306,45 @@ class RingOperator:
 DIM_CAP = 2 ** 24
 
 
-def _bond_triples(term: LocalTerm, bond: int, shape: ProblemShape):
-    """Global COO triples for one bond term placed at ring bond (i, i+1).
-
-    The term is laid on sites (0, 1) and translated `bond` sites.  A
-    translation only permutes digits, so the term's two digits and the
-    other sites' digits are translated apart and added.
-    """
-    basis = SpinBasis(shape)
-    rest = basis.config_dim // term.dim
-    coo = term.matrix.tocoo()
-    others = basis.translate(np.arange(rest, dtype=np.int64), bond)
-    rows = (basis.translate(coo.row.astype(np.int64) * rest, bond)[:, None] + others).ravel()
-    cols = (basis.translate(coo.col.astype(np.int64) * rest, bond)[:, None] + others).ravel()
-    vals = np.broadcast_to(coo.data[:, None], (coo.nnz, rest)).ravel()
-    return rows, cols, vals
-
-
 def checked_dim(shape: ProblemShape, dim_cap: int = DIM_CAP) -> int:
     """Configuration-space dim of a full-space build; BuildError above the cap."""
     dim = SpinBasis(shape.require_valid()).config_dim
     if dim > dim_cap:
         raise BuildError(f"configuration space dim {dim} exceeds cap {dim_cap}")
     return dim
+
+
+def _ring_sum(terms: list[tuple[sp.coo_matrix, float]], basis: SpinBasis) -> sp.csr_matrix:
+    """The canonical reduction of weighted bond terms placed on every bond.
+
+    A translation only permutes digits, so a term entry's two digits (A, B,
+    times the dim of the other sites) and the other sites' digits o are
+    translated apart: the global entry is (A + o, B + o).  Its value is
+    ranked in the table of the weighted term values, and its code
+    (A * dim + B) * w + rank + o * (dim + 1) * w, with w the table size, is
+    written straight into one int64 array, which is all the reduction sorts.
+    """
+    dim, rest = basis.config_dim, basis.config_dim // basis.local_dim ** 2
+    table, ranks = _value_table(np.concatenate([coo.data * weight for coo, weight in terms]))
+    rows = np.concatenate([coo.row for coo, _ in terms]).astype(np.int64) * rest
+    cols = np.concatenate([coo.col for coo, _ in terms]).astype(np.int64) * rest
+    packed = _packs(dim, table.size)
+    scale = table.size if packed else 1
+    size = ranks.size * rest
+    codes = np.empty(size * basis.shape.n_sites, dtype=np.int64)
+    # Without packing, the codes are bare entry keys and the ranks go apart.
+    entry_ranks = None if packed else np.empty_like(codes)
+    for bond in range(basis.shape.n_sites):
+        others = basis.translate(np.arange(rest, dtype=np.int64), bond) * ((dim + 1) * scale)
+        head = basis.translate(rows, bond) * dim + basis.translate(cols, bond)
+        head = head * scale + (ranks if packed else 0)
+        block = slice(bond * size, (bond + 1) * size)
+        np.add(head[:, None], others, out=codes[block].reshape(-1, rest))
+        if not packed:
+            entry_ranks[block].reshape(-1, rest)[:] = ranks[:, None]
+    if packed:
+        return _reduce_packed(codes, table, dim)
+    return _reduce(codes, entry_ranks, table, dim)
 
 
 def assemble(
@@ -274,27 +355,23 @@ def assemble(
 ) -> RingOperator:
     """Sum weighted bond terms over all N+1 ring bonds.
 
-    All contributions are merged through one canonical sorted reduction, so
-    the result is independent of bond order and exactly shift-invariant.
+    Each term is laid on sites (0, 1) and translated to every bond, and
+    every contribution is written as one packed int64 code: the global
+    entry key times the size of the table of weighted values, plus the
+    value's rank in that table, which is in (real, imag) order.  One sort of
+    the codes orders every entry's contributions (_ring_sum), so the result
+    is independent of bond order and exactly shift-invariant.
     """
     dim = checked_dim(shape, dim_cap)
-    d = SpinBasis(shape).local_dim
-    all_rows, all_cols, all_vals = [], [], []
+    basis = SpinBasis(shape)
+    terms = []
     for term, weight in parts:
-        if term.local_dim != d:
+        if term.local_dim != basis.local_dim:
             raise BuildError("bond term local dimension mismatch")
         if weight == 0 or term.matrix.nnz == 0:
             continue
-        for bond in range(shape.n_sites):
-            rows, cols, vals = _bond_triples(term, bond, shape)
-            all_rows.append(rows)
-            all_cols.append(cols)
-            all_vals.append(vals * weight)
-    if not all_rows:
-        return RingOperator(shape, sp.csr_matrix((dim, dim), dtype=complex), provenance)
-    mat = _canonical_coo(
-        np.concatenate(all_rows), np.concatenate(all_cols), np.concatenate(all_vals), dim
-    )
+        terms.append((term.matrix.tocoo(), weight))
+    mat = _ring_sum(terms, basis) if terms else sp.csr_matrix((dim, dim), dtype=complex)
     op = RingOperator(shape, mat, provenance)
     res = op.hermiticity_residual()
     if res > RING_HERMITICITY_TOL:
@@ -312,9 +389,10 @@ def assemble_sector(
     configuration's two digits select a bond-term row, and its entries give
     the target configurations, keyed in V0 without any d^(N+1) index.  A
     target outside `configs` raises BuildError, so a returned block is an
-    invariant block of the full-space sum.  The weighted contributions and
-    their reduction are those of `assemble`, so every entry equals the
-    full-space entry bit for bit.
+    invariant block of the full-space sum.  The row table's values are
+    ranked once, and the weighted contributions and their rank-ordered
+    reduction are those of `assemble`, so every entry equals the full-space
+    entry bit for bit.
     """
     basis = SpinBasis(shape.require_valid())
     n, d, base = shape.n_qubits, basis.local_dim, 2 * (shape.n_cycles + 1)
@@ -344,7 +422,7 @@ def assemble_sector(
         return sp.csr_matrix((size, size), dtype=complex)
     by_row = np.argsort(np.concatenate(term_rows), kind="stable")
     table_cols = np.concatenate(term_cols)[by_row].astype(np.int64)
-    table_vals = np.concatenate(term_vals)[by_row]
+    values, table_ranks = _value_table(np.concatenate(term_vals)[by_row])
     indptr = np.searchsorted(np.concatenate(term_rows)[by_row], np.arange(d * d + 1))
 
     # Site s holds level lowest[s] + digit, digit < width[s], weighing place[s]
@@ -374,7 +452,7 @@ def assemble_sector(
     slot = np.minimum(np.searchsorted(ordered, target), size - 1)
     if not np.all(inside & (ordered[slot] == target)):
         raise BuildError("a bond term couples a sector configuration outside the sector")
-    return _canonical_coo(owner, order[slot], table_vals[entry], size)
+    return _reduce(owner * size + order[slot], table_ranks[entry], values, size)
 
 
 def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
@@ -513,11 +591,11 @@ def check_translation_invariance(op: RingOperator, shift: RingOperator) -> float
 def export_triplets(op: RingOperator) -> str:
     """Sparse text export: header then 'row col re im' per entry, sorted."""
     coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"% dim {op.dim} nnz {coo.nnz} hermitian"]
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        lines.append(f"{r} {c} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
+    order = np.argsort(coo.row.astype(np.int64) * op.dim + coo.col, kind="stable")
+    vals = coo.data[order]
+    columns = (coo.row[order].tolist(), coo.col[order].tolist(), vals.real.tolist(), vals.imag.tolist())
+    body = "".join(map("{} {} {:.17g} {:.17g}\n".format, *columns))
+    return f"% dim {op.dim} nnz {coo.nnz} hermitian\n" + body
 
 
 def parse_triplets(text: str) -> sp.csr_matrix:

@@ -173,6 +173,15 @@ class TestErrors:
         assert err.startswith("error: ") and "exceeds cap" in err
         assert "orbit" not in err
 
+    def test_memory_exhaustion_is_a_one_line_error(self, capsys, monkeypatch):
+        def exhaust(schedule):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        monkeypatch.setattr(cli, "build_h_comp_bond", exhaust)
+        code, _, err = run_cli(capsys, "gapscan", "--tplus", "5")
+        assert code == 1
+        assert err == "error: out of memory: Unable to allocate 11.9 GiB\n"
+
 
 class TestOrbitBlockPastTheCap:
     # (2,1,64) has d^3 = 17,779,581 configurations, above the 2^24 cap; its

@@ -214,6 +214,29 @@ class TestAssembly:
         assert op.hermiticity_residual() == 0.0
         assert 0 < op.nnz <= 3 * term.matrix.nnz * 9
 
+    def test_peak_memory_per_raw_triple(self):
+        # A seeded (3,1,3) total: term entries x other sites x bonds makes
+        # 1,990,000 raw triples.  64 B each leaves room for a packed code,
+        # its key and its gathered value, not for full rows, cols and values
+        # with a sort permutation on top (about 104 B).
+        import tracemalloc
+
+        from clockring import auto_constants
+        from clockring.hamiltonian import total_parts
+
+        schedule = random_schedule(ProblemShape(3, 1, 3), np.random.default_rng(0))
+        parts = total_parts(standard_parts(schedule), auto_constants(schedule))
+        rest = SpinBasis(schedule.shape).config_dim // parts[0][0].dim
+        raw = sum(term.matrix.nnz for term, _ in parts) * rest * schedule.shape.n_sites
+        assert raw == 1_990_000
+        tracemalloc.start()
+        try:
+            assemble(parts, schedule.shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * raw
+
     def test_dimension_cap(self, desk_identity_schedule):
         constants = CouplingConstants(1, 1, 1, 1)
         with pytest.raises(BuildError):
@@ -265,11 +288,14 @@ class TestTranslationInvariance:
         assert check_translation_invariance(zero, shift) == 0.0
 
     def test_single_bond_perturbation_breaks_invariance(self, desk_shape, desk_identity_schedule):
-        from clockring.hamiltonian import RingOperator, _bond_triples
-
+        # The term on bond (0, 1) alone: its two digits lead, the rest follow.
         term = build_h_comp_bond(desk_identity_schedule)
-        rows, cols, vals = _bond_triples(term, 0, desk_shape)
         basis = SpinBasis(desk_shape)
+        rest = basis.config_dim // term.dim
+        coo = term.matrix.tocoo()
+        rows = (coo.row.astype(np.int64)[:, None] * rest + np.arange(rest)).ravel()
+        cols = (coo.col.astype(np.int64)[:, None] * rest + np.arange(rest)).ravel()
+        vals = np.broadcast_to(coo.data[:, None], (coo.nnz, rest)).ravel()
         mat = sp.csr_matrix(
             (vals, (rows, cols)), shape=(basis.config_dim, basis.config_dim)
         )

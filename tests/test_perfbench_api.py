@@ -6,6 +6,7 @@ name it uses fails here and not first in a benchmark run.
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -41,3 +42,17 @@ def test_every_traced_function_resolves(load):
             for part in attr.split("."):
                 owner = getattr(owner, part)
             assert callable(owner), (layer, module_name, attr)
+
+
+@pytest.mark.parametrize("workload", ["certify", "orbit"])
+def test_jobs_meet_their_invariants_and_golden_values(load, workload):
+    # The `build` workload is left out: its dim-1.42 M (4,1,1) compile holds
+    # about 0.5 GB at its peak and takes seconds, too much for every test
+    # run; the export digests and assembly tests cover its paths on smaller
+    # shapes.
+    workloads = load("workloads")
+    golden = json.loads((PERFBENCH / "golden.json").read_text())
+    for job in workloads.WORKLOADS[workload](golden["default_seed"]):
+        values, problems = job.run()
+        problems = problems + workloads.compare_golden(job, values, golden["values"], True)
+        assert not problems, (job.name, problems)

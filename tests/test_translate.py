@@ -9,6 +9,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +25,9 @@ from clockring import (
     schedule_from_placements,
     standard_parts,
 )
+from clockring import hamiltonian
 from clockring.circuit import PAULI_X, embed_single_qubit, force_reject_gate
-from clockring.hamiltonian import BuildError, _bond_triples, _canonical_coo
+from clockring.hamiltonian import BuildError, _canonical_coo, _packs
 from clockring.promise import auto_constants
 
 FIXED = CouplingConstants(0.1, 0.7, 1.3, 2.9)
@@ -104,6 +106,19 @@ def _wrap_reference(term, shape):
     return rows.ravel(), cols.ravel(), vals.ravel()
 
 
+def _placed_triples(term, bond, shape):
+    """The term laid on sites (0, 1) and translated `bond` sites: its two
+    digits and the other sites' digits are translated apart and added."""
+    basis = SpinBasis(shape)
+    rest = basis.config_dim // term.dim
+    coo = term.matrix.tocoo()
+    others = basis.translate(np.arange(rest, dtype=np.int64), bond)
+    rows = (basis.translate(coo.row.astype(np.int64) * rest, bond)[:, None] + others).ravel()
+    cols = (basis.translate(coo.col.astype(np.int64) * rest, bond)[:, None] + others).ravel()
+    vals = np.broadcast_to(coo.data[:, None], (coo.nnz, rest)).ravel()
+    return rows, cols, vals
+
+
 def _sorted_triples(rows, cols, vals, dim):
     order = np.argsort(np.asarray(rows) * dim + np.asarray(cols), kind="stable")
     return np.asarray(rows)[order], np.asarray(cols)[order], np.asarray(vals)[order]
@@ -115,7 +130,7 @@ def test_wrap_bond_matches_explicit_formula(schedule):
     shape = schedule.shape
     dim = SpinBasis(shape).config_dim
     for term in standard_parts(schedule).values():
-        got = _sorted_triples(*_bond_triples(term, shape.n_sites - 1, shape), dim)
+        got = _sorted_triples(*_placed_triples(term, shape.n_sites - 1, shape), dim)
         want = _sorted_triples(*_wrap_reference(term, shape), dim)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -141,6 +156,73 @@ def test_canonical_reduction_ignores_triple_order(entries, seed):
     b = _canonical_coo(rows[perm], cols[perm], vals[perm], 4)
     for attr in ("indptr", "indices", "data"):
         assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
+def _lexsort_reference(rows, cols, vals, dim):
+    """The reduction before value ranks: a three-key lexsort by (key, real, imag)."""
+    keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=complex)
+    if keys.size == 0:
+        return sp.csr_matrix((dim, dim), dtype=complex)
+    order = np.lexsort((vals.imag, vals.real, keys))
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    summed = np.add.reduceat(vals, starts)
+    keep = summed != 0
+    keys = keys[starts][keep]
+    indptr = np.searchsorted(keys, np.arange(dim + 1, dtype=np.int64) * dim)
+    return sp.csr_matrix((summed[keep], keys % dim, indptr), shape=(dim, dim))
+
+
+def _assert_same_bits(got, want):
+    for attr in ("indptr", "indices", "data"):
+        g, w = getattr(got, attr), getattr(want, attr)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+
+
+# Sums of these depend on the order of the addends, and signed zeros on
+# which zero comes first.
+_ORDER_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e16, -1e16, 3.0, 2 ** -60])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 5),
+    entries=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), _ORDER_VALUES, _ORDER_VALUES),
+        max_size=40,
+    ),
+)
+def test_ranked_reduction_matches_lexsort_reference(dim, entries):
+    entries = [(r % dim, c % dim, re, im) for r, c, re, im in entries]
+    rows, cols, re, im = (np.array(v) for v in zip(*entries)) if entries else ([], [], [], [])
+    vals = np.empty(len(entries), dtype=complex)
+    vals.real, vals.imag = re, im  # keeps the signed zeros arithmetic would drop
+    _assert_same_bits(_canonical_coo(rows, cols, vals, dim), _lexsort_reference(rows, cols, vals, dim))
+
+
+def test_ranked_reduction_past_int64_codes_matches_lexsort_reference():
+    # dim^2 * (distinct values) > 2^63, so the codes cannot be packed and the
+    # reduction falls back to a two-key order on (key, rank).
+    dim, distinct = 2 ** 22, 2 ** 19 + 7
+    assert not _packs(dim, distinct)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(distinct) + 1j * rng.standard_normal(distinct)
+    picks = rng.integers(0, distinct, distinct + 2 ** 18)
+    picks[:distinct] = np.arange(distinct)  # every value appears
+    rows = rng.integers(0, 64, picks.size) * 65_537 % dim  # few rows: many duplicate keys
+    cols = rng.integers(0, 4_096, picks.size) * 1_021
+    _assert_same_bits(_canonical_coo(rows, cols, values[picks], dim),
+                      _lexsort_reference(rows, cols, values[picks], dim))
+
+
+def test_unpacked_assembly_matches_the_packed_one(monkeypatch):
+    # Past int64 codes, assemble writes bare entry keys and ranks apart.
+    schedule = _exact_312()
+    constants = auto_constants(schedule)
+    packed = assemble_total(schedule, constants)
+    monkeypatch.setattr(hamiltonian, "_packs", lambda dim, width: False)
+    _assert_same_bits(assemble_total(schedule, constants).matrix, packed.matrix)
 
 
 SHAPES = st.sampled_from([(2, 1, 1), (2, 1, 3), (3, 1, 1), (3, 2, 2), (4, 1, 1)])
