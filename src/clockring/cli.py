@@ -22,7 +22,6 @@ from .circuit import (
     schedule_from_placements,
 )
 from .hamiltonian import (
-    DIM_CAP,
     BuildError,
     CouplingConstants,
     assemble,
@@ -46,10 +45,12 @@ from .promise import (
     PromiseParameters,
     auto_constants,
     decide,
+    sector_hamiltonian,
+    sector_spectrum,
     separation_experiment,
     verify_lemma_numeric,
 )
-from .spectral import SpectralError, frozen_config_indices, low_spectrum
+from .spectral import SpectralError, frozen_patterns, low_spectrum
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -77,18 +78,16 @@ def _resolve_constants(schedule: SweepSchedule, args) -> CouplingConstants:
 
 
 def cmd_compile(args) -> int:
-    schedule = _load_schedule(args)
-    diags = schedule.validate()
-    if diags:
-        for d in diags:
-            print(f"error: {d}", file=sys.stderr)
+    if args.command == "export" and not args.out:
+        print("error: export needs --out", file=sys.stderr)
         return 1
+    schedule = _load_schedule(args)  # parsing already checked every gate and slot
     shape = schedule.shape
     if args.parts == "all":
         constants = _resolve_constants(schedule, args)
-        op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
+        op = assemble_total(schedule, constants)
     else:
-        checked_dim(shape, args.dim_cap)
+        checked_dim(shape)
         parts = standard_parts(schedule)
         selected = []
         for name in args.parts.split(","):
@@ -97,7 +96,7 @@ def cmd_compile(args) -> int:
                 print(f"error: unknown part {name!r}", file=sys.stderr)
                 return 1
             selected.append((parts[name], 1.0))
-        op = assemble(selected, shape, provenance=args.parts, dim_cap=args.dim_cap)
+        op = assemble(selected, shape, provenance=args.parts)
     shift = build_shift_operator(shape)
     print(f"dim {op.dim}")
     print(f"nnz {op.nnz}")
@@ -108,13 +107,6 @@ def cmd_compile(args) -> int:
             fh.write(export_triplets(op))
         print(f"wrote {args.out}")
     return 0
-
-
-def cmd_export(args) -> int:
-    if not args.out:
-        print("error: export needs --out", file=sys.stderr)
-        return 1
-    return cmd_compile(args)
 
 
 def cmd_oracle(args) -> int:
@@ -153,11 +145,10 @@ def cmd_spectrum(args) -> int:
         sub = _orbit_block(schedule, total_parts(standard_parts(schedule), constants))
         report = low_spectrum(sub, min(args.k, sub.shape[0]))
     else:
-        op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
-        report = low_spectrum(op, args.k)
-    if args.frozen_scan:
-        frozen = frozen_config_indices(schedule.shape)
-        print(f"frozen_count {len(frozen)}")
+        report = sector_spectrum(schedule, constants, args.k)
+    if args.frozen_scan:  # 2^N bit strings on every frozen pattern, at every head site
+        shape = schedule.shape
+        print(f"frozen_count {shape.n_sites * len(frozen_patterns(shape)) * 2 ** shape.n_qubits}")
     sys.stdout.write(report.format())
     return 0
 
@@ -183,13 +174,11 @@ def cmd_verify(args) -> int:
             shape = ProblemShape(2, 1, 1)
             accepting = SweepSchedule(shape)
             rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, 1)
+        elif not (args.circuit and args.circuit_no):
+            print("error: separation needs --circuit and --circuit-no (or --desk-pair)",
+                  file=sys.stderr)
+            return 1
         else:
-            if not (args.circuit and args.circuit_no):
-                print(
-                    "error: separation needs --circuit and --circuit-no (or --desk-pair)",
-                    file=sys.stderr,
-                )
-                return 1
             with open(args.circuit) as fh:
                 accepting = parse_circuit_text(fh.read())
             with open(args.circuit_no) as fh:
@@ -199,10 +188,10 @@ def cmd_verify(args) -> int:
         sys.stdout.write(report.format())
         return 0
     schedule = _load_schedule(args)
-    constants = _resolve_constants(schedule, args)
-    op = assemble_total(schedule, constants, dim_cap=args.dim_cap)
     params = PromiseParameters(args.a, args.b)
-    decision = decide(op, params)
+    sector = sector_hamiltonian(schedule, _resolve_constants(schedule, args))
+    decision = decide(sector.total, params)
+    sector.certify(decision.lambda0, "sector lambda0")
     sys.stdout.write(decision.format(params))
     return 0
 
@@ -226,22 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="witness length (default 1)")
         p.add_argument("--r", type=int, help="cycle count (default 1)")
 
-    def assembly(p):  # coupling constants and the full-space cap of the total
+    def assembly(p):  # coupling constants of the total
         p.add_argument("--j1", type=float, default=1.0)
         p.add_argument("--j2", default="auto")
         p.add_argument("--alpha", default="auto")
-        p.add_argument("--dim-cap", type=int, default=DIM_CAP, dest="dim_cap")
 
-    for name, help_text, func in (
-        ("compile", "assemble and export the ring operator", cmd_compile),
-        ("export", "write the sparse triplet file", cmd_export),
+    for name, help_text in (
+        ("compile", "assemble and export the ring operator"),
+        ("export", "write the sparse triplet file"),
     ):
         p = sub.add_parser(name, help=help_text)
         source(p)
         assembly(p)
         p.add_argument("--parts", default="all", help="comma list of parts or 'all'")
         p.add_argument("--out", help="triplet file to write")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("oracle", help="history-state expectations for a witness")
     source(p)

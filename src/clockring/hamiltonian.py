@@ -24,7 +24,9 @@ without moving the head or a position, so the head-0 form-valid sector V0
 such a block, or any closed subset of it like the legal orbit, without the
 d^(N+1) space; off_sector_floor bounds H from below off the form-valid set,
 which is what makes a sector eigenvalue below it a full-space eigenvalue.
-`assemble` builds the full space, for export and the translation check.
+`assemble` builds the full space, which only compile and export need, and
+refuses more than DIM_CAP configurations (assemble_total does so before
+building any bond term).
 """
 
 from __future__ import annotations
@@ -114,16 +116,11 @@ def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
     """Deduplicate COO triples with a fixed, order-independent summation.
 
-    Every value gets its rank in the value table (_value_table), and one
-    sort of the packed int64 codes (row * dim + col) * len(table) + rank
-    orders the triples before the per-entry reduction.  Ranks follow
-    (real, imag) order and equal ranks hold equal bits, so each entry is
-    summed in value order, and values that compare equal give the same
-    sum in either order.  The assembled matrix is thus bit-identical no
-    matter how contributions were generated or partitioned, which makes
-    the translation-invariance residual of ring sums exactly zero.  When
-    the codes would overflow int64, a two-key lexsort on (key, rank) gives
-    the same order.
+    Each entry is summed in the value order of _value_table, and values
+    that compare equal give the same sum in either order, so the result is
+    bit-identical however the triples were generated or partitioned.  When
+    the packed codes would overflow int64, a two-key lexsort on (key, rank)
+    gives the same order.
     """
     keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
     table, ranks = _value_table(vals)
@@ -306,16 +303,28 @@ class RingOperator:
 DIM_CAP = 2 ** 24
 
 
-def checked_dim(shape: ProblemShape, dim_cap: int = DIM_CAP) -> int:
-    """Configuration-space dim of a full-space build; BuildError above the cap."""
+def checked_dim(shape: ProblemShape) -> int:
+    """Configuration-space dim of a full-space build; BuildError above DIM_CAP."""
     dim = SpinBasis(shape.require_valid()).config_dim
-    if dim > dim_cap:
-        raise BuildError(f"configuration space dim {dim} exceeds cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise BuildError(f"configuration space dim {dim} exceeds cap {DIM_CAP}")
     return dim
 
 
-def _ring_sum(terms: list[tuple[sp.coo_matrix, float]], basis: SpinBasis) -> sp.csr_matrix:
-    """The canonical reduction of weighted bond terms placed on every bond.
+def _weighted_entries(weighted_terms: list[tuple[LocalTerm, float]], local_dim: int):
+    """Rows, cols (int64) and weighted values of the bond-term entries, term
+    after term, or None when no term with a nonzero weight holds an entry."""
+    if any(term.local_dim != local_dim for term, _ in weighted_terms):
+        raise BuildError("bond term local dimension mismatch")
+    live = [(term.matrix.tocoo(), w) for term, w in weighted_terms if w != 0 and term.matrix.nnz]
+    if not live:
+        return None
+    rows, cols, vals = (np.concatenate(x) for x in zip(*[(c.row, c.col, c.data * w) for c, w in live]))
+    return rows.astype(np.int64), cols.astype(np.int64), vals
+
+
+def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
+    """The canonical reduction of weighted bond-term entries placed on every bond.
 
     A translation only permutes digits, so a term entry's two digits (A, B,
     times the dim of the other sites) and the other sites' digits o are
@@ -323,55 +332,32 @@ def _ring_sum(terms: list[tuple[sp.coo_matrix, float]], basis: SpinBasis) -> sp.
     ranked in the table of the weighted term values, and its code
     (A * dim + B) * w + rank + o * (dim + 1) * w, with w the table size, is
     written straight into one int64 array, which is all the reduction sorts.
+    Under DIM_CAP the codes fit for any table of up to 2^15 values; a larger
+    one raises BuildError.
     """
     dim, rest = basis.config_dim, basis.config_dim // basis.local_dim ** 2
-    table, ranks = _value_table(np.concatenate([coo.data * weight for coo, weight in terms]))
-    rows = np.concatenate([coo.row for coo, _ in terms]).astype(np.int64) * rest
-    cols = np.concatenate([coo.col for coo, _ in terms]).astype(np.int64) * rest
-    packed = _packs(dim, table.size)
-    scale = table.size if packed else 1
+    table, ranks = _value_table(vals)
+    if not _packs(dim, table.size):
+        raise BuildError(f"{table.size} distinct values overflow the int64 codes at dim {dim}")
+    rows, cols = rows * rest, cols * rest
     size = ranks.size * rest
     codes = np.empty(size * basis.shape.n_sites, dtype=np.int64)
-    # Without packing, the codes are bare entry keys and the ranks go apart.
-    entry_ranks = None if packed else np.empty_like(codes)
     for bond in range(basis.shape.n_sites):
-        others = basis.translate(np.arange(rest, dtype=np.int64), bond) * ((dim + 1) * scale)
-        head = basis.translate(rows, bond) * dim + basis.translate(cols, bond)
-        head = head * scale + (ranks if packed else 0)
-        block = slice(bond * size, (bond + 1) * size)
-        np.add(head[:, None], others, out=codes[block].reshape(-1, rest))
-        if not packed:
-            entry_ranks[block].reshape(-1, rest)[:] = ranks[:, None]
-    if packed:
-        return _reduce_packed(codes, table, dim)
-    return _reduce(codes, entry_ranks, table, dim)
+        others = basis.translate(np.arange(rest, dtype=np.int64), bond) * ((dim + 1) * table.size)
+        head = (basis.translate(rows, bond) * dim + basis.translate(cols, bond)) * table.size + ranks
+        np.add(head[:, None], others, out=codes[bond * size:(bond + 1) * size].reshape(-1, rest))
+    return _reduce_packed(codes, table, dim)
 
 
 def assemble(
-    parts: list[tuple[LocalTerm, float]],
-    shape: ProblemShape,
-    provenance: str = "",
-    dim_cap: int = DIM_CAP,
+    parts: list[tuple[LocalTerm, float]], shape: ProblemShape, provenance: str = ""
 ) -> RingOperator:
-    """Sum weighted bond terms over all N+1 ring bonds.
-
-    Each term is laid on sites (0, 1) and translated to every bond, and
-    every contribution is written as one packed int64 code: the global
-    entry key times the size of the table of weighted values, plus the
-    value's rank in that table, which is in (real, imag) order.  One sort of
-    the codes orders every entry's contributions (_ring_sum), so the result
-    is independent of bond order and exactly shift-invariant.
-    """
-    dim = checked_dim(shape, dim_cap)
+    """Sum weighted bond terms over all N+1 ring bonds in one canonical
+    reduction (_ring_sum), so the result is exactly shift-invariant."""
+    dim = checked_dim(shape)
     basis = SpinBasis(shape)
-    terms = []
-    for term, weight in parts:
-        if term.local_dim != basis.local_dim:
-            raise BuildError("bond term local dimension mismatch")
-        if weight == 0 or term.matrix.nnz == 0:
-            continue
-        terms.append((term.matrix.tocoo(), weight))
-    mat = _ring_sum(terms, basis) if terms else sp.csr_matrix((dim, dim), dtype=complex)
+    entries = _weighted_entries(parts, basis.local_dim)
+    mat = _ring_sum(*entries, basis) if entries else sp.csr_matrix((dim, dim), dtype=complex)
     op = RingOperator(shape, mat, provenance)
     res = op.hermiticity_residual()
     if res > RING_HERMITICITY_TOL:
@@ -408,22 +394,14 @@ def assemble_sector(
 
     # One row table over all weighted terms: every term entry keeps its own
     # weighted value, as in `assemble`.
-    term_rows, term_cols, term_vals = [], [], []
-    for term, weight in weighted_terms:
-        if term.local_dim != d:
-            raise BuildError("bond term local dimension mismatch")
-        if weight == 0 or term.matrix.nnz == 0:
-            continue
-        coo = term.matrix.tocoo()
-        term_rows.append(coo.row)
-        term_cols.append(coo.col)
-        term_vals.append(coo.data * weight)
-    if not term_rows or not size:
+    entries = _weighted_entries(weighted_terms, d)
+    if entries is None or not size:
         return sp.csr_matrix((size, size), dtype=complex)
-    by_row = np.argsort(np.concatenate(term_rows), kind="stable")
-    table_cols = np.concatenate(term_cols)[by_row].astype(np.int64)
-    values, table_ranks = _value_table(np.concatenate(term_vals)[by_row])
-    indptr = np.searchsorted(np.concatenate(term_rows)[by_row], np.arange(d * d + 1))
+    term_rows, term_cols, term_vals = entries
+    by_row = np.argsort(term_rows, kind="stable")
+    table_cols = term_cols[by_row]
+    values, table_ranks = _value_table(term_vals[by_row])
+    indptr = np.searchsorted(term_rows[by_row], np.arange(d * d + 1))
 
     # Site s holds level lowest[s] + digit, digit < width[s], weighing place[s]
     # in the key: the head (level 0) on site 0, Data(bit, cycle, z) on site z.
@@ -557,17 +535,15 @@ def total_parts(
     ]
 
 
-def assemble_total(
-    schedule: SweepSchedule, constants: CouplingConstants, dim_cap: int = DIM_CAP
-) -> RingOperator:
+def assemble_total(schedule: SweepSchedule, constants: CouplingConstants) -> RingOperator:
     """The total Hamiltonian of the schedule's standard parts (see total_parts)."""
-    checked_dim(schedule.shape, dim_cap)
+    checked_dim(schedule.shape)
     tag = (
         f"total(j1={constants.j1:.12g},j2={constants.j2:.12g},"
         f"alpha={constants.alpha:.12g},w_out={constants.w_out:.12g})"
     )
     weighted = total_parts(standard_parts(schedule), constants)
-    return assemble(weighted, schedule.shape, provenance=tag, dim_cap=dim_cap)
+    return assemble(weighted, schedule.shape, provenance=tag)
 
 
 def build_shift_operator(shape: ProblemShape) -> RingOperator:

@@ -7,9 +7,9 @@ eigenvalues at least J > 2||H1||, then
 
 Selecting J = 8||H1||^2 + 2||H1|| makes the lower-bound slack exactly 1/8.
 
-The separation experiment runs on the head-0 form-valid sector V0 (see
-``hamiltonian``), certified by the off-sector floor; ``decide`` solves the
-operator it is given.
+Every spectral value of a schedule's total Hamiltonian comes from the
+head-0 form-valid sector V0 (see ``hamiltonian`` and sector_hamiltonian):
+the separation experiment, sector_spectrum and ``decide`` on the V0 total.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .basis import SpinBasis, orbit_label_walk, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
@@ -32,6 +33,7 @@ from .hamiltonian import (
 from .oracle import expectations, reject_probability, simulate_history
 from .spectral import (
     SpectralError,
+    SpectralReport,
     exclude_frozen,
     frozen_patterns,
     ground_energy,
@@ -205,6 +207,59 @@ def auto_constants(schedule: SweepSchedule, j1: float = 1.0) -> CouplingConstant
 
 
 @dataclass
+class SectorHamiltonian:
+    """H and its standard parts on V0, in full-space index order, and the
+    off-sector floor: H is at least `floor` off the form-valid set."""
+
+    total: sp.csr_matrix
+    parts: dict[str, sp.csr_matrix]
+    floor: float
+
+    def certify(self, value: float, what: str) -> None:
+        """SpectralError unless the V0 level `value` is below the floor."""
+        if not value < self.floor:
+            raise SpectralError(
+                f"{what} {value:.12g} is not below the off-sector floor {self.floor:.12g}")
+
+
+def sector_hamiltonian(schedule: SweepSchedule, constants: CouplingConstants) -> SectorHamiltonian:
+    """BuildError before any bond term if V0 has more than DIM_CAP states.
+
+    V0 is closed under H (assemble_sector checks it), its N head translates
+    carry the same levels, and every V0 configuration must sit at the H_form
+    floor of -1 (else SpectralError).  So a V0 level below off_sector_floor
+    is a full-space level, N+1 times over.
+    """
+    shape = schedule.shape.require_valid()
+    sector_dim = SpinBasis(shape).sector_dim
+    if sector_dim > DIM_CAP:
+        raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
+    terms = standard_parts(schedule)
+    sector = np.arange(sector_dim)  # all of V0, in full-space index order
+    total = assemble_sector(total_parts(terms, constants), shape, sector)
+    parts = {name: assemble_sector([(term, 1.0)], shape, sector) for name, term in terms.items()}
+    if np.any(parts["H_form"].diagonal() != -1):
+        raise SpectralError("a V0 configuration is off the H_form floor of -1")
+    return SectorHamiltonian(total, parts, off_sector_floor(terms, constants, shape))
+
+
+def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: int) -> SpectralReport:
+    """The k lowest levels of H: ceil(k / (N+1)) V0 levels, each repeated
+    once per head translate with its residual, V0 clusters expanded by
+    index; SpectralError unless the k-th is below the off-sector floor."""
+    sector, copies = sector_hamiltonian(schedule, constants), schedule.shape.n_sites
+    levels, dim = -(-k // copies), sector.total.shape[0]
+    if levels > dim:
+        raise SpectralError(f"k = {k} exceeds the {copies} x {dim} levels of V0 and its translates")
+    report = low_spectrum(sector.total, levels)
+    values = np.repeat(report.eigenvalues, copies)[:k]
+    sector.certify(values[-1], f"level {k - 1}")
+    clusters = [[i for j in members for i in range(j * copies, min(j * copies + copies, k))]
+                for members in report.clusters]
+    return SpectralReport(k, values, np.repeat(report.residuals, copies)[:k], clusters, report.method)
+
+
+@dataclass
 class ScheduleEnergies:
     lambda0_full: float
     lambda0_orbit: float
@@ -267,34 +322,21 @@ def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
 
 
 def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) -> ScheduleEnergies:
-    """Energies of one schedule, all computed on the head-0 sector V0.
+    """Energies of one schedule, all computed on V0 (see sector_hamiltonian).
 
-    V0 is closed under H (assemble_sector checks it), the other head
-    sectors are its translates, and off the form-valid set H is at least
-    off_sector_floor.  A filtered lambda0 below that floor is therefore the
-    full-space value; otherwise SpectralError.
+    A filtered lambda0 below the off-sector floor is the full-space value;
+    otherwise SpectralError.
     """
     shape = schedule.shape
     basis = SpinBasis(shape)
-    terms = standard_parts(schedule)
-    sector = np.arange(basis.sector_dim)  # all of V0, in full-space index order
-    total = assemble_sector(total_parts(terms, constants), shape, sector)
-    parts = {name: assemble_sector([(term, 1.0)], shape, sector) for name, term in terms.items()}
-    if np.any(parts["H_form"].diagonal() != -1):
-        raise SpectralError("a V0 configuration is off the H_form floor of -1")
-    floor = off_sector_floor(terms, constants, shape)
-
+    sector = sector_hamiltonian(schedule, constants)
+    total = sector.total
     frozen = np.sort(basis.sector_keys(frozen_patterns(shape)), axis=None)
-    filtered_mat, keep = exclude_frozen(total, frozen)
-    filtered = low_spectrum(filtered_mat, 1)
+    filtered = low_spectrum(exclude_frozen(total, frozen)[0], 1)
     lam_filtered = float(filtered.eigenvalues[0])
-    if not lam_filtered < floor:
-        raise SpectralError(
-            f"sector lambda0 {lam_filtered:.12g} is not below the off-sector floor {floor:.12g}"
-        )
+    sector.certify(lam_filtered, "sector lambda0")
     # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
-    frozen_diagonal = np.delete(total.diagonal().real, keep)
-    lam_full = float(min(lam_filtered, frozen_diagonal.min(initial=np.inf)))
+    lam_full = float(min(lam_filtered, total.diagonal().real[frozen].min(initial=np.inf)))
 
     orbit = basis.sector_keys(orbit_label_walk(shape)).ravel()
     lam_orbit = float(np.linalg.eigvalsh(restrict(total, orbit))[0])
@@ -305,7 +347,7 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) ->
         rows = expectations(eta, {"total": total})
         energy = rows[0][1]
         if best is None or energy < best[0]:
-            part_rows = expectations(eta, parts)
+            part_rows = expectations(eta, sector.parts)
             best = (energy, bits, part_rows)
     energy, bits, part_rows = best
     return ScheduleEnergies(
@@ -317,7 +359,7 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) ->
         variational_energy=energy,
         variational_parts=part_rows,
         reject_probability_best=reject_probability(schedule, list(bits)),
-        off_sector_floor=floor,
+        off_sector_floor=sector.floor,
     )
 
 
@@ -326,16 +368,12 @@ def separation_experiment(
     rejecting: SweepSchedule,
     constants: CouplingConstants | None = None,
 ) -> SeparationReport:
-    """Build both Hamiltonians with shared constants and compare ground
-    energies; BuildError first if V0 has more than DIM_CAP states."""
+    """Build both Hamiltonians on V0 with shared constants and compare
+    ground energies (see sector_hamiltonian)."""
     if accepting.shape != rejecting.shape:
         raise PromiseError("schedules must share one shape")
     shape = accepting.shape.require_valid()
-    sector_dim = SpinBasis(shape).sector_dim
-    if sector_dim > DIM_CAP:
-        raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
     if constants is None:
         constants = auto_constants(accepting)
-    yes_side = _schedule_energies(accepting, constants)
-    no_side = _schedule_energies(rejecting, constants)
-    return SeparationReport(shape, constants, yes_side, no_side)
+    sides = (_schedule_energies(schedule, constants) for schedule in (accepting, rejecting))
+    return SeparationReport(shape, constants, *sides)

@@ -57,14 +57,9 @@ class SpectralReport:
     vectors: np.ndarray | None = field(default=None, repr=False)  # not in format()
 
     def format(self) -> str:
-        lines = []
-        cluster_of = {}
-        for ci, members in enumerate(self.clusters):
-            for i in members:
-                cluster_of[i] = ci
-        for i, (val, res) in enumerate(zip(self.eigenvalues, self.residuals)):
-            lines.append(f"eig {i} {val:.12g} {res:.3g} {cluster_of[i]}")
-        return "\n".join(lines) + "\n"
+        cluster_of = {i: ci for ci, members in enumerate(self.clusters) for i in members}
+        return "".join(f"eig {i} {val:.12g} {res:.3g} {cluster_of[i]}\n"
+                       for i, (val, res) in enumerate(zip(self.eigenvalues, self.residuals)))
 
 
 def hermiticity_residual(mat) -> float:
@@ -153,7 +148,10 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
             )
             values, vectors = np.linalg.eigh(blocks)
         candidates[first[comps][:, None] + np.arange(min(size, k))] = values[:, :k]
-        block_vectors[size] = vectors
+        # Keep a copy of the offered columns only: a view, or `vectors` itself,
+        # would hold the whole stack through the next group's solve.
+        block_vectors[size] = vectors[:, :, :k].copy()
+        del vectors
 
     chosen = np.argsort(candidates, kind="stable")[:k]
     chosen_comp = owner[chosen]

@@ -72,10 +72,9 @@ class TestCompile:
         assert code == 0
         assert len(calls) == 1
 
-    def test_dimension_cap_guard(self, capsys, circuit_file):
-        code, _, err = run_cli(
-            capsys, "compile", "--circuit", circuit_file, "--dim-cap", "100"
-        )
+    def test_dimension_cap_guard(self, capsys):
+        # (2,1,64) has d^3 = 17,779,581 configurations, over the fixed cap.
+        code, _, err = run_cli(capsys, "compile", "--n", "2", "--r", "64")
         assert code == 1
         assert "cap" in err
 
@@ -111,6 +110,72 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(capsys, "spectrum", "--circuit", circuit_file, "--k", "3")
         assert code == 0
         assert len([l for l in out.splitlines() if l.startswith("eig")]) == 3
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 1), (3, 1, 2)],
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_frozen_count_is_the_full_space_count(self, capsys, shape):
+        from clockring.circuit import ProblemShape
+        from clockring.spectral import frozen_config_indices
+
+        n, _, r = shape
+        code, out, _ = run_cli(capsys, "spectrum", "--n", str(n), "--r", str(r),
+                               "--orbit-restrict", "--k", "1", "--frozen-scan")
+        assert code == 0
+        want = len(frozen_config_indices(ProblemShape(*shape)))
+        assert out.splitlines()[0] == f"frozen_count {want}"
+
+    def test_frozen_scan_past_int64_config_indices(self, capsys):
+        # d^13 = 9.4e21 configurations at (12,1,1); the orbit block has 49,152.
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "12", "--r", "1",
+                               "--orbit-restrict", "--frozen-scan")
+        assert code == 0
+        assert out.startswith("frozen_count ")
+
+    def test_no_full_space_build(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-space build")
+
+        for module in (hamiltonian, cli):
+            monkeypatch.setattr(module, "assemble", refuse)
+            monkeypatch.setattr(module, "assemble_total", refuse)
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "3", "--k", "8")
+        assert code == 0
+        assert len(out.splitlines()) == 8
+        argv = ("verify", "--mode", "decide", "--n", "2", "--r", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == PINNED_REPORTS[argv]
+
+    def test_spectrum_and_decide_past_the_dim_cap(self, capsys):
+        # (5,1,1) has 85,766,121 configurations; V0 has 1,024.
+        code, out, _ = run_cli(capsys, "verify", "--mode", "decide", "--n", "5")
+        assert code == 0
+        lambda0 = out.split()[3]
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "5", "--k", "12")
+        assert code == 0
+        lines = [line.split() for line in out.splitlines()]
+        assert [line[1] for line in lines] == [str(i) for i in range(12)]
+        assert lines[0][2] == lambda0
+        # Every V0 level appears once per head translate, in one cluster.
+        for first in range(0, 12, 6):
+            assert len({(line[2], line[4]) for line in lines[first:first + 6]}) == 1
+
+    def test_k_beyond_the_certified_levels(self, capsys):
+        # V0 at (2,1,1) has 16 states, so H has 48 certifiable levels.
+        code, _, err = run_cli(capsys, "spectrum", "--n", "2", "--k", "49")
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [("spectrum", "--n", "2", "--k", "3"),
+                                      ("verify", "--mode", "decide", "--n", "2")], ids=" ".join)
+    def test_level_above_the_floor_is_a_one_line_error(self, capsys, monkeypatch, argv):
+        from clockring import promise
+
+        monkeypatch.setattr(promise, "off_sector_floor", lambda *args: -1e9)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "off-sector floor" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestGapscan:
@@ -257,6 +322,12 @@ PINNED_REPORTS = {
     ("compile", "--n", "2"): (
         "dim 729\nnnz 945\nhermiticity_residual 0\ntranslation_residual 0\n"
     ),
+    ("verify", "--mode", "decide", "--n", "2", "--r", "2"): (
+        "verdict Yes lambda0 -1350 a 0 b 0.5 margin 1350\n"
+    ),
+    ("verify", "--mode", "decide", "--n", "2", "--a", "-1300", "--b", "-1200"): (
+        "verdict OutsidePromise lambda0 -1248 a -1300 b -1200 margin -48\n"
+    ),
 }
 
 
@@ -300,12 +371,13 @@ class TestFlagsPerCommand:
             name: sum(a.dest not in ("help", "func") for a in p._actions)
             for name, p in subparsers.items()
         }
-        assert counts == {"compile": 10, "export": 10, "oracle": 5, "spectrum": 11,
-                          "gapscan": 1, "verify": 13, "lemma": 3}
+        assert counts == {"compile": 9, "export": 9, "oracle": 5, "spectrum": 10,
+                          "gapscan": 1, "verify": 12, "lemma": 3}
 
     @pytest.mark.parametrize("argv", [
         ("gapscan", "--n", "3"),
         ("oracle", "--n", "2", "--dim-cap", "10"),
+        ("spectrum", "--n", "2", "--dim-cap", "10"),
         ("lemma", "--n", "2"),
         ("compile", "--n", "2", "--k", "3"),
     ], ids=" ".join)

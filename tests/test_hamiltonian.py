@@ -237,10 +237,12 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak < 64 * raw
 
-    def test_dimension_cap(self, desk_identity_schedule):
+    def test_dimension_cap(self):
+        # (2,1,64) has d^3 = 17,779,581 configurations, over DIM_CAP: refused
+        # before any allocation.
         constants = CouplingConstants(1, 1, 1, 1)
-        with pytest.raises(BuildError):
-            assemble_total(desk_identity_schedule, constants, dim_cap=100)
+        with pytest.raises(BuildError, match="exceeds cap"):
+            assemble_total(SweepSchedule(ProblemShape(2, 1, 64)), constants)
 
     def test_history_energy_is_form_reward_only(self, desk_shape, desk_identity_schedule):
         from clockring import simulate_history

@@ -212,6 +212,32 @@ class TestSectorSpectrum:
         assert sector.ground_degeneracy * shape.n_sites == full.ground_degeneracy
 
 
+class TestSectorSpectrumReport:
+    # The k lowest levels of H from V0 alone, against the full-space solve.
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    @pytest.mark.parametrize("shape,seed", [((2, 1, 1), 0), ((2, 1, 2), 1), ((3, 1, 1), None)],
+                             ids=["2-1-1-random", "2-1-2-random", "3-1-1-identity"])
+    def test_levels_and_clusters_match_full_space(self, shape, seed, k):
+        from clockring.promise import sector_spectrum
+
+        shape = ProblemShape(*shape)
+        schedule = SweepSchedule(shape) if seed is None else random_schedule(
+            shape, np.random.default_rng(seed))
+        constants = auto_constants(schedule)
+        full = low_spectrum(assemble_total(schedule, constants), k)
+        sector = sector_spectrum(schedule, constants, k)
+        assert [f"{v:.12g}" for v in sector.eigenvalues] == [f"{v:.12g}" for v in full.eigenvalues]
+        assert sector.clusters == full.clusters
+        assert np.all(sector.residuals <= 1e-8 * max(1.0, abs(full.eigenvalues[0])))
+
+    def test_levels_beyond_the_sector_are_refused(self):
+        from clockring.promise import sector_spectrum
+
+        schedule = SweepSchedule(ProblemShape(2, 1, 1))
+        with pytest.raises(SpectralError, match="exceeds the 3 x 16 levels"):
+            sector_spectrum(schedule, auto_constants(schedule), 49)
+
+
 class TestSeparationOnSector:
     def test_no_full_space_operator_or_vector(self, monkeypatch):
         def refuse(*args, **kwargs):

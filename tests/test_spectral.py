@@ -223,6 +223,27 @@ class TestBlockEngine:
         assert [len(c) for c in report.clusters] == [len(c) for c in spectral._cluster(want, tol)]
         assert [len(c) for c in report.clusters][:2] == [2, 2]  # one level from each chain
 
+    def test_dense_groups_keep_only_the_offered_vectors(self):
+        # Two dense size groups; at k = 1 the first group's stack must be
+        # released before the second one is solved.
+        import tracemalloc
+
+        def chain(n, shift):
+            return sp.diags([np.arange(n) * 0.01 + shift, -np.ones(n - 1), -np.ones(n - 1)],
+                            [0, 1, -1])
+
+        mat = sp.block_diag([chain(1000, 0.0), chain(1200, 0.5)], format="csr")
+        tracemalloc.start()
+        try:
+            report = low_spectrum(mat, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.vectors.shape == (2200, 1)
+        assert np.flatnonzero(report.vectors[:, 0]).max() < 1000
+        largest_stack = 1200 * 1200 * 8  # its blocks and its vectors are both live at the peak
+        assert peak < 2.2 * largest_stack
+
     def test_partial_lanczos_result_raises(self, monkeypatch):
         # Two isolated low levels converge at once; the other two requested do not.
         diag = np.r_[[-10.0, -9.0], np.linspace(0, 1, 298)]

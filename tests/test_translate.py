@@ -216,13 +216,14 @@ def test_ranked_reduction_past_int64_codes_matches_lexsort_reference():
                       _lexsort_reference(rows, cols, values[picks], dim))
 
 
-def test_unpacked_assembly_matches_the_packed_one(monkeypatch):
-    # Past int64 codes, assemble writes bare entry keys and ranks apart.
+def test_unpackable_assembly_is_refused(monkeypatch):
+    # Under DIM_CAP the ring sum's codes always fit; if they did not, assemble
+    # would raise rather than sort unpacked keys.
     schedule = _exact_312()
     constants = auto_constants(schedule)
-    packed = assemble_total(schedule, constants)
     monkeypatch.setattr(hamiltonian, "_packs", lambda dim, width: False)
-    _assert_same_bits(assemble_total(schedule, constants).matrix, packed.matrix)
+    with pytest.raises(BuildError, match="overflow the int64 codes"):
+        assemble_total(schedule, constants)
 
 
 SHAPES = st.sampled_from([(2, 1, 1), (2, 1, 3), (3, 1, 1), (3, 2, 2), (4, 1, 1)])
