@@ -10,9 +10,7 @@ import argparse
 import sys
 
 import numpy as np
-import scipy.sparse as sp
 
-from .basis import SpinBasis, orbit_label_walk
 from .circuit import (
     ProblemShape,
     ScheduleError,
@@ -25,7 +23,7 @@ from .hamiltonian import (
     BuildError,
     CouplingConstants,
     assemble,
-    assemble_sector,
+    assemble_orbit,
     assemble_total,
     build_h_comp_bond,
     build_shift_operator,
@@ -35,16 +33,12 @@ from .hamiltonian import (
     standard_parts,
     total_parts,
 )
-from .oracle import (
-    expectations,
-    format_expectation_report,
-    reject_probability,
-    simulate_history,
-)
+from .oracle import format_expectation_report, reject_probability
 from .promise import (
     PromiseParameters,
     auto_constants,
     decide,
+    orbit_expectations,
     sector_hamiltonian,
     sector_spectrum,
     separation_experiment,
@@ -112,38 +106,22 @@ def cmd_compile(args) -> int:
 def cmd_oracle(args) -> int:
     schedule = _load_schedule(args)
     shape = schedule.shape
-    witness = args.witness
-    if witness is None:
-        witness = "0" * shape.n_qubits
+    witness = "0" * shape.n_qubits if args.witness is None else args.witness
     # The history state lives on the orbit block, which every part keeps closed.
-    keys, eta = simulate_history(schedule, witness, head_site=0).orbit_vector()
-    parts = {
-        name: assemble_sector([(term, 1.0)], shape, keys)
-        for name, term in standard_parts(schedule).items()
-    }
-    rows = expectations(eta, parts)
+    rows = orbit_expectations(schedule, witness, standard_parts(schedule))
     sys.stdout.write(format_expectation_report(rows))
     p_rej = reject_probability(schedule, witness)
-    steps = shape.total_steps + 1
     print(f"p_reject {_fmt(p_rej)}")
-    print(f"p_reject_over_steps {_fmt(p_rej / steps)}")
+    print(f"p_reject_over_steps {_fmt(p_rej / (shape.total_steps + 1))}")
     return 0
-
-
-def _orbit_block(schedule: SweepSchedule, weighted_terms) -> sp.csr_matrix:
-    """The legal-orbit block at head site 0, in orbit_block_indices order,
-    built from the (T+1) 2^N orbit configurations alone."""
-    shape = schedule.shape
-    keys = SpinBasis(shape).sector_keys(orbit_label_walk(shape))
-    return assemble_sector(weighted_terms, shape, keys)
 
 
 def cmd_spectrum(args) -> int:
     schedule = _load_schedule(args)
     constants = _resolve_constants(schedule, args)
     if args.orbit_restrict:
-        sub = _orbit_block(schedule, total_parts(standard_parts(schedule), constants))
-        report = low_spectrum(sub, min(args.k, sub.shape[0]))
+        sub = assemble_orbit(total_parts(standard_parts(schedule), constants), schedule.shape)
+        report = low_spectrum(sub, args.k)
     else:
         report = sector_spectrum(schedule, constants, args.k)
     if args.frozen_scan:  # 2^N bit strings on every frozen pattern, at every head site
@@ -160,7 +138,7 @@ def cmd_gapscan(args) -> int:
         total = t_plus_1 - 1
         shape = ProblemShape(2, 1, total).require_valid()
         schedule = SweepSchedule(shape)
-        block = _orbit_block(schedule, [(build_h_comp_bond(schedule), 1.0)])
+        block = assemble_orbit([(build_h_comp_bond(schedule), 1.0)], shape)
         values = np.linalg.eigvalsh(block.toarray())
         distinct = values[values > values[0] + 1e-10]
         gap_val = float(distinct[0] - values[0])

@@ -21,9 +21,9 @@ the uniform history superposition is an exact zero mode.
 Only H_comp has off-diagonal entries, and it rewrites cycle labels and bits
 without moving the head or a position, so the head-0 form-valid sector V0
 ((2(R+1))^N configurations) is an invariant block.  assemble_sector builds
-such a block, or any closed subset of it like the legal orbit, without the
-d^(N+1) space; off_sector_floor bounds H from below off the form-valid set,
-which is what makes a sector eigenvalue below it a full-space eigenvalue.
+such a block, or any closed subset of it like the legal orbit (assemble_orbit),
+without the d^(N+1) space; off_sector_floor bounds H from below off the
+form-valid set, which makes a sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
 building any bond term).
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import HEAD, Data, SpinBasis, slot_edges
+from .basis import HEAD, Data, SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape, SweepSchedule
 from .spectral import hermiticity_residual, low_spectrum
 
@@ -433,6 +433,26 @@ def assemble_sector(
     return _reduce(owner * size + order[slot], table_ranks[entry], values, size)
 
 
+def assemble_orbit(weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape) -> sp.csr_matrix:
+    """The legal-orbit block at head site 0 from its (T+1) 2^N V0 keys in walk
+    order: row p 2^N + q is pattern p of orbit_label_walk with the bits of q,
+    as in orbit_block_indices and HistoryState.orbit_vector."""
+    return assemble_sector(weighted_terms, shape, SpinBasis(shape).sector_keys(orbit_label_walk(shape)))
+
+
+def _sector_form_range(bond: np.ndarray, shape: ProblemShape) -> tuple[float, float]:
+    """Lowest and highest ring sum of the diagonal bond term bond[left, right]
+    over V0, by a min-plus and a max-plus pass around the ring: site 0 holds
+    the head (level 0), and site z a level of position z's band."""
+    base = 2 * (shape.n_cycles + 1)
+    bands = [[0], *(1 + base * z + np.arange(base) for z in range(shape.n_qubits)), [0]]
+    low = high = np.zeros(1)
+    for left, right in zip(bands, bands[1:]):
+        weights = bond[np.ix_(left, right)]
+        low, high = (low[:, None] + weights).min(axis=0), (high[:, None] + weights).max(axis=0)
+    return float(low[0]), float(high[0])
+
+
 def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     """Lowest ring sum of the H_form bond term over configurations outside V.
 
@@ -440,10 +460,10 @@ def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     A min-plus transfer-matrix pass around the ring keeps, for every digit
     of the current site, the lowest value of the open paths ending there,
     how many reach it, and the next distinct value.  The term must be
-    diagonal and integer-valued, the ring minimum must be -1, and exactly
-    |V| = (N+1) (2(R+1))^N configurations must reach it; otherwise
-    BuildError.  Given that every configuration of V sits at -1, the
-    minimizers are exactly V, and the next distinct value is the answer.
+    diagonal and integer-valued with ring minimum -1, reached by exactly
+    |V| = (N+1) (2(R+1))^N configurations including all of V0
+    (_sector_form_range); otherwise BuildError.  By translation the
+    minimizers are then exactly V, and the next distinct value is the answer.
     """
     basis = SpinBasis(shape.require_valid())
     d = basis.local_dim
@@ -484,6 +504,9 @@ def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
             f"{form.provenance}: ring minimum {lowest:g} reached {count} times, "
             f"expected -1 reached {expected} times"
         )
+    low_v0, high_v0 = _sector_form_range(bond, shape)
+    if low_v0 != -1 or high_v0 != -1:
+        raise BuildError(f"{form.provenance}: V0 configurations span {low_v0:g}..{high_v0:g}, not -1")
     return float(min(nxt.min(), low[low > lowest].min(initial=np.inf)))
 
 
@@ -557,11 +580,19 @@ def build_shift_operator(shape: ProblemShape) -> RingOperator:
 
 
 def check_translation_invariance(op: RingOperator, shift: RingOperator) -> float:
-    """Max-entry norm of S H - H S; exactly 0 for canonical assemblies."""
-    if op.matrix.shape != shift.matrix.shape:
+    """Max-entry norm of S H - H S; exactly 0 for canonical assemblies.
+
+    S must be a unit permutation, row i holding a 1 in column p[i] (else
+    BuildError).  S H - H S = (S H S^T - H) S has the entries of the
+    permuted copy's difference H[p][:, p] - H, which needs no products."""
+    mat, shift_mat = op.matrix.tocsr(), shift.matrix.tocsr()
+    if mat.shape != shift_mat.shape:
         raise BuildError("operator dimensions do not match")
-    delta = shift.matrix @ op.matrix - op.matrix @ shift.matrix
-    return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
+    p = shift_mat.indices
+    if (np.any(np.diff(shift_mat.indptr) != 1) or np.any(shift_mat.data != 1)
+            or np.any(np.bincount(p, minlength=mat.shape[0]) != 1)):
+        raise BuildError("shift is not a unit permutation")
+    return float(np.abs((mat[p][:, p] - mat).data).max(initial=0.0))
 
 
 def export_triplets(op: RingOperator) -> str:

@@ -1,10 +1,10 @@
 """Step-by-step simulation of the verifier and its history superposition.
 
 The oracle tracks the computation on the orbit's branch only: a clock
-pattern plus 2^N qubit amplitudes per step.  A history vector is one vector
-into which the (T+1) x 2^N stored amplitudes are scattered at their orbit
-indices: full-space indices (history_vector), V0 keys (sector_vector), or
-places among the run's own sorted orbit keys (orbit_vector).
+pattern plus 2^N qubit amplitudes per step.  A history vector holds the
+(T+1) x 2^N stored amplitudes over sqrt(T+1): scattered at their full-space
+indices (history_vector), or flattened in walk order, pattern-major, as the
+vector of the legal-orbit block itself (orbit_vector).
 Everything here is independent of the sparse operators it is used to
 check, except for sharing the level codec.
 """
@@ -85,31 +85,20 @@ class HistoryState:
         """
         basis = basis or SpinBasis(self.shape)
         indices = basis.orbit_indices(self.head_site, self.clock_walk)
-        return self._superposition(indices, basis.config_dim)
-
-    def sector_vector(self, basis: SpinBasis | None = None) -> np.ndarray:
-        """The same superposition in the head's own sector, indexed by V0 key
-        (SpinBasis.sector_keys): a vector of sector_dim entries."""
-        basis = basis or SpinBasis(self.shape)
-        return self._superposition(basis.sector_keys(self.clock_walk), basis.sector_dim)
-
-    def orbit_vector(self, basis: SpinBasis | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The same superposition on the run's orbit configurations alone:
-        their sorted V0 keys, and the vector whose entry i belongs to keys[i]."""
-        basis = basis or SpinBasis(self.shape)
-        walk_keys = basis.sector_keys(self.clock_walk)
-        keys = np.sort(walk_keys, axis=None)
-        return keys, self._superposition(np.searchsorted(keys, walk_keys), keys.size)
-
-    def _superposition(self, indices: np.ndarray, dim: int) -> np.ndarray:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if np.unique(indices).size != indices.size:
             raise OracleError("snapshots are not orthonormal: clock patterns repeat")
         if np.abs(np.linalg.norm(amps, axis=1) ** 2 - 1.0).max() > ORTHONORMALITY_TOL:
             raise OracleError("snapshots are not orthonormal: amplitudes not unit norm")
-        vec = np.zeros(dim, dtype=complex)
+        vec = np.zeros(basis.config_dim, dtype=complex)
         vec[indices.ravel()] = amps.ravel() / np.sqrt(len(amps))
         return vec
+
+    def orbit_vector(self) -> np.ndarray:
+        """The same superposition on the head site's legal-orbit block in walk
+        order (orbit_block_indices): entry p 2^N + q is snapshot p's amplitude q."""
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        return amps.ravel() / np.sqrt(len(amps))
 
 
 def simulate_history(

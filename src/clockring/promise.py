@@ -9,7 +9,8 @@ Selecting J = 8||H1||^2 + 2||H1|| makes the lower-bound slack exactly 1/8.
 
 Every spectral value of a schedule's total Hamiltonian comes from the
 head-0 form-valid sector V0 (see ``hamiltonian`` and sector_hamiltonian):
-the separation experiment, sector_spectrum and ``decide`` on the V0 total.
+the separation experiment, sector_spectrum and ``decide``, each on the one
+V0 total it builds, whose slice at the walk keys is the orbit block.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .hamiltonian import (
     DIM_CAP,
     BuildError,
     CouplingConstants,
+    LocalTerm,
+    assemble_orbit,
     assemble_sector,
     off_sector_floor,
     standard_parts,
@@ -39,7 +42,6 @@ from .spectral import (
     ground_energy,
     low_spectrum,
     path_gap,
-    restrict,
 )
 
 
@@ -53,13 +55,10 @@ class PromiseParameters:
 
     a: float
     b: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if not self.b > self.a:
             raise PromiseError("need b > a")
-        if not 0 <= self.epsilon < 0.5:
-            raise PromiseError("need 0 <= epsilon < 1/2")
 
 
 @dataclass(frozen=True)
@@ -208,11 +207,11 @@ def auto_constants(schedule: SweepSchedule, j1: float = 1.0) -> CouplingConstant
 
 @dataclass
 class SectorHamiltonian:
-    """H and its standard parts on V0, in full-space index order, and the
-    off-sector floor: H is at least `floor` off the form-valid set."""
+    """H on V0, in full-space index order, the standard bond terms it sums,
+    and the off-sector floor: H is at least `floor` off the form-valid set."""
 
     total: sp.csr_matrix
-    parts: dict[str, sp.csr_matrix]
+    terms: dict[str, LocalTerm]
     floor: float
 
     def certify(self, value: float, what: str) -> None:
@@ -226,21 +225,17 @@ def sector_hamiltonian(schedule: SweepSchedule, constants: CouplingConstants) ->
     """BuildError before any bond term if V0 has more than DIM_CAP states.
 
     V0 is closed under H (assemble_sector checks it), its N head translates
-    carry the same levels, and every V0 configuration must sit at the H_form
-    floor of -1 (else SpectralError).  So a V0 level below off_sector_floor
-    is a full-space level, N+1 times over.
+    carry the same levels, and off_sector_floor checks that every V0
+    configuration sits at the H_form floor of -1.  So a V0 level below that
+    floor is a full-space level, N+1 times over.  Only the V0 total is built.
     """
     shape = schedule.shape.require_valid()
     sector_dim = SpinBasis(shape).sector_dim
     if sector_dim > DIM_CAP:
         raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
     terms = standard_parts(schedule)
-    sector = np.arange(sector_dim)  # all of V0, in full-space index order
-    total = assemble_sector(total_parts(terms, constants), shape, sector)
-    parts = {name: assemble_sector([(term, 1.0)], shape, sector) for name, term in terms.items()}
-    if np.any(parts["H_form"].diagonal() != -1):
-        raise SpectralError("a V0 configuration is off the H_form floor of -1")
-    return SectorHamiltonian(total, parts, off_sector_floor(terms, constants, shape))
+    total = assemble_sector(total_parts(terms, constants), shape, np.arange(sector_dim))  # all of V0
+    return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape))
 
 
 def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: int) -> SpectralReport:
@@ -321,11 +316,20 @@ def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
     return [tuple(bits) for bits in qubit_bits(shape.n_qubits)[::step].tolist()]
 
 
+def orbit_expectations(schedule: SweepSchedule, witness_bits, terms: dict[str, LocalTerm]):
+    """<eta|P|eta> for the ring sum P of every named bond term on the
+    legal-orbit block, eta the witness's history state at head site 0: the
+    oracle command's rows, and the separation's best-witness parts."""
+    parts = {name: assemble_orbit([(term, 1.0)], schedule.shape) for name, term in terms.items()}
+    return expectations(simulate_history(schedule, witness_bits).orbit_vector(), parts)
+
+
 def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) -> ScheduleEnergies:
     """Energies of one schedule, all computed on V0 (see sector_hamiltonian).
 
     A filtered lambda0 below the off-sector floor is the full-space value;
-    otherwise SpectralError.
+    otherwise SpectralError.  The orbit block is the V0 total at the walk
+    keys, in HistoryState.orbit_vector order.
     """
     shape = schedule.shape
     basis = SpinBasis(shape)
@@ -338,18 +342,15 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) ->
     # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
     lam_full = float(min(lam_filtered, total.diagonal().real[frozen].min(initial=np.inf)))
 
-    orbit = basis.sector_keys(orbit_label_walk(shape)).ravel()
-    lam_orbit = float(np.linalg.eigvalsh(restrict(total, orbit))[0])
-
-    best = None
-    for bits in _witness_candidates(shape):
-        eta = simulate_history(schedule, list(bits)).sector_vector(basis)
-        rows = expectations(eta, {"total": total})
-        energy = rows[0][1]
-        if best is None or energy < best[0]:
-            part_rows = expectations(eta, sector.parts)
-            best = (energy, bits, part_rows)
-    energy, bits, part_rows = best
+    walk = basis.sector_keys(orbit_label_walk(shape)).ravel()
+    orbit = {"total": total[walk][:, walk]}
+    lam_orbit = float(np.linalg.eigvalsh(orbit["total"].toarray())[0])
+    # The first candidate of lowest history energy is the best witness.
+    energy, bits = min(
+        ((expectations(simulate_history(schedule, bits).orbit_vector(), orbit)[0][1], bits)
+         for bits in _witness_candidates(shape)),
+        key=lambda candidate: candidate[0],
+    )
     return ScheduleEnergies(
         lambda0_full=lam_full,
         lambda0_orbit=lam_orbit,
@@ -357,7 +358,7 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) ->
         residual=float(filtered.residuals[0]),
         best_witness=bits,
         variational_energy=energy,
-        variational_parts=part_rows,
+        variational_parts=orbit_expectations(schedule, bits, sector.terms),
         reject_probability_best=reject_probability(schedule, list(bits)),
         off_sector_floor=sector.floor,
     )

@@ -166,6 +166,14 @@ class TestSpectrumCommand:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_k_beyond_the_orbit_block(self, capsys):
+        # The (2,1,1) orbit block has 4 (T+1) = 8 states.
+        code, out, _ = run_cli(capsys, "spectrum", "--n", "2", "--orbit-restrict", "--k", "8")
+        assert code == 0 and len(out.splitlines()) == 8
+        code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--orbit-restrict", "--k", "100")
+        assert code == 1 and out == ""
+        assert err == "error: k = 100 out of range 1..8\n"
+
     @pytest.mark.parametrize("argv", [("spectrum", "--n", "2", "--k", "3"),
                                       ("verify", "--mode", "decide", "--n", "2")], ids=" ".join)
     def test_level_above_the_floor_is_a_one_line_error(self, capsys, monkeypatch, argv):
@@ -288,14 +296,21 @@ class TestOrbitBlockPastTheCap:
 
     def test_oracle_at_large_r_builds_only_the_orbit_block(self, capsys, monkeypatch):
         # V0 at (3,1,100) has 202^3 = 8.2 M configurations; the orbit block has 8 (T+1).
-        from clockring.oracle import HistoryState
+        from clockring import promise
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("V0 history vector")
+        build, sizes = hamiltonian.assemble_sector, []
 
-        monkeypatch.setattr(HistoryState, "sector_vector", refuse)
+        def orbit_only(weighted_terms, shape, configs):
+            sizes.append(np.size(configs))
+            if sizes[-1] > 8 * 201:
+                raise AssertionError("a block larger than the orbit")
+            return build(weighted_terms, shape, configs)
+
+        for module in (hamiltonian, promise):
+            monkeypatch.setattr(module, "assemble_sector", orbit_only)
         code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--r", "100")
         assert code == 0
+        assert sizes == [8 * 201] * 4
         assert out.startswith("H_input 0 0\nH_form -1 0\nH_comp 0 0\nH_output 0 0\n")
 
 

@@ -303,7 +303,18 @@ class TestTranslationInvariance:
         )
         lopsided = RingOperator(desk_shape, mat, "one bond")
         shift = build_shift_operator(desk_shape)
-        assert check_translation_invariance(lopsided, shift) > 0.0
+        residual = check_translation_invariance(lopsided, shift)
+        delta = shift.matrix @ mat - mat @ shift.matrix
+        assert residual > 0.0
+        assert residual == np.abs(delta.data).max()
+
+    def test_shift_must_be_a_unit_permutation(self, desk_shape, desk_identity_schedule):
+        op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
+        shift = build_shift_operator(desk_shape).matrix
+        eye = sp.eye(shift.shape[0], format="csr", dtype=complex)
+        for bad in (2 * shift, shift + eye, sp.csr_matrix(shift.shape, dtype=complex)):
+            with pytest.raises(BuildError, match="unit permutation"):
+                check_translation_invariance(op, RingOperator(desk_shape, bad, "bad"))
 
     def test_random_schedule_total_commutes(self, rng):
         shape = ProblemShape(2, 1, 2)

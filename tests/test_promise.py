@@ -139,8 +139,6 @@ class TestDecide:
     def test_threshold_validation(self):
         with pytest.raises(PromiseError):
             PromiseParameters(a=1.0, b=1.0)
-        with pytest.raises(PromiseError):
-            PromiseParameters(a=0.0, b=1.0, epsilon=0.7)
 
 
 def desk_pair():

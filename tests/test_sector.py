@@ -7,6 +7,7 @@ the full d^(N+1) operator.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from clockring import (
     HistoryState,
@@ -27,13 +28,15 @@ from clockring import (
     simulate_history,
     standard_parts,
 )
-from clockring import hamiltonian
+from clockring import cli, hamiltonian, promise
+from clockring.basis import Data
 from clockring.cli import main
 from clockring.circuit import format_circuit_text
 from clockring.hamiltonian import (
     DIM_CAP,
     BuildError,
     CouplingConstants,
+    _sector_form_range,
     assemble_sector,
     form_minimum_off_sector,
     off_sector_floor,
@@ -94,12 +97,13 @@ class TestSectorKeys:
         with pytest.raises(BasisError):
             SpinBasis(ProblemShape(40, 1, 100)).sector_keys([[0] * 40])
 
-    def test_sector_vector_is_history_vector_on_v0(self):
+    def test_orbit_vector_is_history_vector_on_the_orbit_block(self):
         schedule = random_schedule(ProblemShape(3, 1, 2), np.random.default_rng(4))
         state = simulate_history(schedule, "101")
         full = state.history_vector()
-        assert np.array_equal(state.sector_vector(), full[v0_indices(schedule.shape)])
-        assert np.count_nonzero(full) == np.count_nonzero(state.sector_vector())
+        block = full[orbit_block_indices(schedule.shape, 0)]
+        assert state.orbit_vector().tobytes() == block.tobytes()
+        assert np.count_nonzero(full) == np.count_nonzero(block)
 
 
 class TestAssembleSector:
@@ -162,6 +166,36 @@ class TestOffSectorFloor:
             inside[basis.orbit_indices(head, all_patterns(shape)).ravel()] = True
         assert np.all(diagonal[inside] == -1)
         assert form_minimum_off_sector(form, shape) == diagonal[~inside].min()
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+    def test_v0_band_pass_matches_brute_force(self, shape):
+        shape = ProblemShape(*shape)
+        form = hamiltonian.build_h_form_bond(shape)
+        d = form.local_dim
+        rng = np.random.default_rng(5)
+        noise = sp.diags(rng.integers(-3, 4, d * d).astype(complex)).tocsr()
+        for term in (form, hamiltonian.LocalTerm(d, noise, "noise")):
+            diagonal = assemble_part(term, shape).matrix.diagonal().real[v0_indices(shape)]
+            bond = term.matrix.diagonal().real.reshape(d, d)
+            assert _sector_form_range(bond, shape) == (diagonal.min(), diagonal.max())
+
+    def test_form_term_off_minus_one_on_v0_is_refused(self):
+        shape = ProblemShape(2, 1, 1)
+        form = hamiltonian.build_h_form_bond(shape)
+        basis, d = SpinBasis(shape), form.local_dim
+        a, b = basis.encode(Data(0, 0, 1)), basis.encode(Data(0, 0, 2))
+        lift = sp.csr_matrix(([1.0], ([a * d + b], [a * d + b])), shape=form.matrix.shape)
+        lifted = hamiltonian.LocalTerm(d, form.matrix + lift, "lifted")
+        with pytest.raises(BuildError):
+            form_minimum_off_sector(lifted, shape)
+        # Swapping the two levels keeps the ring minimum and its count but
+        # moves the minimizers off V: only the V0 band pass sees it.
+        swap = np.arange(d)
+        swap[[a, b]] = [b, a]
+        diagonal = form.matrix.diagonal()[(swap[:, None] * d + swap).ravel()]
+        swapped = hamiltonian.LocalTerm(d, sp.diags(diagonal).tocsr(), "swapped")
+        with pytest.raises(BuildError, match="V0 configurations span -1..4, not -1"):
+            form_minimum_off_sector(swapped, shape)
 
     def test_broken_form_term_is_refused(self):
         shape = ProblemShape(2, 1, 1)
@@ -303,3 +337,38 @@ class TestSeparationOnSector:
         assert code == 0
         separation = float(out.splitlines()[-1].split()[1])
         assert separation == pytest.approx(want, rel=1e-9)
+
+
+class TestOneOrbitOrder:
+    def test_separation_parts_are_the_oracle_rows(self, monkeypatch, tmp_path):
+        shape = ProblemShape(3, 1, 2)
+        rng = np.random.default_rng(6)
+        pair = [random_schedule(shape, rng) for _ in range(2)]
+        report = separation_experiment(*pair)
+        printed = []
+        monkeypatch.setattr(cli, "format_expectation_report", lambda rows: printed.append(rows) or "")
+        for schedule, side in zip(pair, (report.yes, report.no)):
+            path = tmp_path / "circuit.txt"
+            path.write_text(format_circuit_text(schedule))
+            witness = "".join(map(str, side.best_witness))
+            assert main(["oracle", "--circuit", str(path), "--witness", witness]) == 0
+            oracle_rows, parts = printed.pop(), side.variational_parts
+            assert [(n, v.hex(), i.hex()) for n, v, i in oracle_rows] == [
+                (n, v.hex(), i.hex()) for n, v, i in parts]
+
+    def test_one_v0_block_per_certification(self, capsys, monkeypatch):
+        build, v0_blocks = hamiltonian.assemble_sector, []
+
+        def counted(weighted_terms, shape, configs):
+            if np.size(configs) == SpinBasis(shape).sector_dim:
+                v0_blocks.append(shape)
+            return build(weighted_terms, shape, configs)
+
+        for module in (hamiltonian, promise):
+            monkeypatch.setattr(module, "assemble_sector", counted)
+        for argv, want in ((["verify", "--mode", "decide", "--n", "2"], 1),
+                           (["spectrum", "--n", "3", "--k", "8"], 1),
+                           (["verify", "--mode", "separation", "--desk-pair"], 2)):
+            v0_blocks.clear()
+            assert main(argv) == 0
+            assert len(v0_blocks) == want, argv
