@@ -16,7 +16,6 @@ from .basis import (
     initial_config,
     is_legal,
     orbit_label_walk,
-    slot_edges,
 )
 from .circuit import (
     GatePlacement,

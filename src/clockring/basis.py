@@ -10,6 +10,10 @@ bond and the label pattern pins the step uniquely.  Starting from the
 all-zero pattern this generates exactly T + 1 = R(N-1) + 1 patterns
 connected in a path, one transition per sweep slot.
 
+slot_edges is the one statement of this rule.  orbit_label_walk replays
+it and checks the path on every call; frozen_patterns, the patterns no
+transition touches, reads the same per-bond pair counts.
+
 Configuration indices read ring site 0 as the most significant digit;
 SpinBasis.translate is the one rule that moves a configuration around the
 ring.  Configurations of the head-0 form-valid sector V0 also have a short
@@ -18,6 +22,7 @@ key (SpinBasis.sector_keys) that never forms a d^(N+1) index.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -31,7 +36,7 @@ class BasisError(ValueError):
 
 
 class OrbitError(RuntimeError):
-    """The transition closure is not a path; the term table is broken."""
+    """The slot edges do not form one path of T + 1 clock patterns."""
 
 
 class _Head:
@@ -262,16 +267,55 @@ def slot_edges(shape: ProblemShape) -> list[SlotEdge]:
     return edges
 
 
+def _pair_counts(edges: list[SlotEdge]) -> Counter:
+    """How many slot edges have each (bond, label pair) as their pre or post pair."""
+    return Counter((edge.bond, pair) for edge in edges for pair in (edge.pre, edge.post))
+
+
 def orbit_label_walk(shape: ProblemShape) -> list[tuple[int, ...]]:
-    """The T+1 per-position label tuples along the computation."""
-    n_q = shape.n_qubits
-    labels = [0] * n_q
+    """The T+1 per-position label tuples along the computation.
+
+    Replays the slot edges in visitation order from the all-zero pattern and
+    checks that they form one path: every edge starts where the walk
+    stands, the walk has T + 1 patterns, and each walk pattern touches only
+    its incoming and outgoing edge (a repeated pattern would touch more).
+    Any violation raises OrbitError.  O(N T): the (R+1)^N patterns are never
+    enumerated.
+    """
+    edges = slot_edges(shape)
+    labels = [0] * shape.n_qubits
     walk = [tuple(labels)]
-    for edge in slot_edges(shape):
-        labels[edge.bond - 1] = edge.post[0]
-        labels[edge.bond] = edge.post[1]
+    for edge in edges:
+        if (labels[edge.bond - 1], labels[edge.bond]) != edge.pre:
+            raise OrbitError(f"slot ({edge.cycle},{edge.bond}) does not start at pattern {walk[-1]}")
+        labels[edge.bond - 1], labels[edge.bond] = edge.post
         walk.append(tuple(labels))
+    expected = shape.total_steps + 1
+    if len(walk) != expected:
+        raise OrbitError(f"walk has {len(walk)} patterns, expected {expected}")
+    counts = _pair_counts(edges)
+    for t, labels in enumerate(walk):
+        degree = sum(counts[b, labels[b - 1:b + 1]] for b in range(1, len(labels)))
+        if degree != (t > 0) + (t < expected - 1):
+            raise OrbitError(f"pattern {labels} touches {degree} slot edges: the walk is not a path")
     return walk
+
+
+def frozen_patterns(shape: ProblemShape) -> np.ndarray:
+    """Clock patterns (rows, in lexicographic order) that no slot edge
+    touches: at no bond is their label pair a slot edge's pre or post pair.
+    Their configurations have an identically zero H_comp row yet sit off the
+    walk (every walk pattern ends a slot edge), so they are exact extra zero
+    modes of the sweep term.  O(N (R+1)^N)."""
+    n, r = shape.n_qubits, shape.n_cycles
+    touched = np.zeros((n - 1, r + 1, r + 1), dtype=bool)
+    for bond, (left, right) in _pair_counts(slot_edges(shape)):
+        touched[bond - 1, left, right] = True
+    patterns = np.indices((r + 1,) * n).reshape(n, -1).T
+    hit = np.zeros(len(patterns), dtype=bool)
+    for b in range(n - 1):
+        hit |= touched[b, patterns[:, b], patterns[:, b + 1]]
+    return patterns[~hit]
 
 
 @dataclass(frozen=True)
@@ -284,72 +328,12 @@ class ClockDescriptor:
     labels: tuple[int, ...]
 
 
-def enumerate_legal_orbit(
-    shape: ProblemShape, _edges: list[SlotEdge] | None = None
-) -> list[tuple[int, ClockDescriptor]]:
-    """Closure of the initial clock pattern under the sweep transitions.
-
-    Applies every slot edge (forwards and backwards) until no new label
-    pattern appears, then checks the closure is a path of exactly T + 1
-    patterns starting at the all-zero pattern.  Any violation raises
-    OrbitError: it would mean the term table couples patterns it must not.
-    """
-    shape.require_valid()
-    edges = slot_edges(shape) if _edges is None else _edges
-    start = tuple([0] * shape.n_qubits)
-
-    def neighbors(labels):
-        out = []
-        for edge in edges:
-            pair = (labels[edge.bond - 1], labels[edge.bond])
-            if pair == edge.pre:
-                out.append((edge, _apply(labels, edge.bond, edge.post)))
-            elif pair == edge.post:
-                out.append((edge, _apply(labels, edge.bond, edge.pre)))
-        return out
-
-    adjacency: dict[tuple[int, ...], list] = {}
-    frontier = [start]
-    while frontier:
-        labels = frontier.pop()
-        if labels in adjacency:
-            continue
-        adjacency[labels] = neighbors(labels)
-        for _, nxt in adjacency[labels]:
-            if nxt not in adjacency:
-                frontier.append(nxt)
-
-    expected = shape.total_steps + 1
-    if len(adjacency) != expected:
-        raise OrbitError(
-            f"closure has {len(adjacency)} patterns, expected {expected}"
-        )
-    if len(adjacency[start]) != 1:
-        raise OrbitError("initial pattern is not a path endpoint")
-
-    orbit = []
-    seen = {start}
-    labels, step = start, 0
-    orbit.append((0, ClockDescriptor(0, 0, 0, start)))
-    while True:
-        onward = [(e, nxt) for e, nxt in adjacency[labels] if nxt not in seen]
-        if not onward:
-            break
-        if len(onward) > 1 or len(adjacency[labels]) > 2:
-            raise OrbitError(f"pattern {labels} has degree > 2: closure is not a path")
-        edge, labels = onward[0]
-        step += 1
-        seen.add(labels)
-        orbit.append((step, ClockDescriptor(step, edge.cycle, edge.bond, labels)))
-    if len(orbit) != expected:
-        raise OrbitError("closure is disconnected from the initial pattern")
-    return orbit
-
-
-def _apply(labels, bond, pair):
-    out = list(labels)
-    out[bond - 1], out[bond] = pair
-    return tuple(out)
+def enumerate_legal_orbit(shape: ProblemShape) -> list[tuple[int, ClockDescriptor]]:
+    """The checked walk (see orbit_label_walk) with the slot that produced
+    each pattern, as (step, ClockDescriptor) pairs."""
+    slots = [(0, 0)] + [(edge.cycle, edge.bond) for edge in slot_edges(shape)]
+    return [(t, ClockDescriptor(t, m, n, labels))
+            for t, ((m, n), labels) in enumerate(zip(slots, orbit_label_walk(shape)))]
 
 
 def is_legal(config: Sequence[SpinState], shape: ProblemShape):

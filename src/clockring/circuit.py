@@ -104,19 +104,10 @@ def sweep_is_rightward(cycle: int) -> bool:
 
 
 def visitation_order(shape: ProblemShape) -> list[tuple[int, int]]:
-    """All (cycle, bond) slots in the order the sweep visits them.
-
-    The list has exactly R*(N-1) entries, one per slot.
-    """
+    """All (cycle, bond) slots in the order the sweep visits them (see
+    _slot_at): exactly R*(N-1) entries, one per slot."""
     shape.require_valid()
-    bonds = range(1, shape.n_qubits)
-    order = []
-    for m in range(1, shape.n_cycles + 1):
-        if sweep_is_rightward(m):
-            order.extend((m, n) for n in bonds)
-        else:
-            order.extend((m, n) for n in reversed(bonds))
-    return order
+    return [_slot_at(i, shape.n_qubits) for i in range(shape.total_steps)]
 
 
 @dataclass

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 
+from .basis import frozen_patterns
 from .circuit import (
     ProblemShape,
     ScheduleError,
@@ -44,7 +45,7 @@ from .promise import (
     separation_experiment,
     verify_lemma_numeric,
 )
-from .spectral import SpectralError, frozen_patterns, low_spectrum
+from .spectral import SpectralError, low_spectrum
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -56,7 +57,7 @@ def _load_schedule(args) -> SweepSchedule:
             return parse_circuit_text(fh.read())
     if args.n is None:
         raise ScheduleError("need --circuit or --n to define a schedule")
-    shape = ProblemShape(args.n, args.m or 1, args.r or 1)
+    shape = ProblemShape(args.n, args.m, args.r)
     return SweepSchedule(shape.require_valid())
 
 
@@ -133,8 +134,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gapscan(args) -> int:
     """Sweep over step counts with the two-qubit ring in orbit-restricted mode."""
+    try:
+        values = [int(v) for v in args.tplus.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < 2:
+        print(f"error: --tplus needs a comma list of integers >= 2, got {args.tplus!r}",
+              file=sys.stderr)
+        return 1
     print("T gap scaled_gap")
-    for t_plus_1 in [int(v) for v in args.tplus.split(",")]:
+    for t_plus_1 in values:
         total = t_plus_1 - 1
         shape = ProblemShape(2, 1, total).require_valid()
         schedule = SweepSchedule(shape)
@@ -190,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     def source(p):
         p.add_argument("--circuit", help="circuit text file")
         p.add_argument("--n", type=int, help="qubit count when no circuit file is given")
-        p.add_argument("--m", type=int, help="witness length (default 1)")
-        p.add_argument("--r", type=int, help="cycle count (default 1)")
+        p.add_argument("--m", type=int, default=1, help="witness length (default 1)")
+        p.add_argument("--r", type=int, default=1, help="cycle count (default 1)")
 
     def assembly(p):  # coupling constants of the total
         p.add_argument("--j1", type=float, default=1.0)

@@ -32,6 +32,7 @@ building any bond term).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 import scipy.sparse as sp
@@ -272,8 +273,8 @@ class CouplingConstants:
     w_out: float
 
     def __post_init__(self):
-        if min(self.j1, self.j2, self.alpha, self.w_out) <= 0:
-            raise BuildError("coupling constants must be strictly positive")
+        if not all(isfinite(c) and c > 0 for c in (self.j1, self.j2, self.alpha, self.w_out)):
+            raise BuildError("coupling constants must be finite and strictly positive")
 
     @classmethod
     def with_default_output_weight(cls, shape: ProblemShape, j1, j2, alpha):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SpinBasis, orbit_label_walk, qubit_bits
+from .basis import SpinBasis, frozen_patterns, orbit_label_walk, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
     DIM_CAP,
@@ -38,7 +38,6 @@ from .spectral import (
     SpectralError,
     SpectralReport,
     exclude_frozen,
-    frozen_patterns,
     ground_energy,
     low_spectrum,
     path_gap,
@@ -132,8 +131,10 @@ def verify_lemma_numeric(seed: int, trials: int, dim: int = 8) -> LemmaTrialRepo
     complement), draws Hermitian H1 with ||H1|| <= 1, and compares the dense
     smallest eigenvalue of H1 + H2 against the sandwich bounds.  Violations
     beyond numerical tolerance indicate an implementation bug, never a
-    failure of the bound itself.
+    failure of the bound itself.  Needs trials >= 1 and dim >= 2.
     """
+    if trials < 1 or dim < 2:
+        raise PromiseError(f"need trials >= 1 and dim >= 2, got trials {trials}, dim {dim}")
     rng = np.random.default_rng(seed)
     violations = 0
     worst_lower = np.inf

@@ -7,8 +7,9 @@ LAPACK call), by restarted Lanczos above it (scipy's ARPACK from a
 LANCZOS_SEED start vector, so runs are deterministic).  Ground energies,
 gaps and the bond-term norms of ``hamiltonian`` all come from
 ``low_spectrum``.  Also: the hermiticity residual, subspace restriction,
-orbit and frozen configuration indices from the codec in ``basis``, and
-the uniform/engineered hopping chains used as exact references.
+the orbit and frozen configuration indices of the walk and the frozen
+patterns of ``basis``, and the uniform/engineered hopping chains used as
+exact references.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .basis import SpinBasis, orbit_label_walk, slot_edges
+from .basis import SpinBasis, frozen_patterns, orbit_label_walk
 from .circuit import ProblemShape
 
 DENSE_RESIDUAL_TOL = 1e-8
@@ -74,7 +75,7 @@ def _as_matrix(operator):
 
 def _hermiticity_check(mat):
     res = hermiticity_residual(mat)
-    if res > 1e-9:
+    if not res <= 1e-9:
         raise SpectralError(f"operator is not Hermitian: residual {res:.3g}")
 
 
@@ -208,8 +209,7 @@ def low_spectrum(operator, k: int) -> SpectralReport:
         [np.linalg.norm(mat @ vectors[:, i] - values[i] * vectors[:, i]) for i in range(len(values))]
     )
     scale = max(1.0, _norm_estimate(mat))
-    bad = residuals > tol_scale * scale
-    if bad.any():
+    if not np.all(residuals <= tol_scale * scale):
         raise ConvergenceError(
             f"residuals exceed {tol_scale:g} * {scale:.3g}",
             best_value=float(values[0]),
@@ -279,21 +279,6 @@ def orbit_block_indices(shape: ProblemShape, head_site: int = 0, basis: SpinBasi
     of the walk crossed with every qubit bit pattern, pattern-major."""
     basis = basis or SpinBasis(shape)
     return basis.orbit_indices(head_site, orbit_label_walk(shape)).ravel()
-
-
-def frozen_patterns(shape: ProblemShape) -> np.ndarray:
-    """Clock patterns (rows, in lexicographic order) that no sweep
-    transition touches.  Their configurations have an identically zero
-    H_comp row yet sit outside the legal orbit (each orbit pattern ends a
-    slot edge), so they are exact extra zero modes of the sweep term."""
-    n, r = shape.n_qubits, shape.n_cycles
-    patterns = np.indices((r + 1,) * n).reshape(n, -1).T
-    untouched = np.ones(len(patterns), dtype=bool)
-    for edge in slot_edges(shape):
-        left, right = patterns[:, edge.bond - 1], patterns[:, edge.bond]
-        for pair in (edge.pre, edge.post):
-            untouched &= (left != pair[0]) | (right != pair[1])
-    return patterns[untouched]
 
 
 def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -> np.ndarray:

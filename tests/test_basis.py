@@ -14,11 +14,21 @@ from clockring import (
     initial_config,
     is_legal,
     orbit_label_walk,
-    slot_edges,
     visitation_order,
 )
-from clockring.basis import BasisError, OrbitError, SlotEdge, config_from_labels, format_config
-from clockring.circuit import ShapeError
+from clockring import basis
+from clockring.basis import (
+    BasisError,
+    OrbitError,
+    SlotEdge,
+    config_from_labels,
+    format_config,
+    frozen_patterns,
+    slot_edges,
+)
+from clockring.circuit import ShapeError, SweepSchedule
+from clockring.hamiltonian import assemble_orbit, build_h_comp_bond
+from clockring.oracle import simulate_history
 
 
 class TestCodec:
@@ -137,13 +147,14 @@ class TestOrbit:
         with pytest.raises(ShapeError):
             enumerate_legal_orbit(ProblemShape(3, 1, 0))
 
-    def test_broken_edge_table_detected(self):
+    def test_broken_edge_table_detected(self, monkeypatch):
         shape = ProblemShape(3, 1, 2)
         edges = slot_edges(shape)
         # an extra transition out of the initial pattern makes it degree 2
         edges = edges + [SlotEdge(99, 1, 2, (0, 0), (2, 2))]
+        monkeypatch.setattr(basis, "slot_edges", lambda shape: edges)
         with pytest.raises(OrbitError):
-            enumerate_legal_orbit(shape, _edges=edges)
+            enumerate_legal_orbit(shape)
 
     def test_every_slot_fires_once(self):
         for n, r in [(2, 3), (3, 2), (3, 3), (5, 2)]:
@@ -164,6 +175,72 @@ class TestOrbit:
                 orbit = enumerate_legal_orbit(shape)
                 assert len(orbit) == shape.total_steps + 1
                 assert len({d.labels for _, d in orbit}) == len(orbit)
+
+
+def _chord(edges):  # joins walk patterns (1,1,0) and (1,2,2), two steps apart
+    return edges + [SlotEdge(5, 3, 2, (1, 0), (2, 2))]
+
+
+def _branch(edges):  # the last slot ends on (1,1,2), so walk pattern (1,1,0) touches it too
+    last = edges[-1]
+    return edges[:-1] + [SlotEdge(last.step, last.cycle, last.bond, last.pre, (1, 1))]
+
+
+def _off_walk(edges):  # its pairs occur at bond 1 in no walk pattern
+    return edges + [SlotEdge(5, 3, 1, (0, 2), (2, 0))]
+
+
+def _dropped(edges):
+    return edges[:-1]
+
+
+def _swapped(edges):
+    return [edges[0], edges[2], edges[1], edges[3]]
+
+
+def _stalled(edges):  # the last slot leaves its bond unchanged, so a pattern repeats
+    last = edges[-1]
+    return edges[:-1] + [SlotEdge(last.step, last.cycle, last.bond, last.pre, last.pre)]
+
+
+class TestWalkCheck:
+    # The (3,1,2) walk: (0,0,0) (1,1,0) (1,0,1) (1,2,2) (2,1,2), by slots
+    # (1,1) (1,2) (2,2) (2,1).
+    shape = ProblemShape(3, 1, 2)
+
+    def test_walk_of_the_unmutated_table(self):
+        assert orbit_label_walk(self.shape) == [
+            (0, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 2), (2, 1, 2)
+        ]
+
+    @pytest.mark.parametrize(
+        "mutate", [_chord, _branch, _off_walk, _dropped, _swapped, _stalled],
+        ids=lambda f: f.__name__.strip("_"),
+    )
+    def test_mutated_table_is_refused(self, monkeypatch, mutate):
+        schedule = SweepSchedule(self.shape)
+        terms = [(build_h_comp_bond(schedule), 1.0)]
+        edges = mutate(slot_edges(self.shape))
+        monkeypatch.setattr(basis, "slot_edges", lambda shape: edges)
+        for build in (
+            lambda: orbit_label_walk(self.shape),
+            lambda: assemble_orbit(terms, self.shape),
+            lambda: simulate_history(schedule, "000"),
+        ):
+            with pytest.raises(OrbitError):
+                build()
+
+
+def _brute_frozen(shape):
+    edges = slot_edges(shape)
+    return [list(p) for p in itertools.product(range(shape.n_cycles + 1), repeat=shape.n_qubits)
+            if not any(p[e.bond - 1:e.bond + 1] in (e.pre, e.post) for e in edges)]
+
+
+@pytest.mark.parametrize("n,m,r", [(2, 1, 64), (3, 1, 8), (4, 1, 3), (5, 1, 2), (9, 1, 1)])
+def test_frozen_patterns_match_their_definition(n, m, r):
+    shape = ProblemShape(n, m, r)
+    assert frozen_patterns(shape).tolist() == _brute_frozen(shape)
 
 
 class TestIsLegal:

@@ -51,6 +51,10 @@ class TestVisitation:
     def test_boustrophedon_order(self):
         order = visitation_order(ProblemShape(3, 1, 2))
         assert order == [(1, 1), (1, 2), (2, 2), (2, 1)]
+        for n, r in [(3, 2), (2, 3), (4, 3), (5, 4)]:
+            bonds = list(range(1, n))
+            want = [(m, b) for m in range(1, r + 1) for b in (bonds if m % 2 else bonds[::-1])]
+            assert visitation_order(ProblemShape(n, 1, r)) == want
 
     def test_each_slot_once_and_length(self):
         for n, r in [(2, 3), (3, 2), (4, 3), (5, 4)]:

@@ -240,6 +240,33 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (("spectrum", "--n", "2", "--r", "0"), "error: n_cycles must be >= 1\n"),
+        (("spectrum", "--n", "2", "--m", "0"), "error: input_len must satisfy 1 <= M <= N\n"),
+        (("spectrum", "--n", "2", "--j2", "inf", "--k", "2"),
+         "error: coupling constants must be finite and strictly positive\n"),
+        (("spectrum", "--n", "2", "--alpha", "nan", "--k", "2"),
+         "error: coupling constants must be finite and strictly positive\n"),
+    ], ids=["r0", "m0", "j2-inf", "alpha-nan"])
+    def test_bad_shape_or_constant(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ("lemma", "--dim", "1"),
+        ("lemma", "--trials", "-3"),
+        ("gapscan", "--tplus", "1"),
+        ("gapscan", "--tplus", "abc"),
+        ("gapscan", "--tplus", "3,,5"),
+        ("gapscan", "--tplus", "3,5,1"),
+    ], ids=" ".join)
+    def test_bad_lemma_or_gapscan_values(self, capsys, argv):
+        # The error names what the command needs, and gapscan prints no header first.
+        code, out, err = run_cli(capsys, *argv)
+        need = "trials >= 1 and dim >= 2" if argv[0] == "lemma" else "--tplus needs"
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and need in err and len(err.splitlines()) == 1
+
     def test_cap_error_does_not_advise_orbit_mode(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--n", "2", "--r", "64")
         assert code == 1

@@ -244,6 +244,11 @@ class TestAssembly:
         with pytest.raises(BuildError, match="exceeds cap"):
             assemble_total(SweepSchedule(ProblemShape(2, 1, 64)), constants)
 
+    @pytest.mark.parametrize("j2", [0.0, -1.0, float("inf"), float("nan")])
+    def test_constants_must_be_finite_and_positive(self, j2):
+        with pytest.raises(BuildError):
+            CouplingConstants(1.0, j2, 1.0, 1.0)
+
     def test_history_energy_is_form_reward_only(self, desk_shape, desk_identity_schedule):
         from clockring import simulate_history
 

@@ -109,6 +109,11 @@ class TestVerifyLemma:
         bounds = projection_bounds(-0.7, 0.0, 0.0)
         assert bounds.lower == bounds.upper == -0.7
 
+    @pytest.mark.parametrize("trials,dim", [(0, 8), (-3, 8), (10, 1), (10, 0)])
+    def test_needs_a_trial_and_two_dimensions(self, trials, dim):
+        with pytest.raises(PromiseError):
+            verify_lemma_numeric(seed=2, trials=trials, dim=dim)
+
     def test_report_format(self):
         report = verify_lemma_numeric(seed=2, trials=10, dim=4)
         line = report.format()

@@ -120,6 +120,18 @@ class TestLowSpectrum:
         with pytest.raises(SpectralError):
             low_spectrum(sparse(np.eye(3)), 4)
 
+    def test_non_finite_operator_refused(self):
+        with pytest.raises(SpectralError, match="not Hermitian"):
+            low_spectrum(sparse([[1, np.nan], [np.nan, 2]]), 1)
+
+    def test_non_finite_residual_refused(self, monkeypatch):
+        def nan_solve(mat, labels, sizes, k):
+            return np.full(k, np.nan), np.eye(mat.shape[0])[:, :k], False
+
+        monkeypatch.setattr(spectral, "_block_eigenpairs", nan_solve)
+        with pytest.raises(ConvergenceError):
+            low_spectrum(sparse(np.eye(2)), 1)
+
 
 def _mixed_blocks():
     """Blocks of sizes 1, 2, 3, 1 and 2 on interleaved indices; the levels 0
@@ -437,7 +449,7 @@ class TestChainModels:
 
 def test_spectral_is_the_only_eigensolver_module():
     package = Path(spectral.__file__).parent
-    linalg_importers, spectral_sources = set(), set()
+    linalg_importers, spectral_sources, slot_edge_importers = set(), set(), set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -449,8 +461,12 @@ def test_spectral_is_the_only_eigensolver_module():
                 continue
             if any(n.startswith("scipy.sparse.linalg") for n in names):
                 linalg_importers.add(path.stem)
+            if any(n.endswith(".slot_edges") for n in names):
+                slot_edge_importers.add(path.stem)
             if path.stem == "spectral":
                 spectral_sources.update(names)
     assert linalg_importers == {"spectral"}
+    # slot_edges states the clock rule once; only the bond terms read it directly.
+    assert slot_edge_importers <= {"basis", "hamiltonian"}
     assert not any("hamiltonian" in n for n in spectral_sources)
     assert hamiltonian.hermiticity_residual is spectral.hermiticity_residual
