@@ -87,10 +87,10 @@ def cmd_compile(args) -> int:
         selected = []
         for name in args.parts.split(","):
             name = name.strip()
-            if name not in parts:
-                print(f"error: unknown part {name!r}", file=sys.stderr)
+            if name not in parts:  # each part is taken out once it is selected
+                print(f"error: unknown or repeated part {name!r}", file=sys.stderr)
                 return 1
-            selected.append((parts[name], 1.0))
+            selected.append((parts.pop(name), 1.0))
         op = assemble(selected, shape, provenance=args.parts)
     shift = build_shift_operator(shape)
     print(f"dim {op.dim}")

@@ -22,8 +22,8 @@ Only H_comp has off-diagonal entries, and it rewrites cycle labels and bits
 without moving the head or a position, so the head-0 form-valid sector V0
 ((2(R+1))^N configurations) is an invariant block.  assemble_sector builds
 such a block, or any closed subset of it like the legal orbit (assemble_orbit),
-without the d^(N+1) space; off_sector_floor bounds H from below off the
-form-valid set, which makes a sector eigenvalue below it a full-space one.
+without the d^(N+1) space; off_sector_floor, a min-plus path bound on H off
+the form-valid set, makes a sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
 building any bond term).
@@ -76,10 +76,18 @@ def _packs(dim: int, width: int) -> bool:
     return dim * dim * width <= 2 ** 63
 
 
+def _finite(vals: np.ndarray, what: str) -> np.ndarray:
+    """`vals`, or BuildError when one of them overflowed to inf or NaN."""
+    if not np.all(np.isfinite(vals)):
+        raise BuildError(f"{what} is not finite")
+    return vals
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
 def _sum_sorted(keys, ranks, table, dim: int) -> sp.csr_matrix:
     """CSR of the per-key sums of table[ranks], in the given order; `keys` sorted."""
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    summed = np.add.reduceat(table[ranks], starts)
+    summed = _finite(np.add.reduceat(table[ranks], starts), "a summed entry")
     keep = summed != 0
     rows, cols = np.divmod(keys[starts[keep]], dim)
     # scipy's index dtype for this shape and entry count, so it keeps the arrays
@@ -155,9 +163,9 @@ class LocalTerm:
 
     def validate(self, max_norm: float | None = None) -> "LocalTerm":
         res = self.hermiticity_residual()
-        if res > HERMITICITY_TOL:
+        if not res <= HERMITICITY_TOL:
             raise BuildError(f"{self.provenance}: hermiticity residual {res:.3g}")
-        if max_norm is not None and self.operator_norm() > max_norm:
+        if max_norm is not None and not self.operator_norm() <= max_norm:
             raise BuildError(f"{self.provenance}: norm exceeds {max_norm}")
         return self
 
@@ -312,6 +320,7 @@ def checked_dim(shape: ProblemShape) -> int:
     return dim
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
 def _weighted_entries(weighted_terms: list[tuple[LocalTerm, float]], local_dim: int):
     """Rows, cols (int64) and weighted values of the bond-term entries, term
     after term, or None when no term with a nonzero weight holds an entry."""
@@ -321,7 +330,7 @@ def _weighted_entries(weighted_terms: list[tuple[LocalTerm, float]], local_dim: 
     if not live:
         return None
     rows, cols, vals = (np.concatenate(x) for x in zip(*[(c.row, c.col, c.data * w) for c, w in live]))
-    return rows.astype(np.int64), cols.astype(np.int64), vals
+    return rows.astype(np.int64), cols.astype(np.int64), _finite(vals, "a weighted bond-term value")
 
 
 def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
@@ -361,7 +370,7 @@ def assemble(
     mat = _ring_sum(*entries, basis) if entries else sp.csr_matrix((dim, dim), dtype=complex)
     op = RingOperator(shape, mat, provenance)
     res = op.hermiticity_residual()
-    if res > RING_HERMITICITY_TOL:
+    if not res <= RING_HERMITICITY_TOL:
         raise BuildError(f"assembled operator hermiticity residual {res:.3g}")
     return op
 
@@ -441,14 +450,19 @@ def assemble_orbit(weighted_terms: list[tuple[LocalTerm, float]], shape: Problem
     return assemble_sector(weighted_terms, shape, SpinBasis(shape).sector_keys(orbit_label_walk(shape)))
 
 
+def _band_pairs(shape: ProblemShape) -> list[tuple]:
+    """The (left, right) level bands of V0's ring bonds, bond (0, 1) first:
+    the head (level 0) on site 0, the levels Data(bit, cycle, z) on site z."""
+    base = 2 * (shape.n_cycles + 1)
+    bands = [[0], *(1 + base * z + np.arange(base) for z in range(shape.n_qubits))]
+    return list(zip(bands, bands[1:] + bands[:1]))
+
+
 def _sector_form_range(bond: np.ndarray, shape: ProblemShape) -> tuple[float, float]:
     """Lowest and highest ring sum of the diagonal bond term bond[left, right]
-    over V0, by a min-plus and a max-plus pass around the ring: site 0 holds
-    the head (level 0), and site z a level of position z's band."""
-    base = 2 * (shape.n_cycles + 1)
-    bands = [[0], *(1 + base * z + np.arange(base) for z in range(shape.n_qubits)), [0]]
+    over V0, by a min-plus and a max-plus pass over its band pairs."""
     low = high = np.zeros(1)
-    for left, right in zip(bands, bands[1:]):
+    for left, right in _band_pairs(shape):
         weights = bond[np.ix_(left, right)]
         low, high = (low[:, None] + weights).min(axis=0), (high[:, None] + weights).max(axis=0)
     return float(low[0]), float(high[0])
@@ -457,58 +471,38 @@ def _sector_form_range(bond: np.ndarray, shape: ProblemShape) -> tuple[float, fl
 def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     """Lowest ring sum of the H_form bond term over configurations outside V.
 
-    V is the form-valid set: one head, positions 1..N clockwise from it.
-    A min-plus transfer-matrix pass around the ring keeps, for every digit
-    of the current site, the lowest value of the open paths ending there,
-    how many reach it, and the next distinct value.  The term must be
-    diagonal and integer-valued with ring minimum -1, reached by exactly
-    |V| = (N+1) (2(R+1))^N configurations including all of V0
-    (_sector_form_range); otherwise BuildError.  By translation the
-    minimizers are then exactly V, and the next distinct value is the answer.
+    V (one head, positions 1..N clockwise from it) holds the rings whose
+    every bond is a band pair, and a rotation, which keeps the sum, makes a
+    bond that is not the closing bond (site N, site 0).  So the answer is the
+    lowest paths[f, c] + bond[c, f] over non-band pairs (c, f), paths being
+    the min-plus table of N-bond sums from digit f on site 0 to c on site N.
+    The term must be diagonal and integer-valued, with all of V0 (so all of
+    V) at the ring minimum -1 and the rest above it, else BuildError.
     """
-    basis = SpinBasis(shape.require_valid())
-    d = basis.local_dim
+    d = SpinBasis(shape.require_valid()).local_dim
     coo = form.matrix.tocoo()
     if np.any(coo.row != coo.col) or np.any(coo.data.imag != 0) or np.any(coo.data.real % 1 != 0):
         raise BuildError(f"{form.provenance}: bond term is not diagonal and integer-valued")
-    if basis.config_dim > np.iinfo(np.int64).max:
-        raise BuildError(f"config dim {basis.config_dim} does not fit in int64 path counts")
-    bond = np.zeros(d * d)
-    bond[coo.row] = coo.data.real
-    bond = bond.reshape(d, d)  # bond[left digit, right digit]
-
-    def step(low, ways, nxt, weights):
-        """Extend every path by one bond: weights[from digit, to digit]."""
-        cand = low[:, :, None] + weights
-        new_low = cand.min(axis=1)
-        at_low = cand == new_low[:, None]
-        new_nxt = np.minimum(np.where(at_low, np.inf, cand).min(axis=1),
-                             (nxt[:, :, None] + weights).min(axis=1))
-        return new_low, (ways[:, :, None] * at_low).sum(axis=1), new_nxt
-
-    # Row f of each state belongs to the paths that start with digit f on
-    # site 0; rows are taken in chunks of about 2^20 path extensions.
-    ring = []
-    for first in np.array_split(np.arange(d), -(-d ** 3 // 2 ** 20)):
-        low, nxt = bond[first], np.full((first.size, d), np.inf)
-        ways = np.ones((first.size, d), dtype=np.int64)
+    bond = np.zeros((d, d))  # bond[left digit, right digit]
+    bond.flat[coo.row] = coo.data.real
+    band_pair = np.zeros((d, d), dtype=bool)
+    for left, right in _band_pairs(shape):
+        band_pair[np.ix_(left, right)] = True
+    off_v = np.inf
+    for first in np.array_split(np.arange(d), -(-d ** 3 // 2 ** 20)):  # rows f, ~2^20 steps each
+        paths = bond[first]
         for _ in range(shape.n_qubits - 1):
-            low, ways, nxt = step(low, ways, nxt, bond)
-        # The last bond returns to the digit each path started with.
-        ring.append(step(low, ways, nxt, bond[:, first].T[:, :, None]))
-    low, ways, nxt = (np.concatenate(x, axis=None) for x in zip(*ring))
-    lowest = low.min()
-    count = int(ways[low == lowest].sum())
-    expected = shape.n_sites * basis.sector_dim
-    if lowest != -1 or count != expected:
-        raise BuildError(
-            f"{form.provenance}: ring minimum {lowest:g} reached {count} times, "
-            f"expected -1 reached {expected} times"
-        )
+            paths = (paths[:, :, None] + bond).min(axis=1)
+        closed = paths + bond[:, first].T  # closed[f, c]: the path closed by bond (c, f)
+        off_v = min(off_v, closed[~band_pair[:, first].T].min(initial=np.inf))
     low_v0, high_v0 = _sector_form_range(bond, shape)
-    if low_v0 != -1 or high_v0 != -1:
+    if min(low_v0, off_v) != -1:
+        raise BuildError(f"{form.provenance}: ring minimum {min(low_v0, off_v):g}, expected -1")
+    if high_v0 != -1:
         raise BuildError(f"{form.provenance}: V0 configurations span {low_v0:g}..{high_v0:g}, not -1")
-    return float(min(nxt.min(), low[low > lowest].min(initial=np.inf)))
+    if not off_v > -1:
+        raise BuildError(f"{form.provenance}: a ring outside V reaches {off_v:g}, not above -1")
+    return float(off_v)
 
 
 def off_sector_floor(
@@ -618,18 +612,24 @@ def parse_triplets(text: str) -> sp.csr_matrix:
         raise BuildError(f"line {lines[0][0]}: expected '% dim <D> nnz <K>'") from None
     if not 0 <= dim <= DIM_CAP:
         raise BuildError(f"line {lines[0][0]}: dim {dim} out of range 0..{DIM_CAP}")
-    rows, cols, vals = [], [], []
-    for lineno, ln in lines[1:]:
-        try:
-            r, c, re, im = ln.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re), float(im)))
-        except ValueError:
-            raise BuildError(f"line {lineno}: expected 'row col re im' numbers") from None
-    if rows and not (0 <= min(rows) and 0 <= min(cols) and max(rows) < dim and max(cols) < dim):
-        k = next(k for k, (r, c) in enumerate(zip(rows, cols)) if not (0 <= r < dim and 0 <= c < dim))
-        raise BuildError(f"line {lines[k + 1][0]}: index out of range 0..{dim - 1}")
-    if len(rows) != nnz:
-        raise BuildError(f"header says nnz {nnz}, found {len(rows)} entries")
+    body, texts = lines[1:], [ln for _, ln in lines[1:]]
+    triplet = [("row", np.int64), ("col", np.int64), ("value", float, 2)]
+    try:  # one C pass; loadtxt reads a subset of what int and float read
+        cells = np.loadtxt(texts, triplet, comments=None, ndmin=1) if texts else np.zeros(0, triplet)
+        rows, cols = cells["row"], cells["col"]
+        vals = np.ascontiguousarray(cells["value"]).view(complex).ravel()
+    except (ValueError, OverflowError):  # line by line, to name the first bad line
+        cells = []
+        for lineno, ln in body:
+            try:
+                r, c, re, im = ln.split()
+                cells.append((int(r), int(c), complex(float(re), float(im))))
+            except ValueError:
+                raise BuildError(f"line {lineno}: expected 'row col re im' numbers") from None
+        rows, cols, vals = map(np.array, zip(*cells))  # object indices past int64
+    bad = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
+    if bad.size:
+        raise BuildError(f"line {body[bad[0]][0]}: index out of range 0..{dim - 1}")
+    if rows.size != nnz:
+        raise BuildError(f"header says nnz {nnz}, found {rows.size} entries")
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))

@@ -265,11 +265,11 @@ def restrict(operator, basis_spec) -> np.ndarray:
     else:
         stack = np.column_stack([np.asarray(v, dtype=complex) for v in basis_spec])
         gram = stack.conj().T @ stack
-        if np.abs(gram - np.eye(stack.shape[1])).max() > 1e-10:
+        if not np.abs(gram - np.eye(stack.shape[1])).max() <= 1e-10:
             raise SpectralError("restriction basis is not orthonormal")
         sub = stack.conj().T @ (mat @ stack)
     res = np.abs(sub - sub.conj().T).max()
-    if res > 1e-9:
+    if not res <= 1e-9:
         raise SpectralError(f"restriction lost hermiticity: {res:.3g}")
     return (sub + sub.conj().T) / 2
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,26 @@ class TestErrors:
         need = "trials >= 1 and dim >= 2" if argv[0] == "lemma" else "--tplus needs"
         assert code == 1 and out == ""
         assert err.startswith("error: ") and need in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("compile", "--n", "2", "--j2", "1e308", "--alpha", "1"),
+        ("compile", "--n", "2", "--j2", "1e300", "--alpha", "1e300"),
+        ("compile", "--n", "2", "--j2", "1e307", "--alpha", "4"),
+        ("spectrum", "--n", "2", "--j2", "1e308", "--alpha", "1", "--k", "2"),
+        ("verify", "--mode", "decide", "--n", "2", "--j2", "1e308", "--alpha", "1"),
+    ], ids=["compile-inf", "compile-nan", "compile-sum-inf", "spectrum", "decide"])
+    def test_overflowing_weights(self, capsys, argv):
+        # A weighted value or a summed entry past the float range is an
+        # error, with no numpy warning and no NaN report.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "not finite" in err and len(err.splitlines()) == 1
+
+    def test_part_named_twice(self, capsys):
+        code, out, err = run_cli(capsys, "compile", "--n", "2", "--parts", "H_comp,H_comp")
+        assert (code, out, err) == (1, "", "error: unknown or repeated part 'H_comp'\n")
 
     def test_cap_error_does_not_advise_orbit_mode(self, capsys):
         code, _, err = run_cli(capsys, "compile", "--n", "2", "--r", "64")

@@ -244,6 +244,20 @@ class TestAssembly:
         with pytest.raises(BuildError, match="exceeds cap"):
             assemble_total(SweepSchedule(ProblemShape(2, 1, 64)), constants)
 
+    def test_nan_terms_are_refused(self, desk_shape, monkeypatch):
+        d = SpinBasis(desk_shape).local_dim
+        nan = LocalTerm(d, sp.diags(np.full(d * d, np.nan)).tocsr(), "nan")
+        with pytest.raises(BuildError, match="hermiticity residual nan"):
+            nan.validate()
+        with pytest.raises(BuildError, match="weighted bond-term value is not finite"):
+            assemble([(nan, 1.0)], desk_shape)
+        monkeypatch.setattr(LocalTerm, "operator_norm", lambda self: float("nan"))
+        with pytest.raises(BuildError, match="norm exceeds"):
+            LocalTerm(d, sp.identity(d * d, format="csr"), "one").validate(max_norm=10)
+        monkeypatch.setattr(RingOperator, "hermiticity_residual", lambda self: float("nan"))
+        with pytest.raises(BuildError, match="hermiticity residual nan"):
+            assemble([], desk_shape)
+
     @pytest.mark.parametrize("j2", [0.0, -1.0, float("inf"), float("nan")])
     def test_constants_must_be_finite_and_positive(self, j2):
         with pytest.raises(BuildError):
@@ -353,6 +367,13 @@ class TestExport:
     def test_malformed_text_names_the_line(self, text):
         with pytest.raises(BuildError, match="line|header"):
             parse_triplets(text)
+
+    def test_tokens_past_loadtxt_are_read_line_by_line(self):
+        # int and float read underscores and indices past int64, which the
+        # one-pass reader refuses; the lines are then read one by one.
+        assert parse_triplets("% dim 12 nnz 1\n1_0 3 0.5 -1_0\n")[10, 3] == 0.5 - 10j
+        with pytest.raises(BuildError, match=r"line 3: index out of range 0\.\.11"):
+            parse_triplets("% dim 12 nnz 2\n0 0 1 0\n" + "9" * 30 + " 0 1 0\n")
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -29,7 +29,7 @@ from clockring import (
     standard_parts,
 )
 from clockring import cli, hamiltonian, promise
-from clockring.basis import Data
+from clockring.basis import HEAD, Data
 from clockring.cli import main
 from clockring.circuit import format_circuit_text
 from clockring.hamiltonian import (
@@ -168,6 +168,44 @@ class TestOffSectorFloor:
         assert form_minimum_off_sector(form, shape) == diagonal[~inside].min()
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
+    def test_perturbed_terms_match_brute_force(self, shape):
+        # Integer bumps on a few bond entries: the floor equals the
+        # complement minimum, or the term is refused exactly when V is not
+        # the -1 level set.
+        shape = ProblemShape(*shape)
+        form = hamiltonian.build_h_form_bond(shape)
+        d, basis = form.local_dim, SpinBasis(shape)
+        inside = np.zeros(basis.config_dim, dtype=bool)
+        for head in range(shape.n_sites):
+            inside[basis.orbit_indices(head, all_patterns(shape)).ravel()] = True
+        rng = np.random.default_rng(12)
+        outcomes = set()
+        for _ in range(12):
+            diagonal = form.matrix.diagonal().real.copy()
+            where = rng.integers(0, d * d, rng.integers(1, 4))
+            diagonal[where] += rng.choice([-2, -1, 1, 2], where.size)
+            term = hamiltonian.LocalTerm(d, sp.diags(diagonal.astype(complex)).tocsr(), "bumped")
+            ring = assemble_part(term, shape).matrix.diagonal().real
+            valid = np.all(ring[inside] == -1) and ring[~inside].min() > -1
+            if valid:
+                assert form_minimum_off_sector(term, shape) == ring[~inside].min()
+            else:
+                with pytest.raises(BuildError):
+                    form_minimum_off_sector(term, shape)
+            outcomes.add(valid)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_floor_past_int64_config_dims(self, n):
+        # d^(N+1) is past int64 here, while V0 and the path table are small.
+        shape = ProblemShape(n, 1, 1)
+        assert SpinBasis(shape).config_dim > np.iinfo(np.int64).max
+        assert form_minimum_off_sector(hamiltonian.build_h_form_bond(shape), shape) == 0
+        constants = CouplingConstants(1.0, 2.0, 3.0, 4.0)
+        floor = off_sector_floor(standard_parts(SweepSchedule(shape)), constants, shape)
+        assert np.isfinite(floor) and floor >= 0
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
     def test_v0_band_pass_matches_brute_force(self, shape):
         shape = ProblemShape(*shape)
         form = hamiltonian.build_h_form_bond(shape)
@@ -206,6 +244,14 @@ class TestOffSectorFloor:
         doubled = hamiltonian.LocalTerm(form.local_dim, form.matrix * 2, "doubled")
         with pytest.raises(BuildError, match="ring minimum"):
             form_minimum_off_sector(doubled, shape)
+        # Lowering by 3 the bond from the head to position 2 takes a ring
+        # outside V down to -1, while V0 stays at -1 and nothing goes below.
+        basis, d = SpinBasis(shape), form.local_dim
+        skip = basis.encode(HEAD) * d + basis.encode(Data(0, 0, 2))
+        dip = sp.csr_matrix(([3.0], ([skip], [skip])), shape=form.matrix.shape)
+        lowered = hamiltonian.LocalTerm(d, form.matrix - dip, "lowered")
+        with pytest.raises(BuildError, match="a ring outside V reaches -1, not above -1"):
+            form_minimum_off_sector(lowered, shape)
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2)])
     def test_floor_is_below_the_spectrum_off_v(self, shape):

@@ -314,6 +314,13 @@ class TestRestrict:
         with pytest.raises(SpectralError):
             restrict(mat, [q[:, 0], q[:, 0]])
 
+    def test_nan_is_refused(self):
+        # NaN fails every "<= tol" test, where "> tol" would let it through.
+        with pytest.raises(SpectralError, match="hermiticity: nan"):
+            restrict(sparse(np.array([[1.0, np.nan], [np.nan, 2.0]])), [0, 1])
+        with pytest.raises(SpectralError, match="not orthonormal"):
+            restrict(sparse(np.eye(2)), [np.array([1.0, 0.0]), np.array([0.0, np.nan])])
+
 
 class TestGap:
     def test_path_gap_closed_form(self):
