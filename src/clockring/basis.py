@@ -198,7 +198,6 @@ def initial_config(bits, head_site: int, shape: ProblemShape) -> RingConfig:
     Site head_site holds the head; site head_site + z (mod N+1) holds the
     data spin (x_z, cycle 0, position z).
     """
-    shape.require_valid()
     if not 0 <= head_site <= shape.n_qubits:
         raise BasisError(f"head site {head_site} out of range 0..{shape.n_qubits}")
     return config_from_labels(head_site, [0] * shape.n_qubits, bits, shape)
@@ -250,7 +249,6 @@ class SlotEdge:
 
 def slot_edges(shape: ProblemShape) -> list[SlotEdge]:
     """Label transitions of every sweep slot, in visitation order."""
-    shape.require_valid()
     n_q = shape.n_qubits
     labels = [0] * (n_q + 1)  # 1-indexed by position
     edges = []
@@ -342,7 +340,6 @@ def is_legal(config: Sequence[SpinState], shape: ProblemShape):
     Returns (ok, violations); violation tags name the penalty family that
     would fire on the configuration.
     """
-    shape.require_valid()
     n_sites = shape.n_sites
     if len(config) != n_sites:
         raise BasisError(f"config must have {n_sites} sites")

@@ -4,6 +4,10 @@ A computation on N qubits runs in R sweep cycles over the chain's N-1
 bonds.  Odd cycles visit bonds 1, 2, ..., N-1 (left to right), even cycles
 visit N-1, ..., 1 (right to left).  Each (cycle, bond) slot holds one
 two-qubit unitary, identity by default.
+
+ProblemShape and SweepSchedule check their invariants when they are made
+(ShapeError, ScheduleError, NonUnitaryGateError), so every shape and
+schedule that exists is valid and no consumer checks it again.
 """
 
 from __future__ import annotations
@@ -52,21 +56,14 @@ class ProblemShape:
     def n_sites(self) -> int:
         return self.n_qubits + 1
 
-    def problems(self) -> list[str]:
-        out = []
-        if self.n_qubits < 2:
-            out.append("n_qubits must be >= 2")
-        if self.n_cycles < 1:
-            out.append("n_cycles must be >= 1")
-        if not 1 <= self.input_len <= self.n_qubits:
-            out.append("input_len must satisfy 1 <= M <= N")
-        return out
-
-    def require_valid(self) -> "ProblemShape":
-        problems = self.problems()
+    def __post_init__(self):
+        problems = [message for broken, message in (
+            (self.n_qubits < 2, "n_qubits must be >= 2"),
+            (self.n_cycles < 1, "n_cycles must be >= 1"),
+            (not 1 <= self.input_len <= self.n_qubits, "input_len must satisfy 1 <= M <= N"),
+        ) if broken]
         if problems:
             raise ShapeError("; ".join(problems))
-        return self
 
 
 def unitarity_deviation(matrix: np.ndarray) -> float:
@@ -94,9 +91,6 @@ class GatePlacement:
     bond: int
     unitary: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "unitary", check_unitary(self.unitary))
-
 
 def sweep_is_rightward(cycle: int) -> bool:
     """Odd cycles sweep left to right, even cycles right to left."""
@@ -106,26 +100,36 @@ def sweep_is_rightward(cycle: int) -> bool:
 def visitation_order(shape: ProblemShape) -> list[tuple[int, int]]:
     """All (cycle, bond) slots in the order the sweep visits them (see
     _slot_at): exactly R*(N-1) entries, one per slot."""
-    shape.require_valid()
     return [_slot_at(i, shape.n_qubits) for i in range(shape.total_steps)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSchedule:
     """A full assignment of two-qubit unitaries to sweep slots.
 
-    Slots without an explicit gate hold the identity.  Immutable after
-    construction in spirit: nothing here mutates a stored gate.
+    Slots without an explicit gate hold the identity.  Construction checks
+    every stored slot and gate and keeps its own copies; nothing changes
+    them afterwards.
     """
 
     shape: ProblemShape
     _gates: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
-    def gate_at(self, cycle: int, bond: int) -> np.ndarray:
+    def __post_init__(self):
+        gates = {}
+        for (m, n), gate in self._gates.items():
+            self._check_slot(m, n)
+            gates[(m, n)] = check_unitary(np.array(gate, dtype=complex), where=f"slot ({m},{n})")
+        object.__setattr__(self, "_gates", gates)
+
+    def _check_slot(self, cycle: int, bond: int) -> None:
         if not (1 <= cycle <= self.shape.n_cycles):
             raise ScheduleError(f"cycle {cycle} out of range 1..{self.shape.n_cycles}")
         if not (1 <= bond <= self.shape.n_qubits - 1):
             raise ScheduleError(f"bond {bond} out of range 1..{self.shape.n_qubits - 1}")
+
+    def gate_at(self, cycle: int, bond: int) -> np.ndarray:
+        self._check_slot(cycle, bond)
         gate = self._gates.get((cycle, bond))
         return EYE4.copy() if gate is None else gate.copy()
 
@@ -138,21 +142,6 @@ class SweepSchedule:
             GatePlacement(m, n, U.copy())
             for (m, n), U in sorted(self._gates.items())
         ]
-
-    def validate(self) -> list[str]:
-        """Diagnostics for every invariant violation; empty list means valid."""
-        diags = list(self.shape.problems())
-        for (m, n), gate in sorted(self._gates.items()):
-            if self.shape.n_cycles >= 1 and not 1 <= m <= self.shape.n_cycles:
-                diags.append(f"slot ({m},{n}): cycle out of range")
-            if self.shape.n_qubits >= 2 and not 1 <= n <= self.shape.n_qubits - 1:
-                diags.append(f"slot ({m},{n}): bond out of range")
-            dev = unitarity_deviation(gate)
-            if not dev <= UNITARITY_TOL:
-                diags.append(
-                    f"slot ({m},{n}): non-unitary, max|U^H U - 1| = {dev:.6g}"
-                )
-        return diags
 
 
 def schedule_from_placements(
@@ -167,17 +156,12 @@ def schedule_from_placements(
     ]
     if n_cycles is None:
         n_cycles = max((p.cycle for p in placements), default=1)
-    shape = ProblemShape(n_qubits, input_len, n_cycles).require_valid()
     gates: dict[tuple[int, int], np.ndarray] = {}
     for p in placements:
-        if not 1 <= p.bond <= n_qubits - 1:
-            raise ScheduleError(f"bond {p.bond} out of range 1..{n_qubits - 1}")
-        if not 1 <= p.cycle <= n_cycles:
-            raise ScheduleError(f"cycle {p.cycle} out of range 1..{n_cycles}")
         if (p.cycle, p.bond) in gates:
             raise ScheduleError(f"slot ({p.cycle},{p.bond}) assigned twice")
         gates[(p.cycle, p.bond)] = p.unitary
-    return SweepSchedule(shape, gates)
+    return SweepSchedule(ProblemShape(n_qubits, input_len, n_cycles), gates)
 
 
 def schedule_from_gate_list(
@@ -209,8 +193,7 @@ def schedule_from_gate_list(
                 placed[(m, n)] = unitary
                 cycles_used = max(cycles_used, m)
                 break
-    shape = ProblemShape(n_qubits, input_len, cycles_used).require_valid()
-    return SweepSchedule(shape, placed)
+    return SweepSchedule(ProblemShape(n_qubits, input_len, cycles_used), placed)
 
 
 def _slot_at(index: int, n_qubits: int) -> tuple[int, int]:
@@ -232,7 +215,7 @@ def random_unitary(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
 def random_schedule(shape: ProblemShape, rng: np.random.Generator) -> SweepSchedule:
     """A schedule with an independent random unitary in every slot."""
     gates = {slot: random_unitary(rng) for slot in visitation_order(shape)}
-    return SweepSchedule(shape.require_valid(), gates)
+    return SweepSchedule(shape, gates)
 
 
 def embed_single_qubit(u2: np.ndarray, side: str = "left") -> np.ndarray:

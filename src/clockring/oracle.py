@@ -109,7 +109,7 @@ def simulate_history(
     Snapshot t applies the first t scheduled gates to the witness register
     while the clock pattern advances along the legal orbit.
     """
-    shape = schedule.shape.require_valid()
+    shape = schedule.shape
     bits = _as_bits(witness_bits, shape.n_qubits)
     if not 0 <= head_site <= shape.n_qubits:
         raise OracleError(f"head site {head_site} out of range")

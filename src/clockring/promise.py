@@ -89,7 +89,6 @@ def choose_j(norm_h1: float) -> float:
 
 def choose_alpha(shape: ProblemShape, c_est: float) -> float:
     """alpha = 2 c / T^2, a factor-2 margin over the measured gap constant."""
-    shape.require_valid()
     if c_est <= 0:
         raise PromiseError("c_est must be positive")
     return 2.0 * c_est / shape.total_steps ** 2
@@ -196,7 +195,7 @@ def auto_constants(schedule: SweepSchedule, j1: float = 1.0) -> CouplingConstant
     projectors onto distinct levels (H_input's is empty when M = N), so
     ||H1|| is N+1 sites each holding the heavier penalized level.
     """
-    shape = schedule.shape.require_valid()
+    shape = schedule.shape
     w_out = float(shape.total_steps)
     per_site = max(j1 if shape.input_len < shape.n_qubits else 0.0, w_out)
     norm_h1 = 0.0
@@ -230,7 +229,7 @@ def sector_hamiltonian(schedule: SweepSchedule, constants: CouplingConstants) ->
     configuration sits at the H_form floor of -1.  So a V0 level below that
     floor is a full-space level, N+1 times over.  Only the V0 total is built.
     """
-    shape = schedule.shape.require_valid()
+    shape = schedule.shape
     sector_dim = SpinBasis(shape).sector_dim
     if sector_dim > DIM_CAP:
         raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
@@ -374,8 +373,7 @@ def separation_experiment(
     ground energies (see sector_hamiltonian)."""
     if accepting.shape != rejecting.shape:
         raise PromiseError("schedules must share one shape")
-    shape = accepting.shape.require_valid()
     if constants is None:
         constants = auto_constants(accepting)
     sides = (_schedule_energies(schedule, constants) for schedule in (accepting, rejecting))
-    return SeparationReport(shape, constants, *sides)
+    return SeparationReport(accepting.shape, constants, *sides)

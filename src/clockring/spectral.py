@@ -5,7 +5,7 @@ pattern; each component spans an invariant block, solved on its own:
 densely up to DENSE_THRESHOLD states (equal-size blocks share one stacked
 LAPACK call), by restarted Lanczos above it (scipy's ARPACK from a
 LANCZOS_SEED start vector, so runs are deterministic).  Ground energies,
-gaps and the bond-term norms of ``hamiltonian`` all come from
+gaps and the off-sector floor of ``hamiltonian`` all come from
 ``low_spectrum``.  Also: the hermiticity residual, subspace restriction,
 the orbit and frozen configuration indices of the walk and the frozen
 patterns of ``basis``, and the uniform/engineered hopping chains used as
@@ -15,7 +15,7 @@ exact references.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, cos, pi
+from math import comb, cos, isfinite, pi
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,9 +80,14 @@ def _hermiticity_check(mat):
 
 
 def _norm_estimate(mat) -> float:
+    """Scale of the residual and cluster tolerances; SpectralError on overflow."""
     if mat.nnz == 0:
         return 0.0
-    return float(np.abs(mat.data).sum() / max(1, mat.shape[0]) + np.abs(mat.data).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = float(np.abs(mat.data).sum() / max(1, mat.shape[0]) + np.abs(mat.data).max())
+    if not isfinite(est):
+        raise SpectralError(f"operator norm estimate {est} is not finite")
+    return est
 
 
 def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:

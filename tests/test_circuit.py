@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,15 @@ from hypothesis import strategies as st
 
 from clockring import (
     ProblemShape,
+    SpinBasis,
     SweepSchedule,
+    orbit_label_walk,
     parse_circuit_text,
     schedule_from_gate_list,
     schedule_from_placements,
     visitation_order,
 )
+from clockring.basis import slot_edges
 from clockring.circuit import (
     EYE4,
     NonUnitaryGateError,
@@ -37,14 +42,48 @@ class TestProblemShape:
         assert ProblemShape(2, 1, 1).total_steps == 1
 
     def test_invalid_shapes_reported(self):
-        assert ProblemShape(1, 1, 1).problems()
-        assert ProblemShape(3, 1, 0).problems() == ["n_cycles must be >= 1"]
-        assert ProblemShape(3, 4, 1).problems()
-        assert ProblemShape(3, 2, 2).problems() == []
+        # The error names every broken rule, in rule order.
+        for dims, message in [
+            ((1, 1, 1), "n_qubits must be >= 2"),
+            ((3, 1, 0), "n_cycles must be >= 1"),
+            ((3, 4, 1), "input_len must satisfy 1 <= M <= N"),
+            ((1, 0, 0), "n_qubits must be >= 2; n_cycles must be >= 1; "
+                        "input_len must satisfy 1 <= M <= N"),
+        ]:
+            with pytest.raises(ShapeError) as err:
+                ProblemShape(*dims)
+            assert str(err.value) == message
+        assert ProblemShape(3, 2, 2).total_steps == 4
 
     def test_require_valid_raises(self):
-        with pytest.raises(ShapeError):
-            ProblemShape(3, 1, 0).require_valid()
+        # Construction is the only check, and no copy gets round it.
+        with pytest.raises(ShapeError, match="^n_cycles must be >= 1$"):
+            ProblemShape(3, 1, 0)
+        with pytest.raises(ShapeError, match="^n_cycles must be >= 1$"):
+            replace(ProblemShape(3, 1, 2), n_cycles=0)
+
+
+SHAPE_RULES = (
+    (lambda n, m, r: n < 2, "n_qubits must be >= 2"),
+    (lambda n, m, r: r < 1, "n_cycles must be >= 1"),
+    (lambda n, m, r: not 1 <= m <= n, "input_len must satisfy 1 <= M <= N"),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2, 5), st.integers(-2, 6), st.integers(-2, 4))
+def test_shape_is_built_valid_or_refused(n, m, r):
+    broken = [message for rule, message in SHAPE_RULES if rule(n, m, r)]
+    if broken:
+        with pytest.raises(ShapeError) as err:
+            ProblemShape(n, m, r)
+        assert str(err.value) == "; ".join(broken)
+        return
+    shape = ProblemShape(n, m, r)
+    assert len(slot_edges(shape)) == shape.total_steps
+    assert len(orbit_label_walk(shape)) == shape.total_steps + 1
+    basis = SpinBasis(shape)
+    assert [basis.encode(basis.decode(i)) for i in range(basis.local_dim)] == list(range(basis.local_dim))
 
 
 class TestVisitation:
@@ -146,18 +185,46 @@ class TestGreedyPacking:
 
 
 class TestValidate:
+    # A schedule checks every stored slot and gate when it is made.
     def test_all_identity_is_clean(self):
-        assert SweepSchedule(ProblemShape(3, 1, 2)).validate() == []
+        sched = SweepSchedule(ProblemShape(3, 1, 2))
+        assert all(sched.is_identity_slot(m, n) for m, n in visitation_order(sched.shape))
 
     def test_non_unitary_slot_diagnostic(self):
-        sched = SweepSchedule(ProblemShape(3, 1, 1), {(1, 1): 2 * EYE4})
-        diags = sched.validate()
-        assert len(diags) == 1
-        assert "(1,1)" in diags[0] and "3" in diags[0]
+        # Its H_comp edge operator would not be positive semidefinite.
+        with pytest.raises(NonUnitaryGateError, match=r"at slot \(1,1\)") as err:
+            SweepSchedule(ProblemShape(2, 1, 1), {(1, 1): 2 * EYE4})
+        assert err.value.deviation == 3.0
+        with pytest.raises(NonUnitaryGateError, match=r"at slot \(1,2\)"):
+            schedule_from_placements([(1, 2, 2 * EYE4)], 3)
 
     def test_zero_cycles_diagnostic(self):
-        sched = SweepSchedule(ProblemShape(3, 1, 0))
-        assert "n_cycles must be >= 1" in sched.validate()
+        with pytest.raises(ShapeError, match="^n_cycles must be >= 1$"):
+            SweepSchedule(ProblemShape(3, 1, 0))
+
+    @pytest.mark.parametrize("slot,message", [
+        ((2, 1), "cycle 2 out of range 1..1"),
+        ((0, 1), "cycle 0 out of range 1..1"),
+        ((1, 2), "bond 2 out of range 1..1"),
+    ], ids=["cycle-2", "cycle-0", "bond-2"])
+    def test_slot_out_of_range(self, slot, message):
+        with pytest.raises(ScheduleError) as err:
+            SweepSchedule(ProblemShape(2, 1, 1), {slot: EYE4})
+        assert str(err.value) == message
+        with pytest.raises(ScheduleError) as err:
+            SweepSchedule(ProblemShape(2, 1, 1)).gate_at(*slot)
+        assert str(err.value) == message
+
+    def test_gates_are_stored_as_copies(self):
+        gate = EYE4.copy()
+        gates = {(1, 1): gate}
+        sched = SweepSchedule(ProblemShape(2, 1, 1), gates)
+        gate *= 2
+        gates[(1, 2)] = EYE4
+        assert np.array_equal(sched.gate_at(1, 1), EYE4)
+        assert sorted(sched._gates) == [(1, 1)]
+        with pytest.raises(FrozenInstanceError):
+            sched.shape = ProblemShape(3, 1, 1)
 
 
 class TestGateHelpers:
@@ -233,8 +300,8 @@ class TestNonFiniteGates:
         bad[0, 0] = np.nan
         with pytest.raises(NonUnitaryGateError):
             check_unitary(bad)
-        diags = SweepSchedule(ProblemShape(2, 1, 1), {(1, 1): bad}).validate()
-        assert len(diags) == 1 and "non-unitary" in diags[0]
+        with pytest.raises(NonUnitaryGateError, match=r"at slot \(1,1\).* nan"):
+            SweepSchedule(ProblemShape(2, 1, 1), {(1, 1): bad})
 
 
 _GATE_TOKENS = st.sampled_from(["nan,0", "inf,0", "-inf,1", "2,0", "1", "x,0", "1,0,0", "0,0", "1,0"])

@@ -275,10 +275,13 @@ class TestErrors:
         ("compile", "--n", "2", "--j2", "1e307", "--alpha", "4"),
         ("spectrum", "--n", "2", "--j2", "1e308", "--alpha", "1", "--k", "2"),
         ("verify", "--mode", "decide", "--n", "2", "--j2", "1e308", "--alpha", "1"),
-    ], ids=["compile-inf", "compile-nan", "compile-sum-inf", "spectrum", "decide"])
+        ("spectrum", "--n", "2", "--j2", "1e307", "--alpha", "3", "--k", "2"),
+        ("verify", "--mode", "separation", "--desk-pair", "--j2", "1e307", "--alpha", "3"),
+    ], ids=["compile-inf", "compile-nan", "compile-sum-inf", "spectrum", "decide",
+            "spectrum-norm-inf", "separation-norm-inf"])
     def test_overflowing_weights(self, capsys, argv):
-        # A weighted value or a summed entry past the float range is an
-        # error, with no numpy warning and no NaN report.
+        # A weighted value, a summed entry or the solver's norm estimate past
+        # the float range is an error, with no numpy warning and no NaN report.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)

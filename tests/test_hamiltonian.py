@@ -25,6 +25,7 @@ from clockring import (
     random_schedule,
     standard_parts,
 )
+from clockring import hamiltonian
 from clockring.basis import config_from_labels, initial_config
 from clockring.hamiltonian import BuildError, LocalTerm, RingOperator, parse_triplets
 from clockring.spectral import path_laplacian
@@ -70,9 +71,17 @@ class TestCompBond:
         assert np.linalg.norm(op.matrix @ eta) <= 1e-10
 
     def test_norm_within_bound(self, rng):
+        # The checked bound, the largest absolute row sum, stays far below 10 T.
         shape = ProblemShape(3, 1, 3)
         term = build_h_comp_bond(random_schedule(shape, rng))
-        assert term.operator_norm() <= 10 * shape.total_steps
+        assert abs(term.matrix).sum(axis=1).max() <= 6 < 10 * shape.total_steps
+
+    def test_norm_check_needs_no_eigensolve(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eigensolve in a bond-term build")
+
+        monkeypatch.setattr(hamiltonian, "low_spectrum", refuse)
+        build_h_comp_bond(random_schedule(ProblemShape(3, 1, 2), rng))
 
     def test_random_gates_isospectral_to_laplacian(self, rng):
         shape = ProblemShape(3, 1, 2)
@@ -88,24 +97,25 @@ class TestCompBond:
 @pytest.mark.parametrize("dims", [(2, 1, 1), (2, 1, 4), (4, 1, 1), (3, 1, 3), (2, 1, 64)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_operator_norm_matches_dense_spectrum(dims, sign):
-    # (3,1,3) has bond dim 625; sign -1 makes the negative side dominate.
-    # (2,1,64), T+1 = 65, has bond dim 68,121: its H_comp is checked on the
-    # rows and columns holding entries, the others only add the eigenvalue 0.
+    # validate's operator-norm check is the largest absolute row sum, which
+    # is at least the spectral norm of a Hermitian term, so the check is
+    # never weaker than one on the spectrum.  Sign -1 makes the negative
+    # side dominate: a check on signed row sums would pass it at any bound.
+    # Only rows and columns holding entries are compared, the others only
+    # add the eigenvalue 0: at (2,1,64), T+1 = 65, H_comp has bond dim 68,121.
     shape = ProblemShape(*dims)
     schedule = random_schedule(shape, np.random.default_rng(sum(dims)))
-    if dims == (2, 1, 64):
-        parts = {"H_comp": build_h_comp_bond(schedule)}
-    else:
-        parts = standard_parts(schedule)
+    parts = {"H_comp": build_h_comp_bond(schedule)} if dims == (2, 1, 64) else standard_parts(schedule)
     for name, term in parts.items():
-        flipped = LocalTerm(term.local_dim, sign * term.matrix, name)
-        mat = flipped.matrix
-        if dims == (2, 1, 64):
-            coo = mat.tocoo()
-            live = np.union1d(coo.row, coo.col)
-            mat = mat[live][:, live]
-        want = np.abs(np.linalg.eigvalsh(mat.toarray())).max()
-        assert abs(flipped.operator_norm() - want) <= 1e-10 * max(1.0, want), name
+        term = LocalTerm(term.local_dim, sign * term.matrix, name)
+        live = np.union1d(*term.matrix.nonzero())
+        block = term.matrix[live][:, live].toarray()
+        bound = np.abs(block).sum(axis=1).max(initial=0.0)
+        assert np.abs(np.linalg.eigvalsh(block)).max(initial=0.0) <= bound * (1 + 1e-12), name
+        term.validate(max_norm=bound * (1 + 1e-12))
+        if bound > 0:
+            with pytest.raises(BuildError, match="norm exceeds"):
+                term.validate(max_norm=bound * (1 - 1e-12))
 
 
 class TestInputBond:
@@ -251,9 +261,9 @@ class TestAssembly:
             nan.validate()
         with pytest.raises(BuildError, match="weighted bond-term value is not finite"):
             assemble([(nan, 1.0)], desk_shape)
-        monkeypatch.setattr(LocalTerm, "operator_norm", lambda self: float("nan"))
-        with pytest.raises(BuildError, match="norm exceeds"):
-            LocalTerm(d, sp.identity(d * d, format="csr"), "one").validate(max_norm=10)
+        monkeypatch.setattr(LocalTerm, "hermiticity_residual", lambda self: 0.0)
+        with pytest.raises(BuildError, match="nan: norm exceeds 10"):
+            nan.validate(max_norm=10)
         monkeypatch.setattr(RingOperator, "hermiticity_residual", lambda self: float("nan"))
         with pytest.raises(BuildError, match="hermiticity residual nan"):
             assemble([], desk_shape)
