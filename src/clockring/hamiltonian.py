@@ -28,7 +28,9 @@ without the d^(N+1) space; off_sector_floor, a min-plus path bound on H off
 the form-valid set, makes a sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
-building any bond term).
+building any bond term).  It reduces the full-space sum per site-0 row
+block of about CHUNK contributions (_ring_sum), and the translation check
+also runs one row block at a time, so peak memory follows the output.
 """
 
 from __future__ import annotations
@@ -86,28 +88,29 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
-def _sum_sorted(keys, ranks, table, dim: int) -> sp.csr_matrix:
-    """CSR of the per-key sums of table[ranks], in the given order; `keys` sorted."""
+def _sum_sorted(keys, ranks, table, shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR of the per-key sums of table[ranks], in the given order; `keys`,
+    row * shape[1] + col, sorted."""
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     summed = _finite(np.add.reduceat(table[ranks], starts), "a summed entry")
     keep = summed != 0
-    rows, cols = np.divmod(keys[starts[keep]], dim)
+    rows, cols = np.divmod(keys[starts[keep]], shape[1])
     # scipy's index dtype for this shape and entry count, so it keeps the arrays
-    index = sp.get_index_dtype(maxval=max(dim, cols.size))
-    indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    return sp.csr_matrix((summed[keep], cols.astype(index), indptr), shape=(dim, dim))
+    index = sp.get_index_dtype(maxval=max(*shape, cols.size))
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((summed[keep], cols.astype(index), indptr), shape=shape)
 
 
-def _reduce_packed(codes, table, dim: int) -> sp.csr_matrix:
-    """Sum entries packed as (row * dim + col) * len(table) + rank.
+def _reduce_packed(codes, table, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Sum entries packed as (row * shape[1] + col) * len(table) + rank.
 
     `codes` is sorted in place and then overwritten by the ranks.
     """
     codes.sort()
     keys = codes // table.size
     np.remainder(codes, table.size, out=codes)
-    return _sum_sorted(keys, codes, table, dim)
+    return _sum_sorted(keys, codes, table, shape)
 
 
 def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
@@ -119,9 +122,9 @@ def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
     if packed:
         keys *= table.size
         keys += ranks
-        return _reduce_packed(keys, table, dim)
+        return _reduce_packed(keys, table, (dim, dim))
     order = np.lexsort((ranks, keys))
-    return _sum_sorted(keys[order], ranks[order], table, dim)
+    return _sum_sorted(keys[order], ranks[order], table, (dim, dim))
 
 
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
@@ -302,6 +305,7 @@ class RingOperator:
 
 
 DIM_CAP = 2 ** 24
+CHUNK = 2 ** 20  # elements one array pass holds: ring-sum codes, floor path steps, check entries
 
 
 def checked_dim(shape: ProblemShape) -> int:
@@ -333,22 +337,55 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
     translated apart: the global entry is (A + o, B + o).  Its value is
     ranked in the table of the weighted term values, and its code
     (A * dim + B) * w + rank + o * (dim + 1) * w, with w the table size, is
-    written straight into one int64 array, which is all the reduction sorts.
-    Under DIM_CAP the codes fit for any table of up to 2^15 values; a larger
-    one raises BuildError.
+    one int64, so sorting the codes orders the contributions by entry and
+    rank.  Under DIM_CAP the codes fit for any table of up to 2^15 values; a
+    larger one raises BuildError.
+
+    An entry's row fixes its site-0 digit: on the two bonds at site 0 it is
+    a digit of A, on every other bond a digit of o.  So the codes are made,
+    sorted and reduced one run of consecutive site-0 digits at a time, about
+    CHUNK codes a run.  A run's rows are a contiguous block that holds every
+    contribution to its entries, and the blocks are stacked in order, so each
+    entry's sum is that of one sort over all codes.
     """
-    dim, rest = basis.config_dim, basis.config_dim // basis.local_dim ** 2
+    dim, d, n_sites = basis.config_dim, basis.local_dim, basis.shape.n_sites
+    rest, top = dim // d ** 2, dim // d  # top: the rows of one site-0 digit
     table, ranks = _value_table(vals)
     if not _packs(dim, table.size):
         raise BuildError(f"{table.size} distinct values overflow the int64 codes at dim {dim}")
     rows, cols = rows * rest, cols * rest
-    size = ranks.size * rest
-    codes = np.empty(size * basis.shape.n_sites, dtype=np.int64)
-    for bond in range(basis.shape.n_sites):
-        others = basis.translate(np.arange(rest, dtype=np.int64), bond) * ((dim + 1) * table.size)
-        head = (basis.translate(rows, bond) * dim + basis.translate(cols, bond)) * table.size + ranks
-        np.add(head[:, None], others, out=codes[bond * size:(bond + 1) * size].reshape(-1, rest))
-    return _reduce_packed(codes, table, dim)
+    # Per bond: the codes that carry the site-0 digit, sorted by it, the
+    # bounds of each digit among them, and the codes each one is added to.
+    spreads = []
+    for bond in range(n_sites):
+        head_rows = basis.translate(rows, bond)
+        moved = basis.translate(np.arange(rest, dtype=np.int64), bond)
+        head = (head_rows * dim + basis.translate(cols, bond)) * table.size + ranks
+        other = moved * ((dim + 1) * table.size)
+        carry, spread, digit = (head, other, head_rows) if bond in (0, n_sites - 1) else (other, head, moved)
+        digit = digit // top
+        order = np.argsort(digit, kind="stable")
+        spreads.append((carry[order], np.searchsorted(digit[order], np.arange(d + 1)), spread))
+
+    ends, held = [], 0  # runs of site-0 digits of about CHUNK codes
+    for digit, count in enumerate(sum(np.diff(b) * spread.size for _, b, spread in spreads).tolist()):
+        if held and held + count > CHUNK:
+            ends.append(digit)
+            held = 0
+        held += count
+    pieces = []
+    for start, stop in zip([0] + ends, ends + [d]):
+        parts = [(carry[bounds[start]:bounds[stop]], spread) for carry, bounds, spread in spreads]
+        codes = np.empty(sum(part.size * spread.size for part, spread in parts), dtype=np.int64)
+        at = 0
+        for part, spread in parts:
+            size = part.size * spread.size
+            np.add(part[:, None], spread, out=codes[at:at + size].reshape(-1, spread.size))
+            at += size
+        if start:  # keys from the block's first row
+            codes -= start * top * dim * table.size
+        pieces.append(_reduce_packed(codes, table, ((stop - start) * top, dim)))
+    return pieces[0] if len(pieces) == 1 else sp.vstack(pieces, format="csr")
 
 
 def assemble(
@@ -481,7 +518,7 @@ def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     for left, right in _band_pairs(shape):
         band_pair[np.ix_(left, right)] = True
     off_v = np.inf
-    for first in np.array_split(np.arange(d), -(-d ** 3 // 2 ** 20)):  # rows f, ~2^20 steps each
+    for first in np.array_split(np.arange(d), -(-d ** 3 // CHUNK)):  # rows f, ~CHUNK steps each
         paths = bond[first]
         for _ in range(shape.n_qubits - 1):
             paths = (paths[:, :, None] + bond).min(axis=1)
@@ -557,61 +594,99 @@ def assemble_total(schedule: SweepSchedule, constants: CouplingConstants) -> Rin
 
 
 def build_shift_operator(shape: ProblemShape) -> RingOperator:
-    """Cyclic shift S: the content of site i moves to site i + 1 (mod N+1)."""
+    """Cyclic shift S: the content of site i moves to site i + 1 (mod N+1).
+
+    Row i holds its one 1 in the column S moves to i, written straight into
+    CSR arrays."""
     basis = SpinBasis(shape)
     dim = basis.config_dim
-    src = np.arange(dim, dtype=np.int64)
-    mat = sp.csr_matrix((np.ones(dim), (basis.translate(src, 1), src)), shape=(dim, dim), dtype=complex)
+    index = sp.get_index_dtype(maxval=dim)
+    cols = basis.translate(np.arange(dim, dtype=np.int64), -1).astype(index)
+    mat = sp.csr_matrix((np.ones(dim, dtype=complex), cols, np.arange(dim + 1, dtype=index)), shape=(dim, dim))
     return RingOperator(shape, mat, "shift")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN pass through, as in H[p][:, p] - H
 def check_translation_invariance(op: RingOperator, shift: RingOperator) -> float:
     """Max-entry norm of S H - H S; exactly 0 for canonical assemblies.
 
     S must be a unit permutation, row i holding a 1 in column p[i] (else
     BuildError).  S H - H S = (S H S^T - H) S has the entries of the
-    permuted copy's difference H[p][:, p] - H, which needs no products."""
+    permuted copy's difference H[p][:, p] - H, which needs no products.  It
+    is taken one block of rows, about CHUNK stored entries, at a time: rows
+    p of H with their columns mapped through the inverse of p.  When H has
+    no duplicate or unsorted entries, the block's columns are sorted, and
+    when it then has H's pattern the difference is taken entry by entry in
+    place; otherwise scipy subtracts, as for the whole matrix.
+    """
     mat, shift_mat = op.matrix.tocsr(), shift.matrix.tocsr()
     if mat.shape != shift_mat.shape:
         raise BuildError("operator dimensions do not match")
     p = shift_mat.indices
+    dim = mat.shape[0]
     if (np.any(np.diff(shift_mat.indptr) != 1) or np.any(shift_mat.data != 1)
-            or np.any(np.bincount(p, minlength=mat.shape[0]) != 1)):
+            or np.any(np.bincount(p, minlength=dim) != 1)):
         raise BuildError("shift is not a unit permutation")
-    return float(np.abs((mat[p][:, p] - mat).data).max(initial=0.0))
+    inverse = np.empty_like(p)
+    inverse[p] = np.arange(dim)
+    canonical = mat.has_canonical_format
+    edges = np.linspace(0, dim, -(-mat.nnz // CHUNK) + 1, dtype=np.int64)
+    worst = [0.0]
+    for first, last in zip(edges, edges[1:]):
+        moved = mat[p[first:last]]
+        block = sp.csr_matrix((moved.data, inverse[moved.indices], moved.indptr), shape=moved.shape)
+        if canonical:
+            block.sort_indices()
+        lo, hi = mat.indptr[first], mat.indptr[last]
+        if (canonical and np.array_equal(block.indptr, mat.indptr[first:last + 1] - lo)
+                and np.array_equal(block.indices, mat.indices[lo:hi])):  # entry k meets entry lo + k
+            delta = np.subtract(block.data, mat.data[lo:hi], out=block.data)
+        else:
+            delta = (block - mat[first:last]).data
+        worst.append(np.abs(delta).max(initial=0.0))
+    return float(np.max(worst))
 
 
 def export_triplets(op: RingOperator) -> str:
-    """Sparse text export: header then 'row col re im' per entry, sorted."""
+    """Sparse text export: header then 'row col re im' per entry, sorted.
+
+    Each distinct value (by bits, so -0.0 keeps its sign) is formatted once."""
     coo = op.matrix.tocoo()
     order = np.argsort(coo.row.astype(np.int64) * op.dim + coo.col, kind="stable")
-    vals = coo.data[order]
-    columns = (coo.row[order].tolist(), coo.col[order].tolist(), vals.real.tolist(), vals.imag.tolist())
-    body = "".join(map("{} {} {:.17g} {:.17g}\n".format, *columns))
+    table, ranks = _value_table(coo.data[order])
+    texts = np.array(list(map("{:.17g} {:.17g}".format, table.real.tolist(), table.imag.tolist())), dtype=object)
+    columns = (coo.row[order].tolist(), coo.col[order].tolist(), texts[ranks].tolist())
+    body = "".join(map("{} {} {}\n".format, *columns))
     return f"% dim {op.dim} nnz {coo.nnz} hermitian\n" + body
 
 
 def parse_triplets(text: str) -> sp.csr_matrix:
     """Read export_triplets text; malformed input raises BuildError naming the line."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("%"):
+    lines = text.splitlines()
+    top = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+    if top is None or not lines[top].startswith("%"):
         raise BuildError("missing triplet header")
-    header = lines[0][1].split()
+    header = lines[top].split()
     try:
         dim, nnz = int(header[2]), int(header[4])
     except (IndexError, ValueError):
-        raise BuildError(f"line {lines[0][0]}: expected '% dim <D> nnz <K>'") from None
+        raise BuildError(f"line {top + 1}: expected '% dim <D> nnz <K>'") from None
     if not 0 <= dim <= DIM_CAP:
-        raise BuildError(f"line {lines[0][0]}: dim {dim} out of range 0..{DIM_CAP}")
-    body, texts = lines[1:], [ln for _, ln in lines[1:]]
+        raise BuildError(f"line {top + 1}: dim {dim} out of range 0..{DIM_CAP}")
+    body = lines[top + 1:]
+
+    def numbered():  # (line number, text) of the non-blank body lines, for messages
+        return [(i, ln) for i, ln in enumerate(body, start=top + 2) if ln.strip()]
+
     triplet = [("row", np.int64), ("col", np.int64), ("value", float, 2)]
-    try:  # one C pass; loadtxt reads a subset of what int and float read
-        cells = np.loadtxt(texts, triplet, comments=None, ndmin=1) if texts else np.zeros(0, triplet)
+    try:  # one C pass that skips blank lines; loadtxt reads a subset of what int and float read
+        filled = any(map(str.strip, body))
+        cells = np.loadtxt(body, triplet, comments=None, ndmin=1) if filled else np.zeros(0, triplet)
         rows, cols = cells["row"], cells["col"]
         vals = np.ascontiguousarray(cells["value"]).view(complex).ravel()
     except (ValueError, OverflowError):  # line by line, to name the first bad line
         cells = []
-        for lineno, ln in body:
+        for lineno, ln in numbered():
             try:
                 r, c, re, im = ln.split()
                 cells.append((int(r), int(c), complex(float(re), float(im))))
@@ -620,7 +695,7 @@ def parse_triplets(text: str) -> sp.csr_matrix:
         rows, cols, vals = map(np.array, zip(*cells))  # object indices past int64
     bad = np.flatnonzero((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim))
     if bad.size:
-        raise BuildError(f"line {body[bad[0]][0]}: index out of range 0..{dim - 1}")
+        raise BuildError(f"line {numbered()[bad[0]][0]}: index out of range 0..{dim - 1}")
     if rows.size != nnz:
         raise BuildError(f"header says nnz {nnz}, found {rows.size} entries")
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))

@@ -247,6 +247,54 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak < 64 * raw
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 2), (3, 1, 3), (2, 2, 2), (3, 2, 1)])
+    def test_row_blocks_match_one_pass(self, shape, monkeypatch):
+        # Blocks of one site-0 digit each against a single pass over all codes.
+        from clockring import auto_constants
+        from clockring.hamiltonian import total_parts
+
+        schedule = random_schedule(ProblemShape(*shape), np.random.default_rng(sum(shape)))
+        parts = total_parts(standard_parts(schedule), auto_constants(schedule))
+        reduce_packed, blocks = hamiltonian._reduce_packed, []
+
+        def counted(codes, table, block_shape):
+            blocks.append(block_shape)
+            return reduce_packed(codes, table, block_shape)
+
+        monkeypatch.setattr(hamiltonian, "_reduce_packed", counted)
+        results = {}
+        for chunk in (2 ** 62, 2 ** 8):
+            monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
+            blocks.clear()
+            results[chunk] = assemble(parts, schedule.shape).matrix
+            assert sum(rows for rows, _ in blocks) == results[chunk].shape[0]
+            assert len(blocks) == (1 if chunk > 2 ** 8 else SpinBasis(schedule.shape).local_dim)
+        whole, blocked = results.values()
+        for name in ("indptr", "indices"):
+            assert getattr(blocked, name).dtype == getattr(whole, name).dtype
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+        assert np.array_equal(blocked.data.view(np.int64), whole.data.view(np.int64))
+
+    def test_peak_memory_follows_the_output(self, monkeypatch):
+        # With row blocks the sum never holds all contributions at once: the
+        # peak is the stacked blocks and the result, then the transposed copy
+        # of the Hermiticity check, each about one CSR; one pass over all
+        # codes peaks near 4.9 CSRs here.
+        import tracemalloc
+
+        from clockring import auto_constants
+
+        monkeypatch.setattr(hamiltonian, "CHUNK", 2 ** 16)
+        schedule = random_schedule(ProblemShape(3, 1, 3), np.random.default_rng(0))
+        constants = auto_constants(schedule)
+        tracemalloc.start()
+        try:
+            mat = assemble_total(schedule, constants).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+
     def test_dimension_cap(self):
         # (2,1,64) has d^3 = 17,779,581 configurations, over DIM_CAP: refused
         # before any allocation.
@@ -305,6 +353,18 @@ class TestShift:
             power = s @ power
         assert (abs(power - eye)).nnz == 0
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 1), (2, 2, 1)])
+    def test_matches_the_coordinate_built_permutation(self, shape):
+        shape = ProblemShape(*shape)
+        basis = SpinBasis(shape)
+        dim = basis.config_dim
+        src = np.arange(dim, dtype=np.int64)
+        want = sp.csr_matrix((np.ones(dim), (basis.translate(src, 1), src)), shape=(dim, dim), dtype=complex)
+        got = build_shift_operator(shape).matrix
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
 
 class TestTranslationInvariance:
     def test_assembled_parts_commute_exactly(self, desk_shape, desk_identity_schedule):
@@ -352,6 +412,36 @@ class TestTranslationInvariance:
         total = assemble_total(schedule, constants)
         shift = build_shift_operator(shape)
         assert check_translation_invariance(total, shift) == 0.0
+
+    @pytest.mark.parametrize("chunk", [2 ** 20, 2 ** 9, 16])
+    def test_row_blocks_match_the_permuted_difference(self, chunk, monkeypatch):
+        shape = ProblemShape(2, 1, 2)
+        schedule = random_schedule(shape, np.random.default_rng(5))
+        total = assemble_total(schedule, CouplingConstants.with_default_output_weight(shape, 1.0, 5.0, 2.0))
+        shift = build_shift_operator(shape)
+        p = shift.matrix.indices
+        bumped = total.matrix.copy()
+        bumped.data[[7, 300]] += [1e-3, 2.5e-3j]
+        dropped = total.matrix.copy()  # one entry gone: the pattern changes
+        dropped.data[11] = 0
+        dropped.eliminate_zeros()
+        # One shift orbit of entries, each stored as two duplicates that sum to
+        # 3: invariant, though entry by entry 1, 2 meets 2, 1.
+        orbit = [(5, 17)]
+        while len(orbit) < shape.n_sites:
+            orbit.append((p[orbit[-1][0]], p[orbit[-1][1]]))
+        rows, cols = np.repeat(np.array(orbit).T, 2, axis=1)
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=total.dim))))
+        values = np.array([1.0, 2, 2, 1, 1, 2])[by_row]
+        split = sp.csr_matrix((values, cols[by_row], indptr), shape=total.matrix.shape)
+        monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
+        residuals = []
+        for mat in (total.matrix, bumped, dropped, split):
+            want = float(np.abs((mat[p][:, p] - mat).data).max(initial=0.0))
+            residuals.append(check_translation_invariance(RingOperator(shape, mat), shift))
+            assert residuals[-1] == want
+        assert residuals[0] == residuals[3] == 0.0 and min(residuals[1:3]) > 0.0
 
 
 class TestExport:

@@ -38,6 +38,7 @@ from clockring.spectral import (
     binomial_chain_vector,
     frozen_config_indices,
     frozen_excluded_submatrix,
+    hermiticity_residual,
 )
 
 
@@ -320,6 +321,33 @@ class TestRestrict:
             restrict(sparse(np.array([[1.0, np.nan], [np.nan, 2.0]])), [0, 1])
         with pytest.raises(SpectralError, match="not orthonormal"):
             restrict(sparse(np.eye(2)), [np.array([1.0, 0.0]), np.array([0.0, np.nan])])
+
+
+def _hermiticity_cases():
+    a = sp.random(12, 12, density=0.3, random_state=4, dtype=complex).tocsr()
+    hermitian = (a + a.conj().T).tocsr()
+    perturbed = hermitian.copy()
+    perturbed.data[5] += 0.25j
+    stored_zero = hermitian.copy()
+    stored_zero.data[[0, 3]] = 0
+    with_nan = hermitian.copy()
+    with_nan.data[7] = np.nan
+    duplicates = sp.csr_matrix(  # (0, 1) holds 1 + 2 and (1, 0) holds 2 + 1: Hermitian
+        (np.array([1, 2, 2, 1, 0.5]), np.array([1, 1, 0, 0, 1]), np.array([0, 2, 5])),
+        shape=(2, 2),
+    )
+    return {
+        "hermitian": hermitian, "perturbed": perturbed, "asymmetric": a, "stored-zero": stored_zero,
+        "nan": with_nan, "duplicates": duplicates, "real": hermitian.real.tocsr(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hermiticity_cases()))
+def test_hermiticity_residual_matches_the_difference(name):
+    mat = _hermiticity_cases()[name]
+    delta = mat - mat.conj().T
+    want = 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
+    np.testing.assert_equal(hermiticity_residual(mat), want)
 
 
 class TestGap:
