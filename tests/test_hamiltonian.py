@@ -435,13 +435,26 @@ class TestTranslationInvariance:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=total.dim))))
         values = np.array([1.0, 2, 2, 1, 1, 2])[by_row]
         split = sp.csr_matrix((values, cols[by_row], indptr), shape=total.matrix.shape)
+        # Each row of one shift orbit holds the same 100 values alternating
+        # between two columns: invariant, and each column's sum depends on the
+        # order its entries meet, which sorting a row's columns may change.
+        walk = [np.array([5, 17, 21])]
+        while len(walk) < shape.n_sites:
+            walk.append(p[walk[-1]])
+        walk = np.array(sorted(map(tuple, walk)))
+        alternate = np.where(np.arange(100) % 2, walk[:, 1:2], walk[:, 2:3]).ravel()
+        counts = np.bincount(walk[:, 0], minlength=total.dim) * 100
+        interleaved = sp.csr_matrix(
+            (np.tile(np.random.default_rng(0).normal(size=100), len(walk)) + 0j, alternate, np.r_[0, np.cumsum(counts)]),
+            shape=total.matrix.shape,
+        )
         monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
         residuals = []
-        for mat in (total.matrix, bumped, dropped, split):
+        for mat in (total.matrix, bumped, dropped, split, interleaved):
             want = float(np.abs((mat[p][:, p] - mat).data).max(initial=0.0))
             residuals.append(check_translation_invariance(RingOperator(shape, mat), shift))
             assert residuals[-1] == want
-        assert residuals[0] == residuals[3] == 0.0 and min(residuals[1:3]) > 0.0
+        assert residuals[0] == residuals[3] == residuals[4] == 0.0 and min(residuals[1:3]) > 0.0
 
 
 class TestExport:
