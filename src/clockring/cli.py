@@ -90,11 +90,10 @@ def cmd_compile(args) -> int:
                 return 1
             selected.append((parts.pop(name), 1.0))
         op = assemble(selected, shape, provenance=args.parts)
-    shift = build_shift_operator(shape)
     print(f"dim {op.dim}")
     print(f"nnz {op.nnz}")
     print(f"hermiticity_residual {_fmt(op.hermiticity_residual())}")
-    print(f"translation_residual {_fmt(check_translation_invariance(op, shift))}")
+    print(f"translation_residual {_fmt(check_translation_invariance(op, build_shift_operator(shape)))}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(export_triplets(op))

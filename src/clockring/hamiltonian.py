@@ -29,8 +29,11 @@ the form-valid set, makes a sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
 building any bond term).  It reduces the full-space sum per site-0 row
-block of about CHUNK contributions (_ring_sum), and the translation check
-also runs one row block at a time, so peak memory follows the output.
+block of about CHUNK contributions (_ring_sum) and grows the output's
+arrays in place, one block after another; the Hermiticity residual
+transposes the stored positions rather than the values, and the
+translation check runs one row block at a time.  So each stage holds the
+output plus one block, and peak memory follows the output.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import scipy.sparse as sp
 
 from .basis import HEAD, Data, SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape, SweepSchedule
-from .spectral import hermiticity_residual, low_spectrum
+from .spectral import CHUNK, hermiticity_residual, low_spectrum
 
 HERMITICITY_TOL = 1e-12
 RING_HERMITICITY_TOL = 1e-10
@@ -88,29 +91,41 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
-def _sum_sorted(keys, ranks, table, shape: tuple[int, int]) -> sp.csr_matrix:
-    """CSR of the per-key sums of table[ranks], in the given order; `keys`,
-    row * shape[1] + col, sorted."""
+def _sum_sorted(keys, ranks, table, n_cols: int, counts: np.ndarray):
+    """The per-key sums of table[ranks], in the given order, of one block of
+    rows; `keys`, row * n_cols + col with rows counted from the block's
+    first, sorted.  Returns the nonzero sums and their columns (in the dtype
+    of `counts`), and writes each row's entry count to counts[row]."""
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     summed = _finite(np.add.reduceat(table[ranks], starts), "a summed entry")
     keep = summed != 0
-    rows, cols = np.divmod(keys[starts[keep]], shape[1])
-    # scipy's index dtype for this shape and entry count, so it keeps the arrays
-    index = sp.get_index_dtype(maxval=max(*shape, cols.size))
-    indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return sp.csr_matrix((summed[keep], cols.astype(index), indptr), shape=shape)
+    rows, cols = np.divmod(keys[starts[keep]], n_cols)
+    if rows.size:  # the bounds of each row's run of entries
+        bounds = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1], [True])))
+        counts[rows[bounds[:-1]]] = bounds[1:] - bounds[:-1]
+    return summed[keep], cols.astype(counts.dtype)
 
 
-def _reduce_packed(codes, table, shape: tuple[int, int]) -> sp.csr_matrix:
-    """Sum entries packed as (row * shape[1] + col) * len(table) + rank.
-
-    `codes` is sorted in place and then overwritten by the ranks.
-    """
+def _split_packed(codes, width: int):
+    """Sort codes packed as key * width + rank in place; the keys, and the
+    ranks, which are written over `codes`."""
     codes.sort()
-    keys = codes // table.size
-    np.remainder(codes, table.size, out=codes)
-    return _sum_sorted(keys, codes, table, shape)
+    keys = codes // width
+    np.remainder(codes, width, out=codes)
+    return keys, codes
+
+
+def _entry_counts(dim: int, bound: int) -> np.ndarray:
+    """Zeroed per-row entry counts, counts[1 + row], in scipy's index dtype
+    for `dim` rows and at most `bound` entries, so the CSR keeps the arrays."""
+    return np.zeros(dim + 1, dtype=sp.get_index_dtype(maxval=max(dim, bound)))
+
+
+def _csr(values, cols, counts, n_cols: int) -> sp.csr_matrix:
+    """The CSR of rows whose entry counts are counts[1:], which one in-place
+    cumulative sum turns into its indptr."""
+    np.cumsum(counts, dtype=counts.dtype, out=counts)
+    return sp.csr_matrix((values, cols, counts), shape=(counts.size - 1, n_cols))
 
 
 def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
@@ -119,12 +134,15 @@ def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
     packed = _packs(dim, table.size)
     if keys.size == 0:
         return sp.csr_matrix((dim, dim), dtype=complex)
+    counts = _entry_counts(dim, keys.size)
     if packed:
         keys *= table.size
         keys += ranks
-        return _reduce_packed(keys, table, (dim, dim))
-    order = np.lexsort((ranks, keys))
-    return _sum_sorted(keys[order], ranks[order], table, (dim, dim))
+        keys, ranks = _split_packed(keys, table.size)
+    else:
+        order = np.lexsort((ranks, keys))
+        keys, ranks = keys[order], ranks[order]
+    return _csr(*_sum_sorted(keys, ranks, table, dim, counts[1:]), counts, dim)
 
 
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
@@ -305,7 +323,6 @@ class RingOperator:
 
 
 DIM_CAP = 2 ** 24
-CHUNK = 2 ** 20  # elements one array pass holds: ring-sum codes, floor path steps, check entries
 
 
 def checked_dim(shape: ProblemShape) -> int:
@@ -345,8 +362,12 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
     a digit of A, on every other bond a digit of o.  So the codes are made,
     sorted and reduced one run of consecutive site-0 digits at a time, about
     CHUNK codes a run.  A run's rows are a contiguous block that holds every
-    contribution to its entries, and the blocks are stacked in order, so each
-    entry's sum is that of one sort over all codes.
+    contribution to its entries, and the blocks are taken in order, so each
+    entry's sum is that of one sort over all codes.  The first block's
+    values and columns become the output's arrays, later blocks are appended
+    to them in place (ndarray.resize), and the blocks' per-row counts, kept
+    in the index dtype, become the indptr by one in-place cumulative sum; so
+    the sum holds the output and one block, never a second copy.
     """
     dim, d, n_sites = basis.config_dim, basis.local_dim, basis.shape.n_sites
     rest, top = dim // d ** 2, dim // d  # top: the rows of one site-0 digit
@@ -368,12 +389,14 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
         spreads.append((carry[order], np.searchsorted(digit[order], np.arange(d + 1)), spread))
 
     ends, held = [], 0  # runs of site-0 digits of about CHUNK codes
-    for digit, count in enumerate(sum(np.diff(b) * spread.size for _, b, spread in spreads).tolist()):
+    counts_by_digit = sum(np.diff(b) * spread.size for _, b, spread in spreads).tolist()
+    for digit, count in enumerate(counts_by_digit):
         if held and held + count > CHUNK:
             ends.append(digit)
             held = 0
         held += count
-    pieces = []
+    counts = _entry_counts(dim, sum(counts_by_digit))
+    data = indices = None
     for start, stop in zip([0] + ends, ends + [d]):
         parts = [(carry[bounds[start]:bounds[stop]], spread) for carry, bounds, spread in spreads]
         codes = np.empty(sum(part.size * spread.size for part, spread in parts), dtype=np.int64)
@@ -384,8 +407,18 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
             at += size
         if start:  # keys from the block's first row
             codes -= start * top * dim * table.size
-        pieces.append(_reduce_packed(codes, table, ((stop - start) * top, dim)))
-    return pieces[0] if len(pieces) == 1 else sp.vstack(pieces, format="csr")
+        keys, ranks = _split_packed(codes, table.size)
+        block = _sum_sorted(keys, ranks, table, dim, counts[1 + start * top:1 + stop * top])
+        if data is None:  # the first block's arrays become the output's
+            data, indices = block
+            continue
+        # Grown in place, as realloc remaps a large buffer; no view of either
+        # array exists to be left dangling, so references are not checked.
+        at = data.size
+        data.resize(at + block[0].size, refcheck=False)
+        indices.resize(at + block[1].size, refcheck=False)
+        data[at:], indices[at:] = block
+    return _csr(data, indices, counts, dim)
 
 
 def assemble(
@@ -623,10 +656,12 @@ def check_translation_invariance(op: RingOperator, shift: RingOperator) -> float
     p = shift_mat.indices
     dim = mat.shape[0]
     if (np.any(np.diff(shift_mat.indptr) != 1) or np.any(shift_mat.data != 1)
-            or np.any(np.bincount(p, minlength=dim) != 1)):
+            or p.min(initial=0) < 0 or p.max(initial=-1) >= dim):
         raise BuildError("shift is not a unit permutation")
-    inverse = np.empty_like(p)
-    inverse[p] = np.arange(dim)
+    inverse = np.full(dim, -1, dtype=p.dtype)
+    inverse[p] = np.arange(dim, dtype=p.dtype)
+    if np.any(inverse < 0):  # dim columns in range: a repeated one leaves another out
+        raise BuildError("shift is not a unit permutation")
     edges = np.linspace(0, dim, -(-mat.nnz // CHUNK) + 1, dtype=np.int64)
     worst = [0.0]
     for first, last in zip(edges, edges[1:]):

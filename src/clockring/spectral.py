@@ -32,6 +32,10 @@ CLUSTER_RTOL = 1e-7  # eigenvalues within CLUSTER_RTOL * max(1, ||H||) share a c
 GAP_K_CAP = 64
 DENSE_THRESHOLD = 4096  # largest component block diagonalized densely
 LANCZOS_SEED = 7
+# Elements one array pass holds, here and in hamiltonian: ring-sum codes,
+# floor path steps, and the stored entries of one Hermiticity or
+# translation check block (about 25 MiB of scratch per translation block).
+CHUNK = 2 ** 18
 
 
 class SpectralError(RuntimeError):
@@ -67,16 +71,27 @@ class SpectralReport:
 def hermiticity_residual(mat) -> float:
     """Largest entry of |M - M^H|; exactly 0 for a Hermitian sparse matrix.
 
-    M is transposed once.  When M is CSR with no duplicate or unsorted
-    entries and its transpose has its pattern, stored entry k of each meet,
-    and the differences are taken in place on the transpose's values."""
-    flipped = mat.T.tocsr()
-    if (mat.format == "csr" and mat.has_canonical_format
-            and np.array_equal(flipped.indptr, mat.indptr) and np.array_equal(flipped.indices, mat.indices)):
-        delta = flipped.data  # a copy: the transpose of CSR is CSC
-        np.subtract(mat.data, np.conjugate(delta, out=delta), out=delta)
-        return float(np.abs(delta, out=delta).real.max(initial=0.0))
-    delta = mat - flipped.conj()
+    When M is CSR with no duplicate or unsorted entries, the positions of
+    its stored entries are transposed instead of its values: one integer
+    transpose of the pattern, holding the positions 0..nnz-1, gives, when
+    its pattern is M's, the position of each stored entry's mirror.  The
+    differences a[k] - conj(a[mirror[k]]) are then taken about CHUNK stored
+    entries at a time, so the check holds an index array, not a complex
+    copy of M.  Any other M is subtracted from its conjugate transpose."""
+    if mat.format == "csr" and mat.has_canonical_format:
+        # The positions in M's pattern, read as the CSC of M^T, turned to CSR.
+        flipped = sp.csc_matrix((np.arange(mat.nnz, dtype=mat.indptr.dtype), mat.indices, mat.indptr),
+                                shape=mat.shape[::-1]).tocsr()
+        if np.array_equal(flipped.indptr, mat.indptr) and np.array_equal(flipped.indices, mat.indices):
+            mirror, data = flipped.data, mat.data
+            del flipped  # only the mirror positions are read from here on
+            worst = 0.0
+            for first in range(0, data.size, CHUNK):
+                delta = data[mirror[first:first + CHUNK]]  # a copy: the mirrors' values
+                np.subtract(data[first:first + CHUNK], np.conjugate(delta, out=delta), out=delta)
+                worst = np.maximum(worst, np.abs(delta, out=delta).real.max())  # NaN propagates
+            return float(worst)
+    delta = mat - mat.T.tocsr().conj()
     return 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
 
 

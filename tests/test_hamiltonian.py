@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,7 +30,7 @@ from clockring import (
 from clockring import hamiltonian
 from clockring.basis import config_from_labels, initial_config
 from clockring.hamiltonian import BuildError, LocalTerm, RingOperator, parse_triplets
-from clockring.spectral import path_laplacian
+from clockring.spectral import hermiticity_residual, path_laplacian
 
 
 def orbit_indices_fixed_bits(shape, bits, basis, head=0):
@@ -212,6 +214,20 @@ class TestAssembledPartsPSD:
             assert eigs.min() >= -1e-9, name
 
 
+def _csr_bytes(mat) -> int:
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+
+def _traced_peak(build):
+    """build()'s result and the peak of the memory it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAssembly:
     def test_zero_weights_give_zero_operator(self, desk_shape, desk_identity_schedule):
         term = build_h_comp_bond(desk_identity_schedule)
@@ -229,8 +245,6 @@ class TestAssembly:
         # 1,990,000 raw triples.  64 B each leaves room for a packed code,
         # its key and its gathered value, not for full rows, cols and values
         # with a sort permutation on top (about 104 B).
-        import tracemalloc
-
         from clockring import auto_constants
         from clockring.hamiltonian import total_parts
 
@@ -239,12 +253,7 @@ class TestAssembly:
         rest = SpinBasis(schedule.shape).config_dim // parts[0][0].dim
         raw = sum(term.matrix.nnz for term, _ in parts) * rest * schedule.shape.n_sites
         assert raw == 1_990_000
-        tracemalloc.start()
-        try:
-            assemble(parts, schedule.shape)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(lambda: assemble(parts, schedule.shape))
         assert peak < 64 * raw
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 1, 2), (3, 1, 3), (2, 2, 2), (3, 2, 1)])
@@ -255,19 +264,19 @@ class TestAssembly:
 
         schedule = random_schedule(ProblemShape(*shape), np.random.default_rng(sum(shape)))
         parts = total_parts(standard_parts(schedule), auto_constants(schedule))
-        reduce_packed, blocks = hamiltonian._reduce_packed, []
+        sum_sorted, blocks = hamiltonian._sum_sorted, []
 
-        def counted(codes, table, block_shape):
-            blocks.append(block_shape)
-            return reduce_packed(codes, table, block_shape)
+        def counted(keys, ranks, table, n_cols, counts):
+            blocks.append(counts.size)  # the block's rows
+            return sum_sorted(keys, ranks, table, n_cols, counts)
 
-        monkeypatch.setattr(hamiltonian, "_reduce_packed", counted)
+        monkeypatch.setattr(hamiltonian, "_sum_sorted", counted)
         results = {}
         for chunk in (2 ** 62, 2 ** 8):
             monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
             blocks.clear()
             results[chunk] = assemble(parts, schedule.shape).matrix
-            assert sum(rows for rows, _ in blocks) == results[chunk].shape[0]
+            assert sum(blocks) == results[chunk].shape[0]
             assert len(blocks) == (1 if chunk > 2 ** 8 else SpinBasis(schedule.shape).local_dim)
         whole, blocked = results.values()
         for name in ("indptr", "indices"):
@@ -277,23 +286,35 @@ class TestAssembly:
 
     def test_peak_memory_follows_the_output(self, monkeypatch):
         # With row blocks the sum never holds all contributions at once: the
-        # peak is the stacked blocks and the result, then the transposed copy
-        # of the Hermiticity check, each about one CSR; one pass over all
-        # codes peaks near 4.9 CSRs here.
-        import tracemalloc
-
+        # peak is the output grown in place plus one block, then the
+        # Hermiticity check's transposed positions; one pass over all codes
+        # peaks near 4.9 CSRs here.
         from clockring import auto_constants
 
         monkeypatch.setattr(hamiltonian, "CHUNK", 2 ** 16)
         schedule = random_schedule(ProblemShape(3, 1, 3), np.random.default_rng(0))
         constants = auto_constants(schedule)
-        tracemalloc.start()
-        try:
-            mat = assemble_total(schedule, constants).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes)
+        mat, peak = _traced_peak(lambda: assemble_total(schedule, constants).matrix)
+        assert peak < 2.5 * _csr_bytes(mat)
+
+    def test_hermiticity_check_holds_less_than_a_copy(self):
+        # The check transposes the positions (4 bytes an entry here), not
+        # the complex values; a transposed copy alone is about one CSR.
+        from clockring import auto_constants
+
+        schedule = random_schedule(ProblemShape(3, 1, 3), np.random.default_rng(0))
+        mat = assemble_total(schedule, auto_constants(schedule)).matrix
+        residual, peak = _traced_peak(lambda: hermiticity_residual(mat))
+        assert residual == 0.0
+        assert peak < 0.9 * _csr_bytes(mat)
+
+    def test_sparse_build_peak_follows_the_output(self):
+        # H_comp at (2,1,32), dim 2,352,637: the CSR is mostly its indptr, so
+        # per-row counts in any wider dtype than the index would show here.
+        shape = ProblemShape(2, 1, 32)
+        op, peak = _traced_peak(lambda: assemble_part(build_h_comp_bond(SweepSchedule(shape)), shape))
+        assert op.dim == 2_352_637
+        assert peak < 2.5 * _csr_bytes(op.matrix)
 
     def test_dimension_cap(self):
         # (2,1,64) has d^3 = 17,779,581 configurations, over DIM_CAP: refused
@@ -401,7 +422,12 @@ class TestTranslationInvariance:
         op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
         shift = build_shift_operator(desk_shape).matrix
         eye = sp.eye(shift.shape[0], format="csr", dtype=complex)
-        for bad in (2 * shift, shift + eye, sp.csr_matrix(shift.shape, dtype=complex)):
+        repeated, negative, past_the_end = shift.copy(), shift.copy(), shift.copy()
+        repeated.indices[1] = repeated.indices[0]  # one 1 per row, but a column twice
+        negative.indices[0] = -1
+        past_the_end.indices[0] = shift.shape[0]
+        for bad in (2 * shift, shift + eye, sp.csr_matrix(shift.shape, dtype=complex),
+                    repeated, negative, past_the_end):
             with pytest.raises(BuildError, match="unit permutation"):
                 check_translation_invariance(op, RingOperator(desk_shape, bad, "bad"))
 

@@ -332,22 +332,30 @@ def _hermiticity_cases():
     stored_zero.data[[0, 3]] = 0
     with_nan = hermitian.copy()
     with_nan.data[7] = np.nan
+    coo = hermitian.tocoo()
+    row, col = next((r, c) for r, c in zip(coo.row, coo.col) if r != c)
+    with_inf, inf_pair = hermitian.copy(), hermitian.copy()
+    with_inf[row, col] = np.inf  # its mirror is finite: the residual is inf
+    inf_pair[row, col] = inf_pair[col, row] = complex(np.inf, 1)  # inf - inf is NaN
     duplicates = sp.csr_matrix(  # (0, 1) holds 1 + 2 and (1, 0) holds 2 + 1: Hermitian
         (np.array([1, 2, 2, 1, 0.5]), np.array([1, 1, 0, 0, 1]), np.array([0, 2, 5])),
         shape=(2, 2),
     )
     return {
         "hermitian": hermitian, "perturbed": perturbed, "asymmetric": a, "stored-zero": stored_zero,
-        "nan": with_nan, "duplicates": duplicates, "real": hermitian.real.tocsr(),
+        "nan": with_nan, "inf": with_inf, "inf-pair": inf_pair, "duplicates": duplicates,
+        "real": hermitian.real.tocsr(),
     }
 
 
 @pytest.mark.parametrize("name", list(_hermiticity_cases()))
-def test_hermiticity_residual_matches_the_difference(name):
+def test_hermiticity_residual_matches_the_difference(name, monkeypatch):
     mat = _hermiticity_cases()[name]
     delta = mat - mat.conj().T
     want = 0.0 if delta.nnz == 0 else float(np.abs(delta.data).max())
-    np.testing.assert_equal(hermiticity_residual(mat), want)
+    for chunk in (3, 2 ** 18):  # stored entries per block: several blocks, or one
+        monkeypatch.setattr(spectral, "CHUNK", chunk)
+        np.testing.assert_equal(hermiticity_residual(mat), want)
 
 
 class TestGap:
