@@ -28,12 +28,14 @@ without the d^(N+1) space; off_sector_floor, a min-plus path bound on H off
 the form-valid set, makes a sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
-building any bond term).  It reduces the full-space sum per site-0 row
-block of about CHUNK contributions (_ring_sum) and grows the output's
-arrays in place, one block after another; the Hermiticity residual
-transposes the stored positions rather than the values, and the
-translation check runs one row block at a time.  So each stage holds the
-output plus one block, and peak memory follows the output.
+building any bond term).  It sorts the full-space sum per site-0 row block
+of about CHUNK contributions and sums each block in runs of at most CHUNK
+(_ring_sum), writing into output arrays sized once from a bound; the
+Hermiticity residual transposes byte labels of the stored positions rather
+than the values, the shift operator holds int8 ones built one CHUNK of rows
+at a time, and the translation check subtracts one row block at a time in
+place.  So each stage holds the output plus O(CHUNK) scratch, and peak
+memory follows the output.
 """
 
 from __future__ import annotations
@@ -91,41 +93,75 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
-def _sum_sorted(keys, ranks, table, n_cols: int, counts: np.ndarray):
-    """The per-key sums of table[ranks], in the given order, of one block of
-    rows; `keys`, row * n_cols + col with rows counted from the block's
-    first, sorted.  Returns the nonzero sums and their columns (in the dtype
-    of `counts`), and writes each row's entry count to counts[row]."""
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    summed = _finite(np.add.reduceat(table[ranks], starts), "a summed entry")
-    keep = summed != 0
-    rows, cols = np.divmod(keys[starts[keep]], n_cols)
-    if rows.size:  # the bounds of each row's run of entries
-        bounds = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1], [True])))
-        counts[rows[bounds[:-1]]] = bounds[1:] - bounds[:-1]
-    return summed[keep], cols.astype(counts.dtype)
+def _sum_runs(keys, ranks, table, n_cols: int, counts: np.ndarray, out, at: int, values=None) -> int:
+    """Reduce one block of rows: the per-key sums of table[ranks], in the
+    given order, with `keys`, row * n_cols + col with rows counted from the
+    block's first, sorted.  The nonzero sums and their columns are written
+    to out = (data, indices) from position `at`, each row's entry count to
+    counts[row], and the position after the last entry written is returned.
+
+    The block is summed in runs of at most CHUNK contributions, each cut
+    where a row begins; a row with more contributions than that makes a run
+    of its own.  So a run holds every contribution to its entries and rows,
+    and each sum and count is that of the whole block.  `values`, complex
+    scratch, receives a run's gathered values when given and long enough.
+    """
+    data, indices = out
+    start = 0
+    while start < keys.size:
+        stop = start + CHUNK
+        if stop < keys.size:  # back to where the row at `stop` begins, or on past the first row
+            cut = keys.searchsorted(keys[stop] - keys[stop] % n_cols)
+            stop = cut if cut > start else keys.searchsorted(keys[start] - keys[start] % n_cols + n_cols)
+        run = keys[start:stop]
+        # Every rank is in range; "clip" writes `out` directly, "raise" through a buffer.
+        room = values is not None and run.size <= values.size
+        gathered = np.take(table, ranks[start:start + run.size], mode="clip",
+                           out=values[:run.size] if room else None)
+        starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+        # Summed straight into the output: a run has no more entries than the
+        # bound leaves room for, and the zero sums are then squeezed out.
+        summed = _finite(np.add.reduceat(gathered, starts, out=data[at:at + starts.size]), "a summed entry")
+        keep = summed != 0
+        if not keep.all():
+            starts = starts[keep]
+            summed[:starts.size] = summed[keep]
+        rows, cols = np.divmod(run[starts], n_cols)
+        indices[at:at + starts.size] = cols
+        if starts.size:  # the bounds of each row's run of entries
+            bounds = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1], [True])))
+            counts[rows[bounds[:-1]]] = bounds[1:] - bounds[:-1]
+        at += starts.size
+        start += run.size
+    return at
 
 
-def _split_packed(codes, width: int):
-    """Sort codes packed as key * width + rank in place; the keys, and the
-    ranks, which are written over `codes`."""
+def _split_packed(codes, width: int, keys=None):
+    """Sort codes packed as key * width + rank in place; the keys, written to
+    `keys` when given, and the ranks, which are written over `codes`."""
     codes.sort()
-    keys = codes // width
+    keys = np.floor_divide(codes, width, out=keys)
     np.remainder(codes, width, out=codes)
     return keys, codes
 
 
-def _entry_counts(dim: int, bound: int) -> np.ndarray:
-    """Zeroed per-row entry counts, counts[1 + row], in scipy's index dtype
-    for `dim` rows and at most `bound` entries, so the CSR keeps the arrays."""
-    return np.zeros(dim + 1, dtype=sp.get_index_dtype(maxval=max(dim, bound)))
+def _output(dim: int, bound: int):
+    """Zeroed per-row entry counts, counts[1 + row], and uninitialized data
+    and indices for at most `bound` entries, in scipy's index dtype for `dim`
+    rows and `bound` entries, so the CSR keeps the arrays."""
+    counts = np.zeros(dim + 1, dtype=sp.get_index_dtype(maxval=max(dim, bound)))
+    return counts, (np.empty(bound, dtype=complex), np.empty(bound, dtype=counts.dtype))
 
 
-def _csr(values, cols, counts, n_cols: int) -> sp.csr_matrix:
-    """The CSR of rows whose entry counts are counts[1:], which one in-place
+def _csr(out, size: int, counts, n_cols: int) -> sp.csr_matrix:
+    """The CSR of the first `size` entries of out = (data, indices), trimmed
+    in place, in rows whose entry counts are counts[1:], which one in-place
     cumulative sum turns into its indptr."""
+    for array in out:  # no view of either array exists to be left dangling
+        if array.size != size:
+            array.resize(size, refcheck=False)
     np.cumsum(counts, dtype=counts.dtype, out=counts)
-    return sp.csr_matrix((values, cols, counts), shape=(counts.size - 1, n_cols))
+    return sp.csr_matrix((*out, counts), shape=(counts.size - 1, n_cols))
 
 
 def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
@@ -134,7 +170,7 @@ def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
     packed = _packs(dim, table.size)
     if keys.size == 0:
         return sp.csr_matrix((dim, dim), dtype=complex)
-    counts = _entry_counts(dim, keys.size)
+    counts, out = _output(dim, keys.size)
     if packed:
         keys *= table.size
         keys += ranks
@@ -142,7 +178,7 @@ def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
     else:
         order = np.lexsort((ranks, keys))
         keys, ranks = keys[order], ranks[order]
-    return _csr(*_sum_sorted(keys, ranks, table, dim, counts[1:]), counts, dim)
+    return _csr(out, _sum_runs(keys, ranks, table, dim, counts[1:], out, 0), counts, dim)
 
 
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
@@ -359,21 +395,27 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
     larger one raises BuildError.
 
     An entry's row fixes its site-0 digit: on the two bonds at site 0 it is
-    a digit of A, on every other bond a digit of o.  So the codes are made,
-    sorted and reduced one run of consecutive site-0 digits at a time, about
-    CHUNK codes a run.  A run's rows are a contiguous block that holds every
-    contribution to its entries, and the blocks are taken in order, so each
-    entry's sum is that of one sort over all codes.  The first block's
-    values and columns become the output's arrays, later blocks are appended
-    to them in place (ndarray.resize), and the blocks' per-row counts, kept
-    in the index dtype, become the indptr by one in-place cumulative sum; so
-    the sum holds the output and one block, never a second copy.
+    a digit of A, on every other bond a digit of o.  So the codes are made
+    and sorted one block of consecutive site-0 digits at a time, about
+    CHUNK codes a block or one digit's, and each sorted block is summed in
+    runs of at most CHUNK codes (_sum_runs).  A block's rows are contiguous
+    and it holds every contribution to its entries, and the blocks are
+    taken in order, so each entry's sum is that of one sort over all codes.
+    The output's values and columns are written in place into arrays sized
+    once from a bound, `dim` diagonal entries plus one per off-diagonal
+    contribution (a contribution is off-diagonal when its term entry is),
+    and trimmed at the end; the per-row counts, kept in the index dtype,
+    become the indptr by one in-place cumulative sum.  One scratch array
+    holds the largest block's codes and keys and a run's gathered values,
+    so the sum holds the output and one block, never a second copy.
     """
     dim, d, n_sites = basis.config_dim, basis.local_dim, basis.shape.n_sites
     rest, top = dim // d ** 2, dim // d  # top: the rows of one site-0 digit
     table, ranks = _value_table(vals)
     if not _packs(dim, table.size):
         raise BuildError(f"{table.size} distinct values overflow the int64 codes at dim {dim}")
+    off = int(np.count_nonzero(rows != cols))  # term entries; each gives rest * n_sites contributions
+    bound = min(dim, (rows.size - off) * rest * n_sites) + off * rest * n_sites
     rows, cols = rows * rest, cols * rest
     # Per bond: the codes that carry the site-0 digit, sorted by it, the
     # bounds of each digit among them, and the codes each one is added to.
@@ -388,37 +430,29 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
         order = np.argsort(digit, kind="stable")
         spreads.append((carry[order], np.searchsorted(digit[order], np.arange(d + 1)), spread))
 
-    ends, held = [], 0  # runs of site-0 digits of about CHUNK codes
-    counts_by_digit = sum(np.diff(b) * spread.size for _, b, spread in spreads).tolist()
-    for digit, count in enumerate(counts_by_digit):
-        if held and held + count > CHUNK:
+    ends, sizes = [], [0]  # blocks of site-0 digits of about CHUNK codes
+    for digit, count in enumerate(sum(np.diff(b) * spread.size for _, b, spread in spreads).tolist()):
+        if sizes[-1] and sizes[-1] + count > CHUNK:
             ends.append(digit)
-            held = 0
-        held += count
-    counts = _entry_counts(dim, sum(counts_by_digit))
-    data = indices = None
-    for start, stop in zip([0] + ends, ends + [d]):
-        parts = [(carry[bounds[start]:bounds[stop]], spread) for carry, bounds, spread in spreads]
-        codes = np.empty(sum(part.size * spread.size for part, spread in parts), dtype=np.int64)
-        at = 0
-        for part, spread in parts:
-            size = part.size * spread.size
-            np.add(part[:, None], spread, out=codes[at:at + size].reshape(-1, spread.size))
-            at += size
+            sizes.append(0)
+        sizes[-1] += count
+    largest = max(sizes)  # scratch: a block's codes, its keys, a run's values (two int64 each)
+    scratch = np.empty(2 * largest + 2 * min(largest, CHUNK), dtype=np.int64)
+    values = scratch[2 * largest:].view(complex)
+    counts, out = _output(dim, bound)
+    at = 0
+    for start, stop, size in zip([0] + ends, ends + [d], sizes):
+        codes, filled = scratch[:size], 0
+        for carry, bounds, spread in spreads:
+            part = carry[bounds[start]:bounds[stop]]
+            fill = codes[filled:filled + part.size * spread.size]
+            np.add(part[:, None], spread, out=fill.reshape(-1, spread.size))
+            filled += fill.size
         if start:  # keys from the block's first row
             codes -= start * top * dim * table.size
-        keys, ranks = _split_packed(codes, table.size)
-        block = _sum_sorted(keys, ranks, table, dim, counts[1 + start * top:1 + stop * top])
-        if data is None:  # the first block's arrays become the output's
-            data, indices = block
-            continue
-        # Grown in place, as realloc remaps a large buffer; no view of either
-        # array exists to be left dangling, so references are not checked.
-        at = data.size
-        data.resize(at + block[0].size, refcheck=False)
-        indices.resize(at + block[1].size, refcheck=False)
-        data[at:], indices[at:] = block
-    return _csr(data, indices, counts, dim)
+        keys, ranks = _split_packed(codes, table.size, scratch[largest:largest + size])
+        at = _sum_runs(keys, ranks, table, dim, counts[1 + start * top:1 + stop * top], out, at, values)
+    return _csr(out, at, counts, dim)
 
 
 def assemble(
@@ -629,13 +663,17 @@ def assemble_total(schedule: SweepSchedule, constants: CouplingConstants) -> Rin
 def build_shift_operator(shape: ProblemShape) -> RingOperator:
     """Cyclic shift S: the content of site i moves to site i + 1 (mod N+1).
 
-    Row i holds its one 1 in the column S moves to i, written straight into
-    CSR arrays."""
+    Row i holds its one 1, an int8, in the column S moves to i; the columns
+    are written straight into the CSR index array one CHUNK of rows at a
+    time, so the build holds 9 bytes per configuration with int32 indices."""
     basis = SpinBasis(shape)
     dim = basis.config_dim
     index = sp.get_index_dtype(maxval=dim)
-    cols = basis.translate(np.arange(dim, dtype=np.int64), -1).astype(index)
-    mat = sp.csr_matrix((np.ones(dim, dtype=complex), cols, np.arange(dim + 1, dtype=index)), shape=(dim, dim))
+    cols = np.empty(dim, dtype=index)
+    for first in range(0, dim, CHUNK):
+        last = min(first + CHUNK, dim)
+        cols[first:last] = basis.translate(np.arange(first, last, dtype=np.int64), -1)
+    mat = sp.csr_matrix((np.ones(dim, dtype=np.int8), cols, np.arange(dim + 1, dtype=index)), shape=(dim, dim))
     return RingOperator(shape, mat, "shift")
 
 
@@ -647,8 +685,11 @@ def check_translation_invariance(op: RingOperator, shift: RingOperator) -> float
     BuildError).  S H - H S = (S H S^T - H) S has the entries of the
     permuted copy's difference H[p][:, p] - H, which needs no products.  It
     is taken one block of rows, about CHUNK stored entries, at a time: rows
-    p of H with their columns mapped through the inverse of p, subtracted
-    by scipy as for the whole matrix.
+    p of H with their columns mapped through the inverse of p.  When H has
+    no duplicate or unsorted entries and the permuted block's pattern is
+    the stored block's, as for every invariant H, its values are
+    subtracted in place; otherwise scipy subtracts the stored block, a view
+    of H's arrays, as for the whole matrix.
     """
     mat, shift_mat = op.matrix.tocsr(), shift.matrix.tocsr()
     if mat.shape != shift_mat.shape:
@@ -659,19 +700,29 @@ def check_translation_invariance(op: RingOperator, shift: RingOperator) -> float
             or p.min(initial=0) < 0 or p.max(initial=-1) >= dim):
         raise BuildError("shift is not a unit permutation")
     inverse = np.full(dim, -1, dtype=p.dtype)
-    inverse[p] = np.arange(dim, dtype=p.dtype)
+    for first in range(0, dim, CHUNK):
+        inverse[p[first:first + CHUNK]] = np.arange(first, min(first + CHUNK, dim), dtype=p.dtype)
     if np.any(inverse < 0):  # dim columns in range: a repeated one leaves another out
         raise BuildError("shift is not a unit permutation")
+    canonical = mat.has_canonical_format
     edges = np.linspace(0, dim, -(-mat.nnz // CHUNK) + 1, dtype=np.int64)
     worst = [0.0]
     for first, last in zip(edges, edges[1:]):
         moved = mat[p[first:last]]
-        block = sp.csr_matrix((moved.data, inverse[moved.indices], moved.indptr), shape=moved.shape)
+        columns = np.take(inverse, moved.indices, mode="clip")  # all in range; faster than inverse[...]
+        block = sp.csr_matrix((moved.data, columns, moved.indptr), shape=moved.shape)
         # Sorted rows keep scipy's subtraction off its path with dim-sized
         # scratch per call; with no duplicates the sort reorders no sum.
-        if mat.has_canonical_format:
+        if canonical:
             block.sort_indices()
-        worst.append(np.abs((block - mat[first:last]).data).max(initial=0.0))
+        low, high = mat.indptr[first], mat.indptr[last]
+        rows, cols, vals = mat.indptr[first:last + 1] - low, mat.indices[low:high], mat.data[low:high]
+        if canonical and np.array_equal(block.indptr, rows) and np.array_equal(block.indices, cols):
+            delta = np.subtract(block.data, vals, out=block.data)
+        else:
+            delta = (block - sp.csr_matrix((vals, cols, rows), shape=block.shape)).data
+        worst.append(np.abs(delta, out=delta).real.max(initial=0.0))
+        del moved, columns, block, delta  # before the next block is cut
     return float(np.max(worst))
 
 

@@ -32,9 +32,11 @@ CLUSTER_RTOL = 1e-7  # eigenvalues within CLUSTER_RTOL * max(1, ||H||) share a c
 GAP_K_CAP = 64
 DENSE_THRESHOLD = 4096  # largest component block diagonalized densely
 LANCZOS_SEED = 7
-# Elements one array pass holds, here and in hamiltonian: ring-sum codes,
-# floor path steps, and the stored entries of one Hermiticity or
-# translation check block (about 25 MiB of scratch per translation block).
+# Elements one array pass holds, here and in hamiltonian: the codes of one
+# ring-sum run (and of a block of site-0 digits, unless one digit holds
+# more), floor path steps, the rows of one shift-operator pass, and the
+# stored entries of one Hermiticity or translation check block (about
+# 7 MiB of scratch per translation block).
 CHUNK = 2 ** 18
 
 
@@ -71,23 +73,43 @@ class SpectralReport:
 def hermiticity_residual(mat) -> float:
     """Largest entry of |M - M^H|; exactly 0 for a Hermitian sparse matrix.
 
-    When M is CSR with no duplicate or unsorted entries, the positions of
-    its stored entries are transposed instead of its values: one integer
-    transpose of the pattern, holding the positions 0..nnz-1, gives, when
-    its pattern is M's, the position of each stored entry's mirror.  The
+    When M is CSR with no duplicate or unsorted entries, labels of its
+    stored positions are transposed instead of its values: one integer
+    transpose of the pattern, holding the labels, gives, when its pattern
+    is M's, the label of each stored entry's mirror.  Up to 2^16 entries the
+    labels are the positions, in the smallest unsigned type.  Above that,
+    when no row holds more than 256 entries, they are the positions modulo
+    2^8, one byte each: the mirror of entry k lies in row j = indices[k],
+    whose positions differ by less than 256, so it is s + ((label - s) mod
+    256) with s = indptr[j]; longer rows keep the positions.  The
     differences a[k] - conj(a[mirror[k]]) are then taken about CHUNK stored
-    entries at a time, so the check holds an index array, not a complex
-    copy of M.  Any other M is subtracted from its conjugate transpose."""
+    entries at a time, so the check holds a byte or index array, not a
+    complex copy of M.  Any other M is subtracted from its conjugate
+    transpose."""
     if mat.format == "csr" and mat.has_canonical_format:
-        # The positions in M's pattern, read as the CSC of M^T, turned to CSR.
-        flipped = sp.csc_matrix((np.arange(mat.nnz, dtype=mat.indptr.dtype), mat.indices, mat.indptr),
-                                shape=mat.shape[::-1]).tocsr()
-        if np.array_equal(flipped.indptr, mat.indptr) and np.array_equal(flipped.indices, mat.indices):
-            mirror, data = flipped.data, mat.data
-            del flipped  # only the mirror positions are read from here on
+        indptr, indices = mat.indptr, mat.indices
+        exact = np.min_scalar_type(max(mat.nnz - 1, 0))  # the positions themselves
+        wraps = exact.itemsize > 2 and all(np.diff(indptr[first:first + CHUNK + 1]).max(initial=0) <= 256
+                                           for first in range(0, mat.shape[0], CHUNK))
+        # The labels in M's pattern, read as the CSC of M^T, turned to CSR;
+        # wrapping labels are uint8, which np.arange wraps at 256.
+        labels = np.arange(mat.nnz, dtype=np.uint8 if wraps else exact)
+        flipped = sp.csc_matrix((labels, indices, indptr), shape=mat.shape[::-1]).tocsr()
+        del labels
+        if np.array_equal(flipped.indptr, indptr) and np.array_equal(flipped.indices, indices):
+            labels, data = flipped.data, mat.data
+            del flipped  # only the mirror labels are read from here on
             worst = 0.0
             for first in range(0, data.size, CHUNK):
-                delta = data[mirror[first:first + CHUNK]]  # a copy: the mirrors' values
+                mirror = labels[first:first + CHUNK]
+                if wraps:  # from the byte label back to the position
+                    row_start = np.take(indptr, indices[first:first + CHUNK], mode="clip")
+                    mirror = np.subtract(mirror, row_start)
+                    mirror &= 255
+                    mirror += row_start
+                # A copy: the mirrors' values (take is faster than fancy
+                # indexing with int32 positions; every position is in range).
+                delta = np.take(data, mirror, mode="clip")
                 np.subtract(data[first:first + CHUNK], np.conjugate(delta, out=delta), out=delta)
                 worst = np.maximum(worst, np.abs(delta, out=delta).real.max())  # NaN propagates
             return float(worst)

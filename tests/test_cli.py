@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +407,17 @@ def test_pinned_report_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == PINNED_REPORTS[argv]
+
+
+def test_module_entry_point_prints_the_pinned_report():
+    # `python -m clockring` runs the same CLI without an install.
+    argv = ("compile", "--n", "2")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-m", "clockring", *argv], capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode() == PINNED_REPORTS[argv]
 
 
 class TestDeterminism:

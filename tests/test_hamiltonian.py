@@ -27,7 +27,7 @@ from clockring import (
     random_schedule,
     standard_parts,
 )
-from clockring import hamiltonian
+from clockring import hamiltonian, spectral
 from clockring.basis import config_from_labels, initial_config
 from clockring.hamiltonian import BuildError, LocalTerm, RingOperator, parse_triplets
 from clockring.spectral import hermiticity_residual, path_laplacian
@@ -228,6 +228,21 @@ def _traced_peak(build):
         tracemalloc.stop()
 
 
+def _assert_same_csr(got, want):
+    """Equal index dtypes and values, and values equal bit for bit."""
+    for name in ("indptr", "indices"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+def _seeded_total(shape):
+    from clockring import auto_constants
+
+    schedule = random_schedule(ProblemShape(*shape), np.random.default_rng(0))
+    return assemble_total(schedule, auto_constants(schedule))
+
+
 class TestAssembly:
     def test_zero_weights_give_zero_operator(self, desk_shape, desk_identity_schedule):
         term = build_h_comp_bond(desk_identity_schedule)
@@ -264,13 +279,13 @@ class TestAssembly:
 
         schedule = random_schedule(ProblemShape(*shape), np.random.default_rng(sum(shape)))
         parts = total_parts(standard_parts(schedule), auto_constants(schedule))
-        sum_sorted, blocks = hamiltonian._sum_sorted, []
+        sum_runs, blocks = hamiltonian._sum_runs, []
 
-        def counted(keys, ranks, table, n_cols, counts):
+        def counted(keys, ranks, table, n_cols, counts, *rest):
             blocks.append(counts.size)  # the block's rows
-            return sum_sorted(keys, ranks, table, n_cols, counts)
+            return sum_runs(keys, ranks, table, n_cols, counts, *rest)
 
-        monkeypatch.setattr(hamiltonian, "_sum_sorted", counted)
+        monkeypatch.setattr(hamiltonian, "_sum_runs", counted)
         results = {}
         for chunk in (2 ** 62, 2 ** 8):
             monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
@@ -284,10 +299,61 @@ class TestAssembly:
             assert np.array_equal(getattr(blocked, name), getattr(whole, name))
         assert np.array_equal(blocked.data.view(np.int64), whole.data.view(np.int64))
 
+    def test_runs_split_inside_one_digit(self, monkeypatch):
+        # Below one site-0 digit's codes, each digit's sorted block is summed
+        # in several runs, each cut where a row begins.
+        from clockring import auto_constants
+        from clockring.hamiltonian import total_parts
+
+        schedule = random_schedule(ProblemShape(3, 1, 2), np.random.default_rng(6))
+        parts = total_parts(standard_parts(schedule), auto_constants(schedule))
+        finite, runs = hamiltonian._finite, []
+
+        def counted(vals, what):
+            if what == "a summed entry":  # once a run, on the run's entries
+                runs.append(vals.size)
+            return finite(vals, what)
+
+        monkeypatch.setattr(hamiltonian, "_finite", counted)
+        results = {}
+        for chunk in (2 ** 62, 97):
+            monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
+            runs.clear()
+            results[chunk] = assemble(parts, schedule.shape).matrix
+        assert len(runs) > 10 * SpinBasis(schedule.shape).local_dim
+        assert max(runs) <= 97
+        _assert_same_csr(results[97], results[2 ** 62])
+
+    def test_entries_with_more_contributions_than_a_run(self, monkeypatch):
+        # At (2,1,1) a diagonal entry collects contributions from several
+        # terms on every bond; with CHUNK = 4 such an entry's run grows to
+        # the end of its row.  The V0 sector and bond terms reduce the same way.
+        from clockring import auto_constants
+        from clockring.hamiltonian import assemble_orbit, total_parts
+
+        schedule = random_schedule(ProblemShape(2, 1, 1), np.random.default_rng(7))
+        parts = total_parts(standard_parts(schedule), auto_constants(schedule))
+        sum_runs, most = hamiltonian._sum_runs, []
+
+        def counted(keys, *rest):
+            most.append(np.unique(keys, return_counts=True)[1].max(initial=0))
+            return sum_runs(keys, *rest)
+
+        monkeypatch.setattr(hamiltonian, "_sum_runs", counted)
+        results = {}
+        for chunk in (2 ** 62, 4):
+            monkeypatch.setattr(hamiltonian, "CHUNK", chunk)
+            most.clear()
+            results[chunk] = (assemble(parts, schedule.shape).matrix, assemble_orbit(parts, schedule.shape),
+                              build_h_comp_bond(schedule).matrix)
+            assert max(most) > 4
+        for got, want in zip(results[4], results[2 ** 62]):
+            _assert_same_csr(got, want)
+
     def test_peak_memory_follows_the_output(self, monkeypatch):
         # With row blocks the sum never holds all contributions at once: the
-        # peak is the output grown in place plus one block, then the
-        # Hermiticity check's transposed positions; one pass over all codes
+        # peak is the output, sized once, plus one block, then the
+        # Hermiticity check's transposed labels; one pass over all codes
         # peaks near 4.9 CSRs here.
         from clockring import auto_constants
 
@@ -298,7 +364,7 @@ class TestAssembly:
         assert peak < 2.5 * _csr_bytes(mat)
 
     def test_hermiticity_check_holds_less_than_a_copy(self):
-        # The check transposes the positions (4 bytes an entry here), not
+        # The check transposes position labels (a byte an entry here), not
         # the complex values; a transposed copy alone is about one CSR.
         from clockring import auto_constants
 
@@ -307,6 +373,32 @@ class TestAssembly:
         residual, peak = _traced_peak(lambda: hermiticity_residual(mat))
         assert residual == 0.0
         assert peak < 0.9 * _csr_bytes(mat)
+
+    def test_hermiticity_labels_are_bytes(self, monkeypatch):
+        # No row of the (3,1,3) total holds more than 256 entries, so the
+        # transposed labels take a byte an entry; int32 positions took 0.63x.
+        mat = _seeded_total((3, 1, 3)).matrix
+        monkeypatch.setattr(spectral, "CHUNK", 2 ** 14)
+        residual, peak = _traced_peak(lambda: hermiticity_residual(mat))
+        assert residual == 0.0
+        assert peak < 0.5 * _csr_bytes(mat)
+
+    def test_translation_check_holds_less_than_the_output(self):
+        # Blocks whose pattern matches are subtracted in place, and the
+        # stored block is read, not copied; copies of both took 1.19x.
+        op = _seeded_total((3, 1, 3))
+        shift = build_shift_operator(op.shape)
+        residual, peak = _traced_peak(lambda: check_translation_invariance(op, shift))
+        assert residual == 0.0
+        assert peak < 0.9 * _csr_bytes(op.matrix)
+
+    def test_shift_build_bytes_per_configuration(self, monkeypatch):
+        # int8 ones, int32 columns and indptr: 9 bytes; complex ones and
+        # whole-space int64 temporaries took 32.
+        shape = ProblemShape(3, 1, 3)
+        monkeypatch.setattr(hamiltonian, "CHUNK", 2 ** 12)
+        shift, peak = _traced_peak(lambda: build_shift_operator(shape))
+        assert peak < 12 * shift.dim
 
     def test_sparse_build_peak_follows_the_output(self):
         # H_comp at (2,1,32), dim 2,352,637: the CSR is mostly its indptr, so
@@ -380,7 +472,7 @@ class TestShift:
         basis = SpinBasis(shape)
         dim = basis.config_dim
         src = np.arange(dim, dtype=np.int64)
-        want = sp.csr_matrix((np.ones(dim), (basis.translate(src, 1), src)), shape=(dim, dim), dtype=complex)
+        want = sp.csr_matrix((np.ones(dim), (basis.translate(src, 1), src)), shape=(dim, dim), dtype=np.int8)
         got = build_shift_operator(shape).matrix
         for name in ("data", "indices", "indptr"):
             assert getattr(got, name).dtype == getattr(want, name).dtype

@@ -341,10 +341,29 @@ def _hermiticity_cases():
         (np.array([1, 2, 2, 1, 0.5]), np.array([1, 1, 0, 0, 1]), np.array([0, 2, 5])),
         shape=(2, 2),
     )
+    # 256 < nnz <= 2^16: uint16 labels, the positions themselves.
+    b = sp.random(300, 300, density=0.04, random_state=5, dtype=complex).tocsr()
+    medium = (b + b.conj().T).tocsr()
+    medium_perturbed = medium.copy()
+    medium_perturbed.data[-3] += 1e-3
+    # More than 2^16 entries in rows of at most 256: byte labels that wrap.
+    n = 22_000
+    off = np.arange(1, n) + 0.5j
+    banded = sp.diags([off.conj(), np.arange(n, dtype=complex), off], [-1, 0, 1], format="csr")
+    banded_perturbed = banded.copy()
+    banded_perturbed.data[-5] += 2e-3j
+    # Row and column 0 hold every column: positions, not byte labels.
+    spokes = np.arange(2, n)
+    rows, cols = np.r_[0 * spokes, spokes], np.r_[spokes, 0 * spokes]
+    arrowhead = (banded + sp.csr_matrix((np.r_[spokes + 1j, spokes - 1j], (rows, cols)), shape=(n, n))).tocsr()
+    arrow_perturbed = arrowhead.copy()
+    arrow_perturbed.data[7] += 3e-3
     return {
         "hermitian": hermitian, "perturbed": perturbed, "asymmetric": a, "stored-zero": stored_zero,
         "nan": with_nan, "inf": with_inf, "inf-pair": inf_pair, "duplicates": duplicates,
-        "real": hermitian.real.tocsr(),
+        "real": hermitian.real.tocsr(), "medium": medium, "medium-perturbed": medium_perturbed,
+        "banded": banded, "banded-perturbed": banded_perturbed,
+        "arrowhead": arrowhead, "arrowhead-perturbed": arrow_perturbed,
     }
 
 
