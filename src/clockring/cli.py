@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .basis import frozen_patterns
 from .circuit import (
     ProblemShape,
@@ -44,7 +42,7 @@ from .promise import (
     separation_experiment,
     verify_lemma_numeric,
 )
-from .spectral import SpectralError, low_spectrum
+from .spectral import SpectralError, gap, low_spectrum
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -130,7 +128,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gapscan(args) -> int:
-    """Sweep over step counts with the two-qubit ring in orbit-restricted mode."""
+    """Sweep over step counts with the two-qubit identity ring: the gap of
+    its H_comp orbit block (spectral.gap), 2^N copies of the path Laplacian
+    on T+1 states, and that gap times (T+1)^2.  Each copy holds one zero
+    mode, so a ground cluster of any other size (an excited level within the
+    cluster tolerance) is a SpectralError, not a misread gap."""
     try:
         values = [int(v) for v in args.tplus.split(",")]
     except ValueError:
@@ -143,12 +145,12 @@ def cmd_gapscan(args) -> int:
     for t_plus_1 in values:
         total = t_plus_1 - 1
         shape = ProblemShape(2, 1, total)
-        schedule = SweepSchedule(shape)
-        block = assemble_orbit([(build_h_comp_bond(schedule), 1.0)], shape)
-        levels = np.linalg.eigvalsh(block.toarray())
-        distinct = levels[levels > levels[0] + 1e-10]
-        gap_val = float(distinct[0] - levels[0])
-        print(f"{total} {_fmt(gap_val)} {_fmt(gap_val * t_plus_1 ** 2)}")
+        report = gap(assemble_orbit([(build_h_comp_bond(SweepSchedule(shape)), 1.0)], shape))
+        copies = 2 ** shape.n_qubits
+        if report.ground_degeneracy != copies:
+            raise SpectralError(f"T = {total}: ground cluster of {report.ground_degeneracy} "
+                                f"levels, expected {copies}; the gap is within the cluster tolerance")
+        print(f"{total} {_fmt(report.gap)} {_fmt(report.gap * t_plus_1 ** 2)}")
     return 0
 
 

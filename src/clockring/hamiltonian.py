@@ -253,15 +253,18 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     return term.validate(max_norm=10 * shape.total_steps)
 
 
+def _left_projector(levels, basis: SpinBasis, provenance: str) -> LocalTerm:
+    """Projector onto the given left-site levels, any right-site level."""
+    d = basis.local_dim
+    rows = (np.asarray(levels, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
+    return _term_from_triples(rows, rows, np.ones(rows.size), basis, provenance).validate()
+
+
 def build_h_input_bond(shape: ProblemShape) -> LocalTerm:
     """Ancilla penalty: project bit 1 at cycle 0 on positions M+1..N."""
     basis = SpinBasis(shape)
-    d = basis.local_dim
-    rows = []
-    for z in range(shape.input_len + 1, shape.n_qubits + 1):
-        lvl = basis.encode(Data(1, 0, z))
-        rows.extend(lvl * d + k for k in range(d))
-    return _term_from_triples(rows, rows, np.ones(len(rows)), basis, "h_input").validate()
+    ancillas = [basis.encode(Data(1, 0, z)) for z in range(shape.input_len + 1, shape.n_qubits + 1)]
+    return _left_projector(ancillas, basis, "h_input")
 
 
 def build_h_form_bond(shape: ProblemShape) -> LocalTerm:
@@ -275,49 +278,27 @@ def build_h_form_bond(shape: ProblemShape) -> LocalTerm:
     spin after position N is always penalized.  The only configurations at
     the -1 floor are single-head rings whose positions read 1..N clockwise
     from the head.
+
+    The three rules are summed as integers in one table over (left, right)
+    level pairs, the table form_minimum_off_sector reads back, and its
+    nonzero pairs are the diagonal entries.
     """
     basis = SpinBasis(shape)
-    d = basis.local_dim
-    n_q, r = shape.n_qubits, shape.n_cycles
-    rows, vals = [], []
-
     head = basis.encode(HEAD)
-    for k in range(d):
-        rows.append(head * d + k)
-        vals.append(-1.0)
-
-    data_levels = {
-        z: [basis.encode(Data(x, y, z)) for x in (0, 1) for y in range(r + 1)]
-        for z in range(1, n_q + 1)
-    }
-    last = set(data_levels[n_q])
-    first = set(data_levels[1])
-    for lvl in range(d):
-        if lvl not in last:  # head preceded by anything but position N
-            rows.append(lvl * d + head)
-            vals.append(2.0)
-        if lvl not in first:  # head followed by anything but position 1
-            rows.append(head * d + lvl)
-            vals.append(2.0)
-
-    for z_left in range(1, n_q + 1):
-        for z_right in range(1, n_q + 1):
-            if z_right == z_left + 1:
-                continue
-            for left in data_levels[z_left]:
-                for right in data_levels[z_right]:
-                    rows.append(left * d + right)
-                    vals.append(1.0)
-    return _term_from_triples(rows, rows, vals, basis, "h_form").validate()
+    position = np.array([0 if state is HEAD else state.position for state in basis.states()])
+    data = position > 0
+    table = (data[:, None] & data & (position != position[:, None] + 1)).astype(np.int8)
+    table[head] -= 1  # the reward
+    table[position != shape.n_qubits, head] += 2  # head not preceded by position N
+    table[head, position != 1] += 2  # head not followed by position 1
+    rows = np.flatnonzero(table)
+    return _term_from_triples(rows, rows, table.flat[rows].astype(float), basis, "h_form").validate()
 
 
 def build_h_output_bond(shape: ProblemShape) -> LocalTerm:
     """Reject penalty: project bit 1 at cycle R, position 1."""
     basis = SpinBasis(shape)
-    d = basis.local_dim
-    lvl = basis.encode(Data(1, shape.n_cycles, 1))
-    rows = [lvl * d + k for k in range(d)]
-    return _term_from_triples(rows, rows, np.ones(d), basis, "h_output").validate()
+    return _left_projector([basis.encode(Data(1, shape.n_cycles, 1))], basis, "h_output")
 
 
 @dataclass(frozen=True)
@@ -478,8 +459,9 @@ def assemble_sector(
 
     `configs` holds distinct V0 keys (SpinBasis.sector_keys); row and column
     i of the block belong to configs[i].  On every ring bond, each
-    configuration's two digits select a bond-term row, and its entries give
-    the target configurations, keyed in V0 without any d^(N+1) index.  A
+    configuration's two digits select a bond-term row, looked up in the
+    sorted term rows, and its entries give the target configurations, keyed
+    in V0 without any d^(N+1) index or d^2-entry row table.  A
     target outside `configs` raises BuildError, so a returned block is an
     invariant block of the full-space sum.  The row table's values are
     ranked once, and the weighted contributions and their rank-ordered
@@ -507,7 +489,7 @@ def assemble_sector(
     by_row = np.argsort(term_rows, kind="stable")
     table_cols = term_cols[by_row]
     values, table_ranks = _value_table(term_vals[by_row])
-    indptr = np.searchsorted(term_rows[by_row], np.arange(d * d + 1))
+    sorted_rows = term_rows[by_row]
 
     # Site s holds level lowest[s] + digit, digit < width[s], weighing place[s]
     # in the key: the head (level 0) on site 0, Data(bit, cycle, z) on site z.
@@ -522,8 +504,9 @@ def assemble_sector(
     right = (left + 1) % (n + 1)
     source = np.repeat(np.arange(size), n + 1)
     row = levels[source, left] * d + levels[source, right]
-    count = indptr[row + 1] - indptr[row]
-    entry = np.arange(count.sum()) + np.repeat(indptr[row] - np.cumsum(count) + count, count)
+    begin = np.searchsorted(sorted_rows, row)  # the run of term entries in each row
+    count = np.searchsorted(sorted_rows, row, side="right") - begin
+    entry = np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count, count)
     pair = np.repeat(np.arange(row.size), count)
     owner, left, right = source[pair], left[pair], right[pair]
     new_left, new_right = np.divmod(table_cols[entry], d)

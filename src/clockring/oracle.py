@@ -67,15 +67,7 @@ class HistoryState:
     def n_steps(self) -> int:
         return len(self.clock_walk) - 1
 
-    def snapshot_vectors(self, basis: SpinBasis | None = None) -> list[np.ndarray]:
-        """One full-space vector per step, each scattered from its amplitudes."""
-        basis = basis or SpinBasis(self.shape)
-        vectors = np.zeros((self.n_steps + 1, basis.config_dim), dtype=complex)
-        indices = basis.orbit_indices(self.head_site, self.clock_walk)
-        np.put_along_axis(vectors, indices, np.asarray(self.amplitudes), axis=1)
-        return list(vectors)
-
-    def history_vector(self, basis: SpinBasis | None = None) -> np.ndarray:
+    def history_vector(self) -> np.ndarray:
         """Uniform superposition (1/sqrt(T+1)) sum_t |snapshot_t> in the
         full configuration space.
 
@@ -83,7 +75,7 @@ class HistoryState:
         indices are distinct (disjoint supports) and every amplitude vector
         has unit norm; anything else raises OracleError.
         """
-        basis = basis or SpinBasis(self.shape)
+        basis = SpinBasis(self.shape)
         indices = basis.orbit_indices(self.head_site, self.clock_walk)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if np.unique(indices).size != indices.size:

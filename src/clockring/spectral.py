@@ -4,12 +4,14 @@ An operator is split into the connected components of its off-diagonal
 pattern; each component spans an invariant block, solved on its own:
 densely up to DENSE_THRESHOLD states (equal-size blocks share one stacked
 LAPACK call), by restarted Lanczos above it (scipy's ARPACK from a
-LANCZOS_SEED start vector, so runs are deterministic).  Ground energies,
-gaps and the off-sector floor of ``hamiltonian`` all come from
-``low_spectrum``.  Also: the hermiticity residual, subspace restriction,
-the orbit and frozen configuration indices of the walk and the frozen
-patterns of ``basis``, and the uniform/engineered hopping chains used as
-exact references.
+LANCZOS_SEED start vector, so runs are deterministic).  Ground energies
+(``ground_energy``), gaps (``gap``, which ``gapscan`` prints for the orbit
+block) and the off-sector floor of ``hamiltonian`` all come from
+``low_spectrum``; only the separation's small orbit-block ground level and
+the projection-lemma checks of ``promise`` call LAPACK directly.  Also: the
+hermiticity residual, subspace restriction, the orbit and frozen
+configuration indices of the walk and the frozen patterns of ``basis``, and
+the uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
@@ -327,17 +329,16 @@ def restrict(operator, basis_spec) -> np.ndarray:
     return (sub + sub.conj().T) / 2
 
 
-def orbit_block_indices(shape: ProblemShape, head_site: int = 0, basis: SpinBasis | None = None):
+def orbit_block_indices(shape: ProblemShape, head_site: int = 0):
     """Configuration indices of the legal-orbit block: every clock pattern
     of the walk crossed with every qubit bit pattern, pattern-major."""
-    basis = basis or SpinBasis(shape)
-    return basis.orbit_indices(head_site, orbit_label_walk(shape)).ravel()
+    return SpinBasis(shape).orbit_indices(head_site, orbit_label_walk(shape)).ravel()
 
 
-def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -> np.ndarray:
+def frozen_config_indices(shape: ProblemShape) -> np.ndarray:
     """Sorted full-space indices of the frozen configurations (see
     frozen_patterns) at every head site."""
-    basis = basis or SpinBasis(shape)
+    basis = SpinBasis(shape)
     frozen = frozen_patterns(shape)
     return np.sort(np.concatenate(
         [basis.orbit_indices(head, frozen) for head in range(shape.n_sites)], axis=None
@@ -347,13 +348,13 @@ def frozen_config_indices(shape: ProblemShape, basis: SpinBasis | None = None) -
 def detect_frozen(shape: ProblemShape) -> list[tuple]:
     """Frozen configurations (see frozen_config_indices), in index order."""
     basis = SpinBasis(shape)
-    return [basis.config_at(int(i)) for i in frozen_config_indices(shape, basis)]
+    return [basis.config_at(int(i)) for i in frozen_config_indices(shape)]
 
 
-def frozen_excluded_submatrix(operator, shape: ProblemShape, basis: SpinBasis | None = None):
+def frozen_excluded_submatrix(operator, shape: ProblemShape):
     """Full-space operator restricted to the complement of the frozen
     configurations (see exclude_frozen)."""
-    return exclude_frozen(operator, frozen_config_indices(shape, basis))
+    return exclude_frozen(operator, frozen_config_indices(shape))
 
 
 def exclude_frozen(operator, frozen: np.ndarray):

@@ -55,13 +55,12 @@ def test_criterion_1_history_state_nullity():
     for n in (2, 3):
         for r in (1, 2, 3):
             shape = ProblemShape(n, 1, r)
-            basis = SpinBasis(shape)
             for _ in range(4):
                 schedule = random_schedule(shape, rng)
                 op = comp_operator(schedule)
                 bits = [int(b) for b in rng.integers(0, 2, n)]
                 head = int(rng.integers(0, n + 1))
-                eta = simulate_history(schedule, bits, head_site=head).history_vector(basis)
+                eta = simulate_history(schedule, bits, head_site=head).history_vector()
                 norm = float(np.linalg.norm(op.matrix @ eta))
                 worst = max(worst, norm)
                 runs += 1
@@ -94,7 +93,7 @@ def test_criterion_2_laplacian_equivalence():
             assert np.abs(sub.imag).max() == 0.0
 
             random_op = comp_operator(random_schedule(shape, rng))
-            block = orbit_block_indices(shape, 0, basis)
+            block = orbit_block_indices(shape, 0)
             got = np.linalg.eigvalsh(random_op.matrix[np.ix_(block, block)].toarray())
             want = np.sort(np.repeat(np.linalg.eigvalsh(path_laplacian(length)), 2 ** n))
             dev = float(np.abs(got - want).max())
@@ -111,9 +110,8 @@ def test_criterion_3_gap_scaling():
     scaled = []
     for t_plus_1 in (3, 5, 9, 17):
         shape = ProblemShape(2, 1, t_plus_1 - 1)
-        basis = SpinBasis(shape)
         op = comp_operator(SweepSchedule(shape))
-        sub = restrict(op, orbit_block_indices(shape, 0, basis))
+        sub = restrict(op, orbit_block_indices(shape, 0))
         values = np.linalg.eigvalsh(sub)
         ground = values[0]
         next_distinct = values[values > ground + 1e-10][0]
@@ -173,12 +171,11 @@ def test_criterion_6_output_expectation():
     # output marker: N=2 at any R, and N=3 at even R
     for n, r in [(2, 1), (2, 2), (2, 3), (3, 2)]:
         shape = ProblemShape(n, 1, r)
-        basis = SpinBasis(shape)
         for _ in range(5):
             schedule = random_schedule(shape, rng)
             out_op = assemble_part(standard_parts(schedule)["H_output"], shape, "H_output")
             bits = [int(b) for b in rng.integers(0, 2, n)]
-            eta = simulate_history(schedule, bits).history_vector(basis)
+            eta = simulate_history(schedule, bits).history_vector()
             got = expectations(eta, {"H_output": out_op})[0][1]
             want = reject_probability(schedule, bits) / (shape.total_steps + 1)
             dev = abs(got - want)
@@ -196,7 +193,6 @@ def test_criterion_7_ground_degeneracy():
     start = time.time()
     shape = ProblemShape(2, 1, 1)
     schedule = SweepSchedule(shape)
-    basis = SpinBasis(shape)
     constants = auto_constants(schedule)
     total = assemble_total(schedule, constants)
 
@@ -206,7 +202,7 @@ def test_criterion_7_ground_degeneracy():
     cluster = values <= values[0] + 1e-7 * scale
     cluster_vectors = vectors[:, cluster]
 
-    frozen = frozen_config_indices(shape, basis)
+    frozen = frozen_config_indices(shape)
     assert len(frozen) == len(detect_frozen(shape)) == 24
 
     filtered = cluster_vectors.copy()
@@ -217,7 +213,7 @@ def test_criterion_7_ground_degeneracy():
 
     worst = 1.0
     for head in range(shape.n_sites):
-        eta = simulate_history(schedule, "00", head_site=head).history_vector(basis)
+        eta = simulate_history(schedule, "00", head_site=head).history_vector()
         overlap = float(np.linalg.norm(span.conj().T @ eta) ** 2)
         worst = min(worst, overlap)
         assert overlap >= 1 - 1e-8, (head, overlap)

@@ -207,6 +207,32 @@ class TestGapscan:
         )
 
 
+    def test_gaps_match_the_path_gap(self, capsys):
+        from clockring.spectral import path_gap
+
+        sizes = (17, 33, 65, 129, 257)
+        code, out, _ = run_cli(capsys, "gapscan", "--tplus", ",".join(map(str, sizes)))
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == [t_plus_1 - 1 for t_plus_1 in sizes]
+        for t_plus_1, (_, gap_value, scaled) in zip(sizes, rows):
+            want = path_gap(t_plus_1)
+            assert abs(float(gap_value) - want) <= 1e-9
+            assert abs(float(scaled) - want * t_plus_1 ** 2) <= 1e-9 * t_plus_1 ** 2
+
+    def test_merged_first_excited_level_is_one_error_line(self, capsys, monkeypatch):
+        # A cluster tolerance above the T+1 = 33 path gap puts excited levels
+        # in the ground cluster; T+1 = 9, whose gap is larger, still prints.
+        from clockring import spectral
+
+        monkeypatch.setattr(spectral, "CLUSTER_RTOL", spectral.path_gap(33))
+        code, out, err = run_cli(capsys, "gapscan", "--tplus", "9,33")
+        assert code == 1
+        assert out == "T gap scaled_gap\n8 0.120614758428 9.76979543268\n"
+        assert err.startswith("error: T = 32: ground cluster of ")
+        assert len(err.splitlines()) == 1
+
+
 class TestVerify:
     def test_desk_pair_separation(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--mode", "separation", "--desk-pair")
@@ -409,9 +435,9 @@ def test_pinned_report_bytes(capsys, argv):
     assert out == PINNED_REPORTS[argv]
 
 
-def test_module_entry_point_prints_the_pinned_report():
+@pytest.mark.parametrize("argv", [("compile", "--n", "2"), ("gapscan", "--tplus", "3,5,9")], ids=" ".join)
+def test_module_entry_point_prints_the_pinned_report(argv):
     # `python -m clockring` runs the same CLI without an install.
-    argv = ("compile", "--n", "2")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

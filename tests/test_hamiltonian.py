@@ -190,6 +190,33 @@ class TestFormBond:
             assert diag[idx] == -1.0
 
 
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (4, 2, 1)],
+                             ids=lambda s: "-".join(map(str, s)))
+    def test_matches_the_per_pair_rules(self, shape):
+        # The docstring's rules, pair by pair: the reward on a left head, +2
+        # for a head not followed by position 1 or not preceded by position
+        # N, +1 for a data pair that does not step the position by 1.
+        shape = ProblemShape(*shape)
+        basis = SpinBasis(shape)
+        d = basis.local_dim
+        want = np.zeros(d * d)
+        for left, a in enumerate(basis.states()):
+            for right, b in enumerate(basis.states()):
+                value = 0.0
+                if a is HEAD:
+                    value -= 1.0
+                    if not (isinstance(b, Data) and b.position == 1):
+                        value += 2.0
+                if b is HEAD and not (isinstance(a, Data) and a.position == shape.n_qubits):
+                    value += 2.0
+                if isinstance(a, Data) and isinstance(b, Data) and b.position != a.position + 1:
+                    value += 1.0
+                want[left * d + right] = value
+        stored = np.flatnonzero(want)
+        _assert_same_csr(build_h_form_bond(shape).matrix,
+                         sp.csr_matrix((want[stored].astype(complex), (stored, stored)), shape=(d * d, d * d)))
+
+
 class TestOutputBond:
     def test_fires_on_reject_bit_at_final_clock(self, desk_shape):
         basis = SpinBasis(desk_shape)
@@ -437,10 +464,9 @@ class TestAssembly:
     def test_history_energy_is_form_reward_only(self, desk_shape, desk_identity_schedule):
         from clockring import simulate_history
 
-        basis = SpinBasis(desk_shape)
         constants = CouplingConstants.with_default_output_weight(desk_shape, 1.0, 2.0, 3.0)
         total = assemble_total(desk_identity_schedule, constants)
-        eta = simulate_history(desk_identity_schedule, "00").history_vector(basis)
+        eta = simulate_history(desk_identity_schedule, "00").history_vector()
         energy = float(np.real(np.vdot(eta, total.matrix @ eta)))
         assert energy == pytest.approx(-constants.j2 * constants.alpha, abs=1e-12)
 

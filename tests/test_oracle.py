@@ -58,28 +58,10 @@ class TestSimulateHistory:
 
 
 class TestHistoryState:
-    def test_uniform_two_term_superposition(self, desk_identity_schedule, desk_shape):
-        basis = SpinBasis(desk_shape)
-        hist = simulate_history(desk_identity_schedule, "00")
-        eta = hist.history_vector(basis)
-        for snap in hist.snapshot_vectors(basis):
-            assert np.vdot(snap, eta) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
     def test_norm_one(self, rng):
         shape = ProblemShape(3, 1, 2)
-        basis = SpinBasis(shape)
-        eta = simulate_history(random_schedule(shape, rng), "010").history_vector(basis)
+        eta = simulate_history(random_schedule(shape, rng), "010").history_vector()
         assert abs(np.linalg.norm(eta) - 1.0) <= 1e-12
-
-    def test_snapshot_overlap_uniform(self, rng):
-        shape = ProblemShape(3, 1, 2)
-        basis = SpinBasis(shape)
-        hist = simulate_history(random_schedule(shape, rng), "000")
-        snaps = hist.snapshot_vectors(basis)
-        eta = hist.history_vector(basis)
-        t_plus_1 = shape.total_steps + 1
-        for snap in snaps:
-            assert abs(np.vdot(snap, eta)) == pytest.approx(1 / np.sqrt(t_plus_1), abs=1e-12)
 
     def test_non_orthogonal_snapshots_rejected(self, desk_shape):
         # one clock pattern twice puts two snapshots on the same support
@@ -104,16 +86,15 @@ class TestHistoryState:
                 bits = [(q >> (2 - i)) & 1 for i in range(3)]
                 config = config_from_labels(2, labels, bits, shape)
                 want[basis.config_index(config)] = amp / np.sqrt(len(hist.amplitudes))
-        assert np.array_equal(hist.history_vector(basis), want)
+        assert np.array_equal(hist.history_vector(), want)
 
 
 class TestSymmetrization:
     def test_shift_eigenvector_and_overlap(self, rng):
         shape = ProblemShape(2, 1, 1)
-        basis = SpinBasis(shape)
         sched = random_schedule(shape, rng)
         vecs = [
-            simulate_history(sched, "00", head_site=k).history_vector(basis)
+            simulate_history(sched, "00", head_site=k).history_vector()
             for k in range(shape.n_sites)
         ]
         sym = symmetrize_over_head(vecs)
@@ -125,10 +106,9 @@ class TestSymmetrization:
     def test_same_expectations_as_single_head(self, rng):
         shape = ProblemShape(2, 1, 2)
         sched = random_schedule(shape, rng)
-        basis = SpinBasis(shape)
         parts = assembled(sched)
         vecs = [
-            simulate_history(sched, "10", head_site=k).history_vector(basis)
+            simulate_history(sched, "10", head_site=k).history_vector()
             for k in range(shape.n_sites)
         ]
         sym = symmetrize_over_head(vecs)
@@ -143,27 +123,24 @@ class TestExpectations:
         for n, r in [(2, 1), (2, 2), (3, 2)]:
             shape = ProblemShape(n, 1, r)
             sched = random_schedule(shape, rng)
-            basis = SpinBasis(shape)
             bits = [int(b) for b in rng.integers(0, 2, n)]
-            eta = simulate_history(sched, bits).history_vector(basis)
+            eta = simulate_history(sched, bits).history_vector()
             parts = assembled(sched)
             rows = dict((name, v) for name, v, _ in expectations(eta, parts))
             assert abs(rows["H_comp"]) <= 1e-10
 
     def test_input_expectation_counts_flipped_ancilla(self, desk_identity_schedule, desk_shape):
-        basis = SpinBasis(desk_shape)
         parts = assembled(desk_identity_schedule)
-        good = simulate_history(desk_identity_schedule, "00").history_vector(basis)
-        bad = simulate_history(desk_identity_schedule, "01").history_vector(basis)
+        good = simulate_history(desk_identity_schedule, "00").history_vector()
+        bad = simulate_history(desk_identity_schedule, "01").history_vector()
         val = dict((n, v) for n, v, _ in expectations(good, parts))
         assert val["H_input"] == pytest.approx(0.0, abs=1e-12)
         val = dict((n, v) for n, v, _ in expectations(bad, parts))
         assert val["H_input"] == pytest.approx(0.5, abs=1e-12)
 
     def test_output_expectation_half_for_reject_witness(self, desk_identity_schedule, desk_shape):
-        basis = SpinBasis(desk_shape)
         parts = assembled(desk_identity_schedule)
-        eta = simulate_history(desk_identity_schedule, "10").history_vector(basis)
+        eta = simulate_history(desk_identity_schedule, "10").history_vector()
         val = dict((n, v) for n, v, _ in expectations(eta, parts))
         assert val["H_output"] == pytest.approx(0.5, abs=1e-12)
 
@@ -178,10 +155,9 @@ class TestNullity:
         for n, r in [(2, 1), (2, 3), (3, 1), (3, 3)]:
             shape = ProblemShape(n, 1, r)
             sched = random_schedule(shape, rng)
-            basis = SpinBasis(shape)
             op = assembled(sched)["H_comp"]
             bits = [int(b) for b in rng.integers(0, 2, n)]
-            eta = simulate_history(sched, bits).history_vector(basis)
+            eta = simulate_history(sched, bits).history_vector()
             assert np.linalg.norm(op.matrix @ eta) <= 1e-10
 
 
@@ -203,9 +179,8 @@ class TestPlainCircuit:
         for n, r in [(2, 1), (2, 2), (2, 3), (3, 2)]:
             shape = ProblemShape(n, 1, r)
             sched = random_schedule(shape, rng)
-            basis = SpinBasis(shape)
             bits = [int(b) for b in rng.integers(0, 2, n)]
-            eta = simulate_history(sched, bits).history_vector(basis)
+            eta = simulate_history(sched, bits).history_vector()
             rows = dict(
                 (name, v) for name, v, _ in expectations(eta, assembled(sched))
             )

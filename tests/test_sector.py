@@ -5,6 +5,8 @@ site z.  Every block built here is compared with the same block cut out of
 the full d^(N+1) operator.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -145,6 +147,20 @@ class TestAssembleSector:
         for keys in ([0, 0], [-1], [SpinBasis(shape).sector_dim]):
             with pytest.raises(BuildError):
                 assemble_sector(terms, shape, keys)
+
+    def test_orbit_block_allocates_nothing_of_bond_term_size(self):
+        # (2,1,512): the bond term has d^2 = 4.2 M rows, so one int64 per row
+        # is 33.7 MB; the orbit block has 4 x 513 states.
+        shape = ProblemShape(2, 1, 512)
+        term = hamiltonian.build_h_comp_bond(SweepSchedule(shape))
+        tracemalloc.start()
+        try:
+            block = hamiltonian.assemble_orbit([(term, 1.0)], shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (4 * 513, 4 * 513)
+        assert peak < 8e6
 
     def test_no_full_space_index_past_int64(self):
         # (12,1,1): d^(N+1) = 49^13 overflows int64, V0 has 4^12 keys.

@@ -62,11 +62,10 @@ class TestGroundEnergy:
     def test_assembled_comp_ground_space_holds_history(self, desk_identity_schedule, desk_shape):
         from clockring import simulate_history
 
-        basis = SpinBasis(desk_shape)
         op = assemble_part(build_h_comp_bond(desk_identity_schedule), desk_shape)
         lam, _, _ = ground_energy(op)
         assert lam == pytest.approx(0.0, abs=1e-10)
-        eta = simulate_history(desk_identity_schedule, "00").history_vector(basis)
+        eta = simulate_history(desk_identity_schedule, "00").history_vector()
         assert np.linalg.norm(op.matrix @ eta) <= 1e-10
 
     def test_non_hermitian_rejected(self):
@@ -110,9 +109,8 @@ class TestLowSpectrum:
 
     def test_orbit_restricted_comp_matches_path_spectrum(self, rng):
         shape = ProblemShape(3, 1, 2)
-        basis = SpinBasis(shape)
         op = assemble_part(build_h_comp_bond(random_schedule(shape, rng)), shape)
-        sub = restrict(op, orbit_block_indices(shape, 0, basis))
+        sub = restrict(op, orbit_block_indices(shape, 0))
         got = np.linalg.eigvalsh(sub)
         want = np.sort(np.repeat(path_laplacian_eigenvalues(5), 8))
         assert np.abs(got - want).max() <= 1e-10
