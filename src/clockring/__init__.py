@@ -51,7 +51,6 @@ from .oracle import (
     reject_probability,
     run_plain_circuit,
     simulate_history,
-    symmetrize_over_head,
 )
 from .promise import (
     LemmaBounds,

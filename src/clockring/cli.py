@@ -27,6 +27,7 @@ from .hamiltonian import (
     build_shift_operator,
     check_translation_invariance,
     checked_dim,
+    checked_orbit_dim,
     export_triplets,
     standard_parts,
     total_parts,
@@ -48,13 +49,21 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _load_schedule(args) -> SweepSchedule:
+def _load_schedule(args, cap=None) -> SweepSchedule:
+    """The schedule of --circuit or --n; `cap`, when given, checks its shape
+    first (for --n, before the schedule is built)."""
     if args.circuit:
         with open(args.circuit) as fh:
-            return parse_circuit_text(fh.read())
+            schedule = parse_circuit_text(fh.read())
+        if cap:
+            cap(schedule.shape)
+        return schedule
     if args.n is None:
         raise ScheduleError("need --circuit or --n to define a schedule")
-    return SweepSchedule(ProblemShape(args.n, args.m, args.r))
+    shape = ProblemShape(args.n, args.m, args.r)
+    if cap:
+        cap(shape)
+    return SweepSchedule(shape)
 
 
 def _resolve_constants(schedule: SweepSchedule, args) -> CouplingConstants:
@@ -100,7 +109,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    schedule = _load_schedule(args)
+    schedule = _load_schedule(args, checked_orbit_dim)  # before any history or bond term
     shape = schedule.shape
     witness = "0" * shape.n_qubits if args.witness is None else args.witness
     # The history state lives on the orbit block, which every part keeps closed.
@@ -113,7 +122,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    schedule = _load_schedule(args)
+    schedule = _load_schedule(args, checked_orbit_dim if args.orbit_restrict else None)
     constants = _resolve_constants(schedule, args)
     if args.orbit_restrict:
         sub = assemble_orbit(total_parts(standard_parts(schedule), constants), schedule.shape)
@@ -141,10 +150,12 @@ def cmd_gapscan(args) -> int:
         print(f"error: --tplus needs a comma list of integers >= 2, got {args.tplus!r}",
               file=sys.stderr)
         return 1
+    shapes = [ProblemShape(2, 1, t_plus_1 - 1) for t_plus_1 in values]
+    for shape in shapes:  # every orbit block, before any schedule or bond term
+        checked_orbit_dim(shape)
     print("T gap scaled_gap")
-    for t_plus_1 in values:
+    for t_plus_1, shape in zip(values, shapes):
         total = t_plus_1 - 1
-        shape = ProblemShape(2, 1, total)
         report = gap(assemble_orbit([(build_h_comp_bond(SweepSchedule(shape)), 1.0)], shape))
         copies = 2 ** shape.n_qubits
         if report.ground_degeneracy != copies:

@@ -1,8 +1,16 @@
 """Bond-local Hermitian terms and their translation-invariant ring sums.
 
-Every part of the total Hamiltonian is a single d^2 x d^2 bond term summed
-over all N+1 ring bonds: the term is laid on bond (0, 1) and translated
-with SpinBasis.translate, and all contributions meet in one canonical
+Every part of the total Hamiltonian is a single bond term summed over all
+N+1 ring bonds.  A term (LocalTerm) is never a d^2-indexed array: its
+diagonal part maps each of the d levels to a class and reads a small
+class-pair table (H_form's (N+1) x (N+1) table over positions, H_input's
+and H_output's left-site levels), and its touched part holds the reduced
+entries of the few level pairs it touches (H_comp's O(16 T)).  The one
+d^2-indexed object left is LocalTerm.matrix, the d^2 x d^2 CSR, built on
+demand for the full-space `assemble` and for tests.
+
+In `assemble` the term is laid on bond (0, 1) and translated with
+SpinBasis.translate, and all contributions meet in one canonical
 reduction, so the sum commutes exactly with the cyclic shift.  The
 reduction ranks every value in a small table of the values in (real, imag)
 order, one entry per run of equal bits, and sorts one int64 code per
@@ -24,8 +32,10 @@ Only H_comp has off-diagonal entries, and it rewrites cycle labels and bits
 without moving the head or a position, so the head-0 form-valid sector V0
 ((2(R+1))^N configurations) is an invariant block.  assemble_sector builds
 such a block, or any closed subset of it like the legal orbit (assemble_orbit),
-without the d^(N+1) space; off_sector_floor, a min-plus path bound on H off
-the form-valid set, makes a sector eigenvalue below it a full-space one.
+without the d^(N+1) space, from the class tables and a binary search in the
+touched pairs; off_sector_floor, a min-plus path bound over classes plus a
+solve on the touched pairs, bounds H off the form-valid set, which makes a
+sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
 building any bond term).  It sorts the full-space sum per site-0 row block
@@ -46,7 +56,7 @@ from math import isfinite
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import HEAD, Data, SpinBasis, orbit_label_walk, slot_edges
+from .basis import Data, SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape, SweepSchedule
 from .spectral import CHUNK, hermiticity_residual, low_spectrum
 
@@ -195,69 +205,132 @@ def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
     return _reduce(keys, ranks, table, dim)
 
 
-@dataclass
-class LocalTerm:
-    """A Hermitian operator on one ordered bond (left site, right site)."""
+def _reduce_pairs(rows, cols, vals):
+    """Canonical entries of COO triples over pair keys: sorted by row, then
+    column, each the sum of its triples in the value order of _reduce, with
+    zero sums dropped.  A two-key sort, so no key row * d^2 + col is formed."""
+    if rows.size == 0:
+        return rows, cols, np.zeros(0, dtype=complex)
+    table, ranks = _value_table(vals)
+    order = np.lexsort((ranks, cols, rows))
+    rows, cols, ranks = rows[order], cols[order], ranks[order]
+    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
+    summed = _finite(np.add.reduceat(table[ranks], starts), "a summed entry")
+    keep = summed != 0
+    return rows[starts][keep], cols[starts][keep], summed[keep]
 
-    local_dim: int
-    matrix: sp.csr_matrix
-    provenance: str = ""
+
+class LocalTerm:
+    """A Hermitian operator on one ordered bond (left site, right site).
+
+    It is held in two parts, either of which may be empty, and never as a
+    d^2-indexed array.  The diagonal part gives the level pair (left, right)
+    the value table[classes[left], classes[right]]: `classes` maps each of
+    the d levels to a class, and the class-pair table is small.  The touched
+    part holds canonically reduced entries over pair keys left * d + right:
+    `rows` sorted, `cols` ascending within a row, and their values `vals`.
+    LocalTerm(d, matrix, provenance) keeps the stored entries of a d^2 x d^2
+    sparse matrix, duplicates summed, as its touched part.  The d^2 CSR,
+    `matrix`, is built on demand, for the full-space `assemble` and for tests.
+    """
+
+    def __init__(self, local_dim: int, matrix=None, provenance: str = "", *,
+                 classes=None, table=None, pairs=None):
+        self.local_dim, self.provenance = local_dim, provenance
+        if matrix is not None:  # its stored entries in row-major order
+            coo = sp.coo_matrix(matrix, dtype=complex)
+            coo.sum_duplicates()
+            pairs = (coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data)
+        self.classes = np.zeros(local_dim, dtype=np.int64) if classes is None else np.asarray(classes)
+        self.table = np.zeros((1, 1), dtype=np.int8) if table is None else np.asarray(table)
+        if pairs is None:
+            pairs = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+        self.rows, self.cols, self.vals = pairs
 
     @property
     def dim(self) -> int:
         return self.local_dim ** 2
 
+    def entries(self):
+        """Rows, cols (int64 pair keys) and values of every stored entry: the
+        nonzero diagonal pairs, class pair by class pair, then the touched part."""
+        members = np.argsort(self.classes, kind="stable")
+        bounds = np.searchsorted(self.classes[members], np.arange(self.table.shape[0] + 1))
+        keys = [members[bounds[i]:bounds[i + 1], None] * self.local_dim + members[bounds[j]:bounds[j + 1]]
+                for i, j in zip(*np.nonzero(self.table))]
+        keys = np.concatenate([k.ravel() for k in keys] + [np.zeros(0, dtype=np.int64)])
+        values = self.table[self.classes[keys // self.local_dim], self.classes[keys % self.local_dim]]
+        return (np.concatenate((keys, self.rows)), np.concatenate((keys, self.cols)),
+                np.concatenate((values.astype(complex), self.vals)))
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The d^2 x d^2 CSR of the term, built on each call."""
+        return _canonical_coo(*self.entries(), self.dim)
+
     def hermiticity_residual(self) -> float:
-        return hermiticity_residual(self.matrix)
+        """Largest |M - M^H| entry: the diagonal part's imaginary parts, and
+        the touched part's, on the pairs it touches."""
+        diagonal = self.table.astype(complex)
+        residuals = [np.abs(diagonal - diagonal.conj()).max()]
+        if self.rows.size:  # keys of the touched pairs relabelled in order, and their mirrors
+            nodes, where = np.unique(np.concatenate((self.rows, self.cols)), return_inverse=True)
+            rows, cols = np.split(where, 2)
+            keys, mirrors = rows * nodes.size + cols, cols * nodes.size + rows
+            found = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+            mirrored = np.where(keys[found] == mirrors, self.vals[found], 0)
+            residuals.append(np.abs(self.vals - mirrored.conj()).max())
+        return float(np.max(residuals))
 
     def validate(self, max_norm: float | None = None) -> "LocalTerm":
         res = self.hermiticity_residual()
         if not res <= HERMITICITY_TOL:
             raise BuildError(f"{self.provenance}: hermiticity residual {res:.3g}")
         if max_norm is not None:  # Hermitian: ||M||_2 <= max_i sum_j |M_ij|; NaN fails
-            m = self.matrix  # row sums of the stored rows only
-            row_sums = np.add.reduceat(np.abs(m.data), m.indptr[:-1][np.diff(m.indptr) > 0])
+            rows, _, vals = self.entries()  # row sums of the stored rows only
+            order = np.argsort(rows, kind="stable")
+            starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+            row_sums = np.add.reduceat(np.abs(vals[order]), starts)
             if not row_sums.max(initial=0.0) <= max_norm:
                 raise BuildError(f"{self.provenance}: norm exceeds {max_norm}")
         return self
 
 
-def _term_from_triples(rows, cols, vals, basis: SpinBasis, provenance: str) -> LocalTerm:
-    d = basis.local_dim
-    return LocalTerm(d, _canonical_coo(rows, cols, vals, d * d), provenance)
-
-
 def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
-    """Sweep term: one PSD edge operator per slot, summed over all slots."""
+    """Sweep term: one PSD edge operator per slot, summed over all slots.
+
+    Its entries touch only the 4 pre and 4 post pairs of each slot edge,
+    O(T) pairs in all, held reduced as the term's touched part."""
     shape = schedule.shape
-    basis = SpinBasis(shape)
-    d = basis.local_dim
-    rows, cols, vals = [], [], []
+    d, base = SpinBasis(shape).local_dim, 2 * (shape.n_cycles + 1)
+    edges = slot_edges(shape)
+    bond = np.array([edge.bond for edge in edges], dtype=np.int64)[:, None]
+    x1, x2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # gate order 2 x1 + x2
 
-    def pair_indices(labels, n: int) -> np.ndarray:
-        """Bond indices of the bit pairs (x1, x2) in gate order 2 x1 + x2."""
-        return np.array([
-            basis.encode(Data(x1, labels[0], n)) * d + basis.encode(Data(x2, labels[1], n + 1))
-            for x1 in (0, 1) for x2 in (0, 1)
-        ])
+    def pair_indices(labels) -> np.ndarray:
+        """Pair keys of Data(x1, labels[0], n) Data(x2, labels[1], n + 1), per edge."""
+        labels = np.array(labels, dtype=np.int64)
+        left = 1 + x1 + 2 * labels[:, :1] + base * (bond - 1)
+        return left * d + 1 + x2 + 2 * labels[:, 1:] + base * bond
 
-    for edge in slot_edges(shape):
-        pre, post = pair_indices(edge.pre, edge.bond), pair_indices(edge.post, edge.bond)
-        gate = schedule.gate_at(edge.cycle, edge.bond)
-        out, into = np.nonzero(gate)
-        amps = gate[out, into]
-        rows += [*pre, *post, *post[out], *pre[into]]
-        cols += [*pre, *post, *pre[into], *post[out]]
-        vals += [1.0] * 8 + [*-amps, *-amps.conj()]
-    term = _term_from_triples(rows, cols, vals, basis, "h_comp")
+    pre, post = pair_indices([edge.pre for edge in edges]), pair_indices([edge.post for edge in edges])
+    gates = np.array([schedule.gate_at(edge.cycle, edge.bond) for edge in edges]).reshape(-1, 4, 4)
+    edge, out, into = np.nonzero(gates)
+    amps = gates[edge, out, into]
+    rows = np.concatenate((pre.ravel(), post.ravel(), post[edge, out], pre[edge, into]))
+    cols = np.concatenate((pre.ravel(), post.ravel(), pre[edge, into], post[edge, out]))
+    vals = np.concatenate((np.ones(8 * len(edges), dtype=complex), -amps, -amps.conj()))
+    term = LocalTerm(d, provenance="h_comp", pairs=_reduce_pairs(rows, cols, vals))
     return term.validate(max_norm=10 * shape.total_steps)
 
 
 def _left_projector(levels, basis: SpinBasis, provenance: str) -> LocalTerm:
-    """Projector onto the given left-site levels, any right-site level."""
-    d = basis.local_dim
-    rows = (np.asarray(levels, dtype=np.int64)[:, None] * d + np.arange(d)).ravel()
-    return _term_from_triples(rows, rows, np.ones(rows.size), basis, provenance).validate()
+    """Projector onto the given left-site levels, any right-site level: class
+    1 holds those levels, and the class table is 1 on a left class 1."""
+    classes = np.zeros(basis.local_dim, dtype=np.int64)
+    classes[np.asarray(levels, dtype=np.int64)] = 1
+    return LocalTerm(basis.local_dim, provenance=provenance, classes=classes,
+                     table=np.array([[0, 0], [1, 1]], dtype=np.int8)).validate()
 
 
 def build_h_input_bond(shape: ProblemShape) -> LocalTerm:
@@ -265,6 +338,12 @@ def build_h_input_bond(shape: ProblemShape) -> LocalTerm:
     basis = SpinBasis(shape)
     ancillas = [basis.encode(Data(1, 0, z)) for z in range(shape.input_len + 1, shape.n_qubits + 1)]
     return _left_projector(ancillas, basis, "h_input")
+
+
+def _positions(shape: ProblemShape) -> np.ndarray:
+    """The position of every level: 0 for the head, z for Data(bit, cycle, z)."""
+    base = 2 * (shape.n_cycles + 1)
+    return np.concatenate(([0], 1 + np.arange(shape.n_qubits * base) // base))
 
 
 def build_h_form_bond(shape: ProblemShape) -> LocalTerm:
@@ -279,20 +358,19 @@ def build_h_form_bond(shape: ProblemShape) -> LocalTerm:
     the -1 floor are single-head rings whose positions read 1..N clockwise
     from the head.
 
-    The three rules are summed as integers in one table over (left, right)
-    level pairs, the table form_minimum_off_sector reads back, and its
-    nonzero pairs are the diagonal entries.
+    The rules read positions only, so the term is its diagonal part: each
+    level's class is its position (the head is position 0), and the three
+    rules are summed as integers in one (N+1) x (N+1) int8 table over
+    position pairs, the table form_minimum_off_sector reads back.
     """
-    basis = SpinBasis(shape)
-    head = basis.encode(HEAD)
-    position = np.array([0 if state is HEAD else state.position for state in basis.states()])
-    data = position > 0
-    table = (data[:, None] & data & (position != position[:, None] + 1)).astype(np.int8)
-    table[head] -= 1  # the reward
-    table[position != shape.n_qubits, head] += 2  # head not preceded by position N
-    table[head, position != 1] += 2  # head not followed by position 1
-    rows = np.flatnonzero(table)
-    return _term_from_triples(rows, rows, table.flat[rows].astype(float), basis, "h_form").validate()
+    n = shape.n_qubits
+    position = np.arange(n + 1)
+    table = ((position[:, None] > 0) & (position > 0) & (position != position[:, None] + 1)).astype(np.int8)
+    table[0] -= 1  # the reward
+    table[position != n, 0] += 2  # head not preceded by position N
+    table[0, position != 1] += 2  # head not followed by position 1
+    return LocalTerm(SpinBasis(shape).local_dim, provenance="h_form",
+                     classes=_positions(shape), table=table).validate()
 
 
 def build_h_output_bond(shape: ProblemShape) -> LocalTerm:
@@ -350,17 +428,26 @@ def checked_dim(shape: ProblemShape) -> int:
     return dim
 
 
+def checked_orbit_dim(shape: ProblemShape) -> int:
+    """States of the legal-orbit block, (T+1) 2^N; BuildError above DIM_CAP."""
+    dim = (shape.total_steps + 1) * 2 ** shape.n_qubits
+    if dim > DIM_CAP:
+        raise BuildError(f"orbit block dim {dim} exceeds cap {DIM_CAP}")
+    return dim
+
+
 @np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
 def _weighted_entries(weighted_terms: list[tuple[LocalTerm, float]], local_dim: int):
     """Rows, cols (int64) and weighted values of the bond-term entries, term
     after term, or None when no term with a nonzero weight holds an entry."""
     if any(term.local_dim != local_dim for term, _ in weighted_terms):
         raise BuildError("bond term local dimension mismatch")
-    live = [(term.matrix.tocoo(), w) for term, w in weighted_terms if w != 0 and term.matrix.nnz]
+    live = [(term.entries(), w) for term, w in weighted_terms if w != 0]
+    live = [(rows, cols, vals * w) for (rows, cols, vals), w in live if rows.size]
     if not live:
         return None
-    rows, cols, vals = (np.concatenate(x) for x in zip(*[(c.row, c.col, c.data * w) for c, w in live]))
-    return rows.astype(np.int64), cols.astype(np.int64), _finite(vals, "a weighted bond-term value")
+    rows, cols, vals = (np.concatenate(x) for x in zip(*live))
+    return rows, cols, _finite(vals, "a weighted bond-term value")
 
 
 def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
@@ -452,21 +539,19 @@ def assemble(
     return op
 
 
-def assemble_sector(
-    weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape, configs
-) -> sp.csr_matrix:
-    """The ring sum of weighted bond terms on a closed set of V0 configurations.
+@np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
+def _sector_contributions(weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape, configs):
+    """The block size and, per weighted term, its contributions to the ring
+    sum on the V0 configurations `configs` (see assemble_sector): block keys
+    row * size + col, each one's index into the term's weighted values, and
+    those values, the class table's entries then the touched part's.
 
-    `configs` holds distinct V0 keys (SpinBasis.sector_keys); row and column
-    i of the block belong to configs[i].  On every ring bond, each
-    configuration's two digits select a bond-term row, looked up in the
-    sorted term rows, and its entries give the target configurations, keyed
-    in V0 without any d^(N+1) index or d^2-entry row table.  A
-    target outside `configs` raises BuildError, so a returned block is an
-    invariant block of the full-space sum.  The row table's values are
-    ranked once, and the weighted contributions and their rank-ordered
-    reduction are those of `assemble`, so every entry equals the full-space
-    entry bit for bit.
+    On every ring bond each configuration's two levels read the diagonal
+    part's value from the class table and find the touched part's entries by
+    binary search in its sorted pair keys; an entry's target configuration
+    is keyed in V0, and one outside `configs` raises BuildError.  No d^(N+1)
+    index and no d^2-indexed array is formed.  A term of weight 0 contributes
+    nothing.
     """
     basis = SpinBasis(shape)
     n, d, base = shape.n_qubits, basis.local_dim, 2 * (shape.n_cycles + 1)
@@ -479,17 +564,8 @@ def assemble_sector(
     if size and (ordered[0] < 0 or ordered[-1] >= basis.sector_dim
                  or np.any(ordered[1:] == ordered[:-1])):
         raise BuildError("sector configurations must be distinct V0 keys")
-
-    # One row table over all weighted terms: every term entry keeps its own
-    # weighted value, as in `assemble`.
-    entries = _weighted_entries(weighted_terms, d)
-    if entries is None or not size:
-        return sp.csr_matrix((size, size), dtype=complex)
-    term_rows, term_cols, term_vals = entries
-    by_row = np.argsort(term_rows, kind="stable")
-    table_cols = term_cols[by_row]
-    values, table_ranks = _value_table(term_vals[by_row])
-    sorted_rows = term_rows[by_row]
+    if any(term.local_dim != d for term, _ in weighted_terms):
+        raise BuildError("bond term local dimension mismatch")
 
     # Site s holds level lowest[s] + digit, digit < width[s], weighing place[s]
     # in the key: the head (level 0) on site 0, Data(bit, cycle, z) on site z.
@@ -499,34 +575,93 @@ def assemble_sector(
     levels = np.zeros((size, n + 1), dtype=np.int64)
     levels[:, 1:] = lowest[1:] + (keys[:, None] // place[1:]) % base
 
-    # Every (configuration, bond) pair; bond b joins sites b and b + 1.
-    left = np.tile(np.arange(n + 1), size)
-    right = (left + 1) % (n + 1)
-    source = np.repeat(np.arange(size), n + 1)
-    row = levels[source, left] * d + levels[source, right]
-    begin = np.searchsorted(sorted_rows, row)  # the run of term entries in each row
-    count = np.searchsorted(sorted_rows, row, side="right") - begin
-    entry = np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count, count)
-    pair = np.repeat(np.arange(row.size), count)
-    owner, left, right = source[pair], left[pair], right[pair]
-    new_left, new_right = np.divmod(table_cols[entry], d)
-    target = keys[owner]
-    inside = np.ones(entry.size, dtype=bool)
-    for site, new in ((left, new_left), (right, new_right)):
-        digit = new - lowest[site]
-        inside &= (digit >= 0) & (digit < width[site])
-        target = target + (new - levels[owner, site]) * place[site]
-    slot = np.minimum(np.searchsorted(ordered, target), size - 1)
-    if not np.all(inside & (ordered[slot] == target)):
-        raise BuildError("a bond term couples a sector configuration outside the sector")
-    return _reduce(owner * size + order[slot], table_ranks[entry], values, size)
+    # Pair p is configuration p // (N+1) on bond p % (N+1), which joins
+    # sites b and b + 1.
+    left_levels, right_levels = levels.ravel(), np.roll(levels, -1, axis=1).ravel()
+    pair_keys = left_levels * d + right_levels
+    empty = np.zeros(0, dtype=np.int64)
+    parts = []
+    for term, weight in weighted_terms:
+        values = np.concatenate((term.table.astype(complex).ravel(), term.vals))
+        if weight == 0:
+            parts.append((empty, empty, values[:0]))
+            continue
+        block_keys, picks = [empty], [empty]
+        if term.table.any():
+            cells = term.classes[left_levels] * term.table.shape[1] + term.classes[right_levels]
+            hit = np.flatnonzero(term.table.flat[cells] != 0)  # the stored diagonal pairs
+            block_keys.append(hit // (n + 1) * (size + 1))
+            picks.append(cells[hit])
+        if term.rows.size:
+            begin = np.searchsorted(term.rows, pair_keys)  # the run of entries in each row
+            count = np.searchsorted(term.rows, pair_keys, side="right") - begin
+            entry = np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count, count)
+            pair = np.repeat(np.arange(pair_keys.size), count)
+            owner, left_site = np.divmod(pair, n + 1)
+            new_left, new_right = np.divmod(term.cols[entry], d)
+            target = keys[owner]
+            inside = np.ones(entry.size, dtype=bool)
+            for site, old, new in ((left_site, left_levels[pair], new_left),
+                                   ((left_site + 1) % (n + 1), right_levels[pair], new_right)):
+                digit = new - lowest[site]
+                inside &= (digit >= 0) & (digit < width[site])
+                target = target + (new - old) * place[site]
+            slot = np.minimum(np.searchsorted(ordered, target), size - 1)
+            if not np.all(inside & (ordered[slot] == target)):
+                raise BuildError("a bond term couples a sector configuration outside the sector")
+            block_keys.append(owner * size + order[slot])
+            picks.append(term.table.size + entry)
+        parts.append((np.concatenate(block_keys), np.concatenate(picks),
+                      _finite(values * weight, "a weighted bond-term value")))
+    return size, parts
+
+
+def assemble_sector(
+    weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape, configs
+) -> sp.csr_matrix:
+    """The ring sum of weighted bond terms on a closed set of V0 configurations.
+
+    `configs` holds distinct V0 keys (SpinBasis.sector_keys); row and column
+    i of the block belong to configs[i].  The contributions are read from
+    the terms' class tables and touched pairs (_sector_contributions), so a
+    returned block is an invariant block of the full-space sum.  The weighted
+    values are ranked once, in one table of the values the terms hold, and
+    all contributions meet in one rank-ordered reduction, as in `assemble`,
+    so every entry equals the full-space entry bit for bit.
+    """
+    size, parts = _sector_contributions(weighted_terms, shape, configs)
+    if not parts:
+        return sp.csr_matrix((size, size), dtype=complex)
+    keys, picks, values = zip(*parts)
+    table, ranks = _value_table(np.concatenate(values))
+    offsets = np.cumsum([0] + [v.size for v in values[:-1]])
+    ranks = ranks[np.concatenate([pick + offset for pick, offset in zip(picks, offsets)])]
+    return _reduce(np.concatenate(keys), ranks, table, size)
+
+
+def assemble_sector_parts(
+    weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape, configs
+) -> list[sp.csr_matrix]:
+    """The block of each weighted term alone, equal bit for bit to its
+    assemble_sector block, from one lookup pass over the configurations."""
+    size, parts = _sector_contributions(weighted_terms, shape, configs)
+    blocks = []
+    for keys, picks, values in parts:
+        table, ranks = _value_table(values)
+        blocks.append(_reduce(keys, ranks[picks], table, size))
+    return blocks
+
+
+def orbit_keys(shape: ProblemShape) -> np.ndarray:
+    """The (T+1) 2^N V0 keys of the legal orbit at head site 0 in walk order:
+    entry p 2^N + q is pattern p of orbit_label_walk with the bits of q, as in
+    orbit_block_indices and HistoryState.orbit_vector."""
+    return SpinBasis(shape).sector_keys(orbit_label_walk(shape)).ravel()
 
 
 def assemble_orbit(weighted_terms: list[tuple[LocalTerm, float]], shape: ProblemShape) -> sp.csr_matrix:
-    """The legal-orbit block at head site 0 from its (T+1) 2^N V0 keys in walk
-    order: row p 2^N + q is pattern p of orbit_label_walk with the bits of q,
-    as in orbit_block_indices and HistoryState.orbit_vector."""
-    return assemble_sector(weighted_terms, shape, SpinBasis(shape).sector_keys(orbit_label_walk(shape)))
+    """The legal-orbit block at head site 0, rows in orbit_keys order."""
+    return assemble_sector(weighted_terms, shape, orbit_keys(shape))
 
 
 def _band_pairs(shape: ProblemShape) -> list[tuple]:
@@ -537,44 +672,58 @@ def _band_pairs(shape: ProblemShape) -> list[tuple]:
     return list(zip(bands, bands[1:] + bands[:1]))
 
 
-def _sector_form_range(bond: np.ndarray, shape: ProblemShape) -> tuple[float, float]:
-    """Lowest and highest ring sum of the diagonal bond term bond[left, right]
-    over V0, by a min-plus and a max-plus pass over its band pairs."""
+def _sector_form_range(table: np.ndarray, shape: ProblemShape, classes=None) -> tuple[float, float]:
+    """Lowest and highest ring sum over V0 of the diagonal bond term
+    table[classes[left], classes[right]], by a min-plus and a max-plus pass
+    over the classes of its band pairs; `classes` is the identity on levels
+    when None, so `table` is then d x d."""
     low = high = np.zeros(1)
     for left, right in _band_pairs(shape):
-        weights = bond[np.ix_(left, right)]
+        if classes is not None:
+            left, right = np.unique(classes[left]), np.unique(classes[right])
+        weights = table[np.ix_(left, right)]
         low, high = (low[:, None] + weights).min(axis=0), (high[:, None] + weights).max(axis=0)
     return float(low[0]), float(high[0])
+
+
+def _position_classes(form: LocalTerm, shape: ProblemShape):
+    """Classes of the levels that refine their positions, the term's float
+    table over them, and each class's position; BuildError unless the term is
+    diagonal and integer-valued.  A term with a touched part (one made from a
+    matrix) gives every level its own class and a d x d table."""
+    stored = np.concatenate((form.table.astype(complex).ravel(), form.vals))
+    if np.any(form.rows != form.cols) or np.any(stored.imag != 0) or np.any(stored.real % 1 != 0):
+        raise BuildError(f"{form.provenance}: bond term is not diagonal and integer-valued")
+    position, sites = _positions(shape), shape.n_sites
+    if form.rows.size:
+        table = form.table[np.ix_(form.classes, form.classes)].astype(float)
+        table.flat[form.rows] += form.vals.real
+        return np.arange(form.local_dim), table, position
+    kept, classes = np.unique(form.classes * sites + position, return_inverse=True)
+    return classes, form.table[np.ix_(kept // sites, kept // sites)].astype(float), kept % sites
 
 
 def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     """Lowest ring sum of the H_form bond term over configurations outside V.
 
     V (one head, positions 1..N clockwise from it) holds the rings whose
-    every bond is a band pair, and a rotation, which keeps the sum, makes a
-    bond that is not the closing bond (site N, site 0).  So the answer is the
-    lowest paths[f, c] + bond[c, f] over non-band pairs (c, f), paths being
-    the min-plus table of N-bond sums from digit f on site 0 to c on site N.
-    The term must be diagonal and integer-valued, with all of V0 (so all of
-    V) at the ring minimum -1 and the rest above it, else BuildError.
+    every bond is a band pair, positions (z, z + 1 mod N+1), and a rotation,
+    which keeps the sum, makes a bond that is not the closing bond (site N,
+    site 0).  Over classes that refine positions (_position_classes) the
+    answer is the lowest paths[f, c] + table[c, f] over non-band class pairs
+    (c, f), paths being the min-plus table of N-bond sums from class f on
+    site 0 to c on site N; every class holds a level, so every class ring is
+    a ring of levels.  The term must be diagonal and integer-valued, with
+    all of V0 (so all of V) at the ring minimum -1 and the rest above it,
+    else BuildError.
     """
-    d = SpinBasis(shape).local_dim
-    coo = form.matrix.tocoo()
-    if np.any(coo.row != coo.col) or np.any(coo.data.imag != 0) or np.any(coo.data.real % 1 != 0):
-        raise BuildError(f"{form.provenance}: bond term is not diagonal and integer-valued")
-    bond = np.zeros((d, d))  # bond[left digit, right digit]
-    bond.flat[coo.row] = coo.data.real
-    band_pair = np.zeros((d, d), dtype=bool)
-    for left, right in _band_pairs(shape):
-        band_pair[np.ix_(left, right)] = True
-    off_v = np.inf
-    for first in np.array_split(np.arange(d), -(-d ** 3 // CHUNK)):  # rows f, ~CHUNK steps each
-        paths = bond[first]
-        for _ in range(shape.n_qubits - 1):
-            paths = (paths[:, :, None] + bond).min(axis=1)
-        closed = paths + bond[:, first].T  # closed[f, c]: the path closed by bond (c, f)
-        off_v = min(off_v, closed[~band_pair[:, first].T].min(initial=np.inf))
-    low_v0, high_v0 = _sector_form_range(bond, shape)
+    classes, table, position = _position_classes(form, shape)
+    band_pair = position == (position[:, None] + 1) % shape.n_sites  # band_pair[c, f]
+    paths = table
+    for _ in range(shape.n_qubits - 1):
+        paths = (paths[:, :, None] + table).min(axis=1)
+    off_v = (paths + table.T)[~band_pair.T].min(initial=np.inf)  # paths[f, c] closed by (c, f)
+    low_v0, high_v0 = _sector_form_range(table, shape, classes)
     if min(low_v0, off_v) != -1:
         raise BuildError(f"{form.provenance}: ring minimum {min(low_v0, off_v):g}, expected -1")
     if high_v0 != -1:
@@ -584,35 +733,105 @@ def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     return float(off_v)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
+def _summed_on(weighted_terms: list[tuple[LocalTerm, float]], pairs: np.ndarray) -> sp.csr_matrix:
+    """The sum of weight * term.matrix, term after term, on the sorted pair
+    keys `pairs`, relabelled in order; `pairs` holds every touched pair.
+
+    Each term's own entries are those its matrix holds (reduced where both
+    parts hold a pair), and the weighted terms are added entry by entry in
+    order, zero sums dropped, as scipy adds the d^2 CSRs, so every entry has
+    the same bits."""
+    d, size = weighted_terms[0][0].local_dim, pairs.size
+    keys, values = [], []
+    for term, weight in weighted_terms:
+        cells = term.table[term.classes[pairs // d], term.classes[pairs % d]]
+        diagonal = np.flatnonzero(cells)
+        rows = np.concatenate((diagonal, np.searchsorted(pairs, term.rows)))
+        cols = np.concatenate((diagonal, np.searchsorted(pairs, term.cols)))
+        vals = np.concatenate((cells[diagonal].astype(complex), term.vals))
+        if diagonal.size and term.rows.size:
+            rows, cols, vals = _reduce_pairs(rows, cols, vals)
+        keys.append(rows * size + cols)
+        values.append(vals * weight)
+    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+    summed = np.zeros(entries.size, dtype=complex)
+    for at, vals in zip(np.split(where, np.cumsum([k.size for k in keys[:-1]])), values):
+        summed[at] += vals
+    kept = summed != 0
+    rows, cols = np.divmod(entries[kept], size)
+    return sp.csr_matrix((summed[kept], cols, np.searchsorted(rows, np.arange(size + 1))), shape=(size, size))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
+def _lowest_level(weighted_terms: list[tuple[LocalTerm, float]]) -> float:
+    """The lowest eigenvalue of the sum of weight * term.matrix, term after
+    term, as low_spectrum finds it on the d^2 bond space, from no d^2-indexed
+    array.  The touched pairs carry every off-diagonal entry, so
+    low_spectrum solves the sum on them alone (_summed_on), with the same
+    blocks in the same pair-key order.  Every other pair is a 1 x 1 block
+    holding the weighted class tables, summed on its pair of joint classes
+    (the classes of all terms at once).
+    """
+    terms = [term for term, _ in weighted_terms]
+    d = terms[0].local_dim
+    pairs = np.unique(np.concatenate([np.concatenate((t.rows, t.cols)) for t in terms]))
+    lowest = [low_spectrum(_summed_on(weighted_terms, pairs), 1).eigenvalues[0]] if pairs.size else []
+    code = np.zeros(d, dtype=np.int64)  # the joint class of a level, in mixed radix
+    for term in terms:
+        code = code * term.table.shape[0] + term.classes
+    _, first, joint = np.unique(code, return_index=True, return_inverse=True)
+    value = 0.0  # on every pair of joint classes, read at their first levels
+    for term, weight in weighted_terms:
+        kind = term.classes[first]
+        value = value + term.table[np.ix_(kind, kind)].astype(float) * weight
+    count = np.bincount(joint, minlength=first.size)
+    taken = np.bincount(joint[pairs // d] * count.size + joint[pairs % d], minlength=count.size ** 2)
+    lowest.append(value[np.outer(count, count) > taken.reshape(value.shape)].min(initial=np.inf))
+    return float(min(lowest))
+
+
 def off_sector_floor(
-    parts: dict[str, LocalTerm], constants: CouplingConstants, shape: ProblemShape
+    parts: dict[str, LocalTerm], constants: CouplingConstants, shape: ProblemShape,
+    form_minimum: float | None = None,
 ) -> float:
     """A lower bound on the total Hamiltonian outside the form-valid set V.
 
     Every part keeps V invariant (assemble_sector's closure check on V0,
     and translation for the other heads), so the complement is invariant
     too.  There weighted H_form is at least its weight times
-    form_minimum_off_sector, and the other weighted parts together are at
-    least N+1 times the lowest eigenvalue of their weighted bond-term sum.
+    form_minimum_off_sector, passed as `form_minimum` when already known,
+    and the other weighted parts together are at least N+1 times the lowest
+    eigenvalue of their weighted bond-term sum (_lowest_level).
     """
     form = parts["H_form"]
     floor, rest = 0.0, []
     for term, weight in total_parts(parts, constants):
         if term is form:
-            floor += weight * form_minimum_off_sector(form, shape)
+            floor += weight * (form_minimum_off_sector(form, shape) if form_minimum is None else form_minimum)
         else:
-            rest.append(weight * term.matrix)
-    lowest_other = float(low_spectrum(sum(rest[1:], rest[0]), 1).eigenvalues[0])
-    return floor + shape.n_sites * lowest_other
+            rest.append((term, weight))
+    return floor + shape.n_sites * _lowest_level(rest)
 
 
-def standard_parts(schedule: SweepSchedule) -> dict[str, LocalTerm]:
-    shape = schedule.shape
+def shape_parts(shape: ProblemShape) -> dict[str, LocalTerm]:
+    """The bond terms fixed by the shape alone: H_input, H_form, H_output."""
     return {
         "H_input": build_h_input_bond(shape),
         "H_form": build_h_form_bond(shape),
-        "H_comp": build_h_comp_bond(schedule),
         "H_output": build_h_output_bond(shape),
+    }
+
+
+def standard_parts(schedule: SweepSchedule, shared: dict[str, LocalTerm] | None = None) -> dict[str, LocalTerm]:
+    """The four bond terms, in total_parts order; `shared`, shape_parts of the
+    schedule's shape, supplies the three that do not read the schedule."""
+    shared = shape_parts(schedule.shape) if shared is None else shared
+    return {
+        "H_input": shared["H_input"],
+        "H_form": shared["H_form"],
+        "H_comp": build_h_comp_bond(schedule),
+        "H_output": shared["H_output"],
     }
 
 

@@ -48,10 +48,7 @@ def run_plain_circuit(schedule: SweepSchedule, witness_bits) -> np.ndarray:
 
 def reject_probability(schedule: SweepSchedule, witness_bits) -> float:
     """Probability of reading bit 1 on qubit 1 after the full computation."""
-    psi = run_plain_circuit(schedule, witness_bits)
-    n = schedule.shape.n_qubits
-    probs = np.abs(psi) ** 2
-    return float(probs[qubit_bits(n)[:, 0] == 1].sum())
+    return simulate_history(schedule, witness_bits).reject_probability()
 
 
 @dataclass
@@ -66,6 +63,11 @@ class HistoryState:
     @property
     def n_steps(self) -> int:
         return len(self.clock_walk) - 1
+
+    def reject_probability(self) -> float:
+        """Probability of reading bit 1 on qubit 1 in the last snapshot."""
+        probs = np.abs(self.amplitudes[-1]) ** 2
+        return float(probs[qubit_bits(self.shape.n_qubits)[:, 0] == 1].sum())
 
     def history_vector(self) -> np.ndarray:
         """Uniform superposition (1/sqrt(T+1)) sum_t |snapshot_t> in the
@@ -114,15 +116,6 @@ def simulate_history(
             raise OracleError("snapshot lost normalization")
         amplitudes.append(psi)
     return HistoryState(shape, head_site, orbit_label_walk(shape), amplitudes)
-
-
-def symmetrize_over_head(history_vectors: list[np.ndarray]) -> np.ndarray:
-    """Uniform combination of the N+1 head placements of one run."""
-    count = len(history_vectors)
-    dims = {v.shape for v in history_vectors}
-    if len(dims) != 1:
-        raise OracleError("mismatched history vector dimensions")
-    return np.sum(history_vectors, axis=0) / np.sqrt(count)
 
 
 def expectations(state: np.ndarray, parts: dict) -> list[tuple[str, float, float]]:

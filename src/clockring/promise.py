@@ -20,20 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SpinBasis, frozen_patterns, orbit_label_walk, qubit_bits
+from .basis import SpinBasis, frozen_patterns, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
     DIM_CAP,
     BuildError,
     CouplingConstants,
     LocalTerm,
-    assemble_orbit,
     assemble_sector,
+    assemble_sector_parts,
+    form_minimum_off_sector,
     off_sector_floor,
+    orbit_keys,
+    shape_parts,
     standard_parts,
     total_parts,
 )
-from .oracle import expectations, reject_probability, simulate_history
+from .oracle import HistoryState, expectations, simulate_history
 from .spectral import (
     SpectralError,
     SpectralReport,
@@ -221,21 +224,31 @@ class SectorHamiltonian:
                 f"{what} {value:.12g} is not below the off-sector floor {self.floor:.12g}")
 
 
-def sector_hamiltonian(schedule: SweepSchedule, constants: CouplingConstants) -> SectorHamiltonian:
+def _checked_sector_dim(shape: ProblemShape) -> int:
+    sector_dim = SpinBasis(shape).sector_dim
+    if sector_dim > DIM_CAP:
+        raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
+    return sector_dim
+
+
+def sector_hamiltonian(
+    schedule: SweepSchedule, constants: CouplingConstants,
+    shared: dict[str, LocalTerm] | None = None, form_minimum: float | None = None,
+) -> SectorHamiltonian:
     """BuildError before any bond term if V0 has more than DIM_CAP states.
 
     V0 is closed under H (assemble_sector checks it), its N head translates
     carry the same levels, and off_sector_floor checks that every V0
     configuration sits at the H_form floor of -1.  So a V0 level below that
     floor is a full-space level, N+1 times over.  Only the V0 total is built.
+    `shared` (shape_parts) and `form_minimum` (form_minimum_off_sector of its
+    H_form), when given, are used instead of being built again.
     """
     shape = schedule.shape
-    sector_dim = SpinBasis(shape).sector_dim
-    if sector_dim > DIM_CAP:
-        raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
-    terms = standard_parts(schedule)
+    sector_dim = _checked_sector_dim(shape)
+    terms = standard_parts(schedule, shared)
     total = assemble_sector(total_parts(terms, constants), shape, np.arange(sector_dim))  # all of V0
-    return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape))
+    return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape, form_minimum))
 
 
 def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: int) -> SpectralReport:
@@ -319,12 +332,37 @@ def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
 def orbit_expectations(schedule: SweepSchedule, witness_bits, terms: dict[str, LocalTerm]):
     """<eta|P|eta> for the ring sum P of every named bond term on the
     legal-orbit block, eta the witness's history state at head site 0: the
-    oracle command's rows, and the separation's best-witness parts."""
-    parts = {name: assemble_orbit([(term, 1.0)], schedule.shape) for name, term in terms.items()}
-    return expectations(simulate_history(schedule, witness_bits).orbit_vector(), parts)
+    oracle command's rows, and the separation's best-witness parts.  The
+    blocks come from one lookup pass over the orbit keys."""
+    return _history_rows(simulate_history(schedule, witness_bits), terms, orbit_keys(schedule.shape))
 
 
-def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) -> ScheduleEnergies:
+def _history_rows(history: HistoryState, terms: dict[str, LocalTerm], walk: np.ndarray):
+    """orbit_expectations' rows for a simulated history state, `walk` the
+    orbit keys (orbit_keys)."""
+    blocks = assemble_sector_parts([(term, 1.0) for term in terms.values()], history.shape, walk)
+    return expectations(history.orbit_vector(), dict(zip(terms, blocks)))
+
+
+@dataclass
+class _Shared:
+    """What both schedules of a separation share, built once: the bond terms
+    that do not read the schedule, H_form's off-sector minimum, and the V0
+    keys of the frozen configurations (sorted) and of the orbit (walk order)."""
+
+    parts: dict[str, LocalTerm]
+    form_minimum: float
+    frozen: np.ndarray
+    walk: np.ndarray
+
+    @classmethod
+    def of(cls, shape: ProblemShape) -> "_Shared":
+        parts = shape_parts(shape)
+        frozen = np.sort(SpinBasis(shape).sector_keys(frozen_patterns(shape)), axis=None)
+        return cls(parts, form_minimum_off_sector(parts["H_form"], shape), frozen, orbit_keys(shape))
+
+
+def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, shared: _Shared) -> ScheduleEnergies:
     """Energies of one schedule, all computed on V0 (see sector_hamiltonian).
 
     A filtered lambda0 below the off-sector floor is the full-space value;
@@ -332,25 +370,25 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) ->
     keys, in HistoryState.orbit_vector order.
     """
     shape = schedule.shape
-    basis = SpinBasis(shape)
-    sector = sector_hamiltonian(schedule, constants)
+    sector = sector_hamiltonian(schedule, constants, shared.parts, shared.form_minimum)
     total = sector.total
-    frozen = np.sort(basis.sector_keys(frozen_patterns(shape)), axis=None)
+    frozen, walk = shared.frozen, shared.walk
     filtered = low_spectrum(exclude_frozen(total, frozen)[0], 1)
     lam_filtered = float(filtered.eigenvalues[0])
     sector.certify(lam_filtered, "sector lambda0")
     # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
     lam_full = float(min(lam_filtered, total.diagonal().real[frozen].min(initial=np.inf)))
 
-    walk = basis.sector_keys(orbit_label_walk(shape)).ravel()
     orbit = {"total": total[walk][:, walk]}
     lam_orbit = float(np.linalg.eigvalsh(orbit["total"].toarray())[0])
     # The first candidate of lowest history energy is the best witness.
-    energy, bits = min(
-        ((expectations(simulate_history(schedule, bits).orbit_vector(), orbit)[0][1], bits)
-         for bits in _witness_candidates(shape)),
-        key=lambda candidate: candidate[0],
-    )
+    best = None
+    for bits in _witness_candidates(shape):
+        history = simulate_history(schedule, bits)
+        energy = expectations(history.orbit_vector(), orbit)[0][1]
+        if best is None or energy < best[0]:
+            best = energy, bits, history
+    energy, bits, history = best
     return ScheduleEnergies(
         lambda0_full=lam_full,
         lambda0_orbit=lam_orbit,
@@ -358,8 +396,8 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants) ->
         residual=float(filtered.residuals[0]),
         best_witness=bits,
         variational_energy=energy,
-        variational_parts=orbit_expectations(schedule, bits, sector.terms),
-        reject_probability_best=reject_probability(schedule, list(bits)),
+        variational_parts=_history_rows(history, sector.terms, walk),
+        reject_probability_best=history.reject_probability(),
         off_sector_floor=sector.floor,
     )
 
@@ -370,10 +408,13 @@ def separation_experiment(
     constants: CouplingConstants | None = None,
 ) -> SeparationReport:
     """Build both Hamiltonians on V0 with shared constants and compare
-    ground energies (see sector_hamiltonian)."""
+    ground energies (see sector_hamiltonian), with what both share built
+    once (_Shared)."""
     if accepting.shape != rejecting.shape:
         raise PromiseError("schedules must share one shape")
     if constants is None:
         constants = auto_constants(accepting)
-    sides = (_schedule_energies(schedule, constants) for schedule in (accepting, rejecting))
+    _checked_sector_dim(accepting.shape)
+    shared = _Shared.of(accepting.shape)
+    sides = (_schedule_energies(schedule, constants, shared) for schedule in (accepting, rejecting))
     return SeparationReport(accepting.shape, constants, *sides)

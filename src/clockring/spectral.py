@@ -9,7 +9,7 @@ LANCZOS_SEED start vector, so runs are deterministic).  Ground energies
 block) and the off-sector floor of ``hamiltonian`` all come from
 ``low_spectrum``; only the separation's small orbit-block ground level and
 the projection-lemma checks of ``promise`` call LAPACK directly.  Also: the
-hermiticity residual, subspace restriction, the orbit and frozen
+hermiticity residual, restriction to configurations, the orbit and frozen
 configuration indices of the walk and the frozen patterns of ``basis``, and
 the uniform/engineered hopping chains used as exact references.
 """
@@ -36,7 +36,7 @@ DENSE_THRESHOLD = 4096  # largest component block diagonalized densely
 LANCZOS_SEED = 7
 # Elements one array pass holds, here and in hamiltonian: the codes of one
 # ring-sum run (and of a block of site-0 digits, unless one digit holds
-# more), floor path steps, the rows of one shift-operator pass, and the
+# more), the rows of one shift-operator pass, and the
 # stored entries of one Hermiticity or translation check block (about
 # 7 MiB of scratch per translation block).
 CHUNK = 2 ** 18
@@ -153,8 +153,8 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
 def _components(mat) -> tuple[np.ndarray, np.ndarray]:
     """Component label of every index, and component sizes, for the graph
     whose edges are the stored off-diagonal entries of mat."""
-    pattern = sp.csr_matrix(
-        (np.ones(mat.nnz, dtype=bool), mat.indices, mat.indptr), shape=mat.shape
+    pattern = sp.csr_matrix(  # float64, the dtype csgraph works in, so it is not copied
+        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
     )
     count, labels = connected_components(pattern, directed=False)
     return labels, np.bincount(labels, minlength=count)
@@ -175,8 +175,8 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
     start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     local = np.empty(dim, dtype=np.int64)
     local[members] = np.arange(dim) - np.repeat(start, sizes)
-    coo = mat.tocoo()
-    entry_comp = labels[coo.row]
+    rows = np.repeat(np.arange(dim, dtype=mat.indices.dtype), np.diff(mat.indptr))  # of the entries
+    entry_comp = labels[rows]
     entry_size = sizes[entry_comp]
     dtype = np.result_type(mat.dtype, np.float64)
 
@@ -199,8 +199,8 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
             mine = entry_size == size
             np.add.at(
                 blocks,
-                (slot[entry_comp[mine]], local[coo.row[mine]], local[coo.col[mine]]),
-                coo.data[mine],
+                (slot[entry_comp[mine]], local[rows[mine]], local[mat.indices[mine]]),
+                mat.data[mine],
             )
             values, vectors = np.linalg.eigh(blocks)
         candidates[first[comps][:, None] + np.arange(min(size, k))] = values[:, :k]
@@ -304,25 +304,14 @@ def gap(operator) -> GapReport:
     return GapReport(nxt - ground, degeneracy, ground, nxt, True)
 
 
-def restrict(operator, basis_spec) -> np.ndarray:
-    """Dense matrix of <b_i|H|b_j> over an orthonormal basis.
-
-    basis_spec is either a list of configuration indices (columns of the
-    identity) or a list/array of orthonormal vectors.
-    """
+def restrict(operator, indices) -> np.ndarray:
+    """Dense matrix of <b_i|H|b_j> over configurations b, given by their
+    indices (columns of the identity)."""
     mat = _as_matrix(operator).tocsr()
-    if len(basis_spec) == 0:
+    if len(indices) == 0:
         raise SpectralError("empty restriction basis")
-    first = np.asarray(basis_spec[0])
-    if first.ndim == 0:
-        idx = np.asarray(basis_spec, dtype=np.int64)
-        sub = mat[idx][:, idx].toarray()
-    else:
-        stack = np.column_stack([np.asarray(v, dtype=complex) for v in basis_spec])
-        gram = stack.conj().T @ stack
-        if not np.abs(gram - np.eye(stack.shape[1])).max() <= 1e-10:
-            raise SpectralError("restriction basis is not orthonormal")
-        sub = stack.conj().T @ (mat @ stack)
+    idx = np.asarray(indices, dtype=np.int64)
+    sub = mat[idx][:, idx].toarray()
     res = np.abs(sub - sub.conj().T).max()
     if not res <= 1e-9:
         raise SpectralError(f"restriction lost hermiticity: {res:.3g}")
@@ -364,14 +353,23 @@ def exclude_frozen(operator, frozen: np.ndarray):
     Raises SpectralError unless every frozen row and column holds only its
     diagonal entry: each frozen configuration is then a 1x1 block, so the
     restriction is a genuine spectral block.
+    The kept entries are taken from the CSR arrays in their stored order,
+    their columns renumbered, as mat[keep][:, keep] would give them.
     """
     mat = _as_matrix(operator).tocsr()
-    for lines in (mat[frozen], mat.tocsc()[:, frozen]):
-        owner = np.repeat(frozen, np.diff(lines.indptr))
-        if np.any(lines.indices != owner):
-            raise SpectralError("a frozen configuration is coupled off the diagonal")
-    keep = np.setdiff1d(np.arange(mat.shape[0]), frozen, assume_unique=True)
-    return mat[keep][:, keep], keep
+    dim = mat.shape[0]
+    frozen_at = np.zeros(dim, dtype=bool)
+    frozen_at[frozen] = True
+    rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
+    touching = frozen_at[rows] | frozen_at[mat.indices]
+    if np.any(touching & (rows != mat.indices)):
+        raise SpectralError("a frozen configuration is coupled off the diagonal")
+    keep = np.flatnonzero(~frozen_at)
+    renumbered = np.cumsum(~frozen_at) - 1
+    kept = ~touching
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=dim)[keep])))
+    sub = sp.csr_matrix((mat.data[kept], renumbered[mat.indices[kept]], indptr), shape=(keep.size, keep.size))
+    return sub, keep
 
 
 def chain_models(length: int, kind: str = "uniform") -> np.ndarray:

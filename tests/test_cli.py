@@ -376,11 +376,35 @@ class TestOrbitBlockPastTheCap:
         assert code == 0
         assert out == PINNED_REPORTS[("oracle", "--n", "3", "--r", "2", "--witness", "100")]
 
-    def test_oracle_at_large_r_builds_only_the_orbit_block(self, capsys, monkeypatch):
-        # V0 at (3,1,100) has 202^3 = 8.2 M configurations; the orbit block has 8 (T+1).
-        from clockring import promise
+    @pytest.mark.parametrize("argv,dim", [
+        (("oracle", "--n", "24"), 24 * 2 ** 24),
+        (("gapscan", "--tplus", "5000000"), 5_000_000 * 4),
+        (("gapscan", "--tplus", "3,5000000"), 5_000_000 * 4),
+        (("spectrum", "--n", "24", "--orbit-restrict"), 24 * 2 ** 24),
+    ], ids=["oracle-n24", "gapscan-5000000", "gapscan-3-then-5000000", "spectrum-orbit-n24"])
+    def test_orbit_block_over_the_cap_is_refused_first(self, capsys, monkeypatch, argv, dim):
+        # (T+1) 2^N orbit states over DIM_CAP: one error line, before any
+        # schedule, history simulation or bond term (or any gapscan row).
+        from clockring import oracle, promise
 
-        build, sizes = hamiltonian.assemble_sector, []
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the orbit cap check")
+
+        monkeypatch.setattr(cli, "SweepSchedule", refuse)
+        for module in (cli, hamiltonian, promise):
+            monkeypatch.setattr(module, "standard_parts", refuse)
+        for module in (cli, hamiltonian):
+            monkeypatch.setattr(module, "build_h_comp_bond", refuse)
+        for module in (oracle, promise):
+            monkeypatch.setattr(module, "simulate_history", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: orbit block dim {dim} exceeds cap {hamiltonian.DIM_CAP}\n"
+
+    def test_oracle_at_large_r_builds_only_the_orbit_block(self, capsys, monkeypatch):
+        # V0 at (3,1,100) has 202^3 = 8.2 M configurations; the orbit block has
+        # 8 (T+1).  One lookup pass over the orbit serves all four parts.
+        build, sizes = hamiltonian._sector_contributions, []
 
         def orbit_only(weighted_terms, shape, configs):
             sizes.append(np.size(configs))
@@ -388,11 +412,10 @@ class TestOrbitBlockPastTheCap:
                 raise AssertionError("a block larger than the orbit")
             return build(weighted_terms, shape, configs)
 
-        for module in (hamiltonian, promise):
-            monkeypatch.setattr(module, "assemble_sector", orbit_only)
+        monkeypatch.setattr(hamiltonian, "_sector_contributions", orbit_only)
         code, out, _ = run_cli(capsys, "oracle", "--n", "3", "--r", "100")
         assert code == 0
-        assert sizes == [8 * 201] * 4
+        assert sizes == [8 * 201]
         assert out.startswith("H_input 0 0\nH_form -1 0\nH_comp 0 0\nH_output 0 0\n")
 
 

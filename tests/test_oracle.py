@@ -6,7 +6,6 @@ from clockring import (
     SpinBasis,
     SweepSchedule,
     assemble_part,
-    build_shift_operator,
     expectations,
     random_schedule,
     reject_probability,
@@ -14,7 +13,6 @@ from clockring import (
     schedule_from_placements,
     simulate_history,
     standard_parts,
-    symmetrize_over_head,
 )
 from clockring.basis import config_from_labels
 from clockring.circuit import PAULI_X, embed_single_qubit
@@ -87,35 +85,6 @@ class TestHistoryState:
                 config = config_from_labels(2, labels, bits, shape)
                 want[basis.config_index(config)] = amp / np.sqrt(len(hist.amplitudes))
         assert np.array_equal(hist.history_vector(), want)
-
-
-class TestSymmetrization:
-    def test_shift_eigenvector_and_overlap(self, rng):
-        shape = ProblemShape(2, 1, 1)
-        sched = random_schedule(shape, rng)
-        vecs = [
-            simulate_history(sched, "00", head_site=k).history_vector()
-            for k in range(shape.n_sites)
-        ]
-        sym = symmetrize_over_head(vecs)
-        assert abs(np.linalg.norm(sym) - 1.0) <= 1e-12
-        shift = build_shift_operator(shape)
-        assert np.linalg.norm(shift.matrix @ sym - sym) <= 1e-12
-        assert np.vdot(vecs[0], sym) == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-
-    def test_same_expectations_as_single_head(self, rng):
-        shape = ProblemShape(2, 1, 2)
-        sched = random_schedule(shape, rng)
-        parts = assembled(sched)
-        vecs = [
-            simulate_history(sched, "10", head_site=k).history_vector()
-            for k in range(shape.n_sites)
-        ]
-        sym = symmetrize_over_head(vecs)
-        single = dict((n, v) for n, v, _ in expectations(vecs[0], parts))
-        merged = dict((n, v) for n, v, _ in expectations(sym, parts))
-        for name in parts:
-            assert merged[name] == pytest.approx(single[name], abs=1e-10)
 
 
 class TestExpectations:

@@ -196,17 +196,23 @@ class TestSeparation:
     def test_bond_terms_built_once_per_side(self, monkeypatch):
         from clockring import hamiltonian, promise
 
-        calls = []
+        calls, shapes = [], []
 
-        def counted(schedule):
+        def counted(schedule, *shared):
             calls.append(schedule)
-            return standard_parts(schedule)
+            return standard_parts(schedule, *shared)
+
+        def shared_once(shape):  # the terms that do not read the schedule
+            shapes.append(shape)
+            return hamiltonian.shape_parts(shape)
 
         monkeypatch.setattr(promise, "standard_parts", counted)
         monkeypatch.setattr(hamiltonian, "standard_parts", counted)
+        monkeypatch.setattr(promise, "shape_parts", shared_once)
         accepting, rejecting = desk_pair()
         separation_experiment(accepting, rejecting)
         assert len(calls) == 2 and calls[0] is accepting and calls[1] is rejecting
+        assert shapes == [accepting.shape]
 
     def test_shape_mismatch_rejected(self):
         accepting, _ = desk_pair()

@@ -162,6 +162,22 @@ class TestAssembleSector:
         assert block.shape == (4 * 513, 4 * 513)
         assert peak < 8e6
 
+    def test_oracle_rows_hold_nothing_of_bond_space_size(self):
+        # (2,1,2048): d^2 = 67.2 M level pairs, so one byte per pair is 67 MB;
+        # the four bond terms and the oracle rows on the 4 x 2049 orbit
+        # states stay far below that.
+        shape = ProblemShape(2, 1, 2048)
+        assert SpinBasis(shape).local_dim ** 2 == 67_190_809
+        schedule = SweepSchedule(shape)
+        tracemalloc.start()
+        try:
+            rows = promise.orbit_expectations(schedule, "00", standard_parts(schedule))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [name for name, _, _ in rows] == ["H_input", "H_form", "H_comp", "H_output"]
+        assert peak < 32e6
+
     def test_no_full_space_index_past_int64(self):
         # (12,1,1): d^(N+1) = 49^13 overflows int64, V0 has 4^12 keys.
         shape = ProblemShape(12, 1, 1)
