@@ -16,8 +16,10 @@ transition touches, reads the same per-bond pair counts.
 
 Configuration indices read ring site 0 as the most significant digit;
 SpinBasis.translate is the one rule that moves a configuration around the
-ring.  Configurations of the head-0 form-valid sector V0 also have a short
-key (SpinBasis.sector_keys) that never forms a d^(N+1) index.
+ring.  SpinBasis.level is the one statement of the site layout, read by
+SpinBasis.positions and sector_layout (each site's level band and key weight
+in the head-0 form-valid sector V0, whose short keys, sector_keys, never
+form a d^(N+1) index); the bond terms read these three.
 """
 
 from __future__ import annotations
@@ -80,9 +82,22 @@ class SpinBasis:
     shape: ProblemShape
 
     @property
+    def _width(self) -> int:  # levels of one position: 2 bits x (R+1) cycles
+        return 2 * (self.shape.n_cycles + 1)
+
+    @property
     def local_dim(self) -> int:
-        n, r = self.shape.n_qubits, self.shape.n_cycles
-        return 2 * n * (r + 1) + 1
+        return 1 + self.shape.n_qubits * self._width
+
+    def level(self, bit, cycle, position):
+        """Level of Data(bit, cycle, position), elementwise over arrays and
+        unchecked: the head is level 0, then the positions' bands in order."""
+        return 1 + bit + 2 * cycle + self._width * (position - 1)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """The position of every level: 0 for the head, z for Data(bit, cycle, z)."""
+        return np.repeat(np.arange(self.shape.n_sites), self.sector_layout()[1])
 
     def encode(self, state: SpinState) -> int:
         if state is HEAD:
@@ -96,19 +111,16 @@ class SpinBasis:
             raise BasisError(f"cycle {state.cycle} out of range 0..{r}")
         if not 1 <= state.position <= n:
             raise BasisError(f"position {state.position} out of range 1..{n}")
-        return 1 + state.bit + 2 * (state.cycle + (r + 1) * (state.position - 1))
+        return self.level(state.bit, state.cycle, state.position)
 
     def decode(self, index: int) -> SpinState:
         if not 0 <= index < self.local_dim:
             raise BasisError(f"level index {index} out of range 0..{self.local_dim - 1}")
         if index == 0:
             return HEAD
-        r = self.shape.n_cycles
-        payload = index - 1
-        bit = payload % 2
-        cycle = (payload // 2) % (r + 1)
-        position = payload // (2 * (r + 1)) + 1
-        return Data(bit, cycle, position)
+        position, digit = divmod(index - 1, self._width)
+        cycle, bit = divmod(digit, 2)
+        return Data(bit, cycle, position + 1)
 
     def states(self) -> Iterator[SpinState]:
         return (self.decode(i) for i in range(self.local_dim))
@@ -148,35 +160,44 @@ class SpinBasis:
     def orbit_indices(self, head_site: int, label_patterns) -> np.ndarray:
         """Entry (p, q) is the index of config_from_labels(head_site,
         label_patterns[p], bits of q); BasisError if indices overflow int64."""
-        n, r = self.shape.n_qubits, self.shape.n_cycles
+        n = self.shape.n_qubits
         if self.config_dim > np.iinfo(np.int64).max:
             raise BasisError(f"config dim {self.config_dim} does not fit in int64")
         if not 0 <= head_site <= n:
             raise BasisError(f"head site {head_site} out of range 0..{n}")
         labels = self._checked_labels(label_patterns)
-        # With the head on site 0, site z holds position z.
+        # With the head on site 0, site z holds position z; a bit adds 1 to its level.
         weights = np.int64(self.local_dim) ** np.arange(n - 1, -1, -1)
-        # Level of Data(bit, cycle, z) is 1 + bit + 2 (cycle + (R+1)(z-1)).
-        base = (1 + 2 * (labels + (r + 1) * np.arange(n))) @ weights
+        base = self.level(0, labels, np.arange(1, n + 1)) @ weights
         return self.translate(base[:, None] + qubit_bits(n) @ weights, head_site)
 
     # The head-0 sector V0: the head on site 0 and position z on site z, so a
-    # configuration is fixed by its N data digits bit + 2 * cycle.  Its key
-    # reads them in base 2(R+1), position 1 most significant; key order is
-    # full-space index order.
+    # configuration is fixed by its levels' offsets in their bands, which its
+    # key reads (sector_layout); key order is full-space index order.
     @property
     def sector_dim(self) -> int:
-        return (2 * (self.shape.n_cycles + 1)) ** self.shape.n_qubits
+        return self._width ** self.shape.n_qubits
+
+    def sector_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per V0 site s = 0..N: lowest level, level count and key weight; site
+        s holds level lowest[s] + digit, digit < count[s], adding digit *
+        place[s] to the key (the head alone on site 0, position z's on site z)."""
+        n, z = self.shape.n_qubits, np.arange(1, self.shape.n_sites)
+        lowest = np.concatenate(([0], self.level(0, 0, z)))
+        count = np.concatenate(([1], np.full(n, self._width)))
+        place = np.concatenate(([0], np.int64(self._width) ** (n - z)))
+        return lowest, count, place
 
     def sector_keys(self, label_patterns) -> np.ndarray:
         """Entry (p, q) is the V0 key of label_patterns[p] with the bits of q;
         BasisError if keys overflow int64."""
-        n, r = self.shape.n_qubits, self.shape.n_cycles
+        n = self.shape.n_qubits
         if self.sector_dim > np.iinfo(np.int64).max:
             raise BasisError(f"sector dim {self.sector_dim} does not fit in int64")
         labels = self._checked_labels(label_patterns)
-        weights = np.int64(2 * (r + 1)) ** np.arange(n - 1, -1, -1)
-        return (2 * labels @ weights)[:, None] + qubit_bits(n) @ weights
+        lowest, _, place = self.sector_layout()
+        digits = self.level(0, labels, np.arange(1, n + 1)) - lowest[1:]
+        return (digits @ place[1:])[:, None] + qubit_bits(n) @ place[1:]
 
     def _checked_labels(self, label_patterns) -> np.ndarray:
         n, r = self.shape.n_qubits, self.shape.n_cycles

@@ -29,10 +29,11 @@ from .hamiltonian import (
     checked_dim,
     checked_orbit_dim,
     export_triplets,
+    orbit_keys,
     standard_parts,
     total_parts,
 )
-from .oracle import format_expectation_report, reject_probability
+from .oracle import format_expectation_report, simulate_history
 from .promise import (
     PromiseParameters,
     auto_constants,
@@ -113,9 +114,10 @@ def cmd_oracle(args) -> int:
     shape = schedule.shape
     witness = "0" * shape.n_qubits if args.witness is None else args.witness
     # The history state lives on the orbit block, which every part keeps closed.
-    rows = orbit_expectations(schedule, witness, standard_parts(schedule))
+    history = simulate_history(schedule, witness)
+    rows = orbit_expectations(history, standard_parts(schedule), orbit_keys(shape))
     sys.stdout.write(format_expectation_report(rows))
-    p_rej = reject_probability(schedule, witness)
+    p_rej = history.reject_probability()
     print(f"p_reject {_fmt(p_rej)}")
     print(f"p_reject_over_steps {_fmt(p_rej / (shape.total_steps + 1))}")
     return 0

@@ -7,7 +7,9 @@ class-pair table (H_form's (N+1) x (N+1) table over positions, H_input's
 and H_output's left-site levels), and its touched part holds the reduced
 entries of the few level pairs it touches (H_comp's O(16 T)).  The one
 d^2-indexed object left is LocalTerm.matrix, the d^2 x d^2 CSR, built on
-demand for the full-space `assemble` and for tests.
+demand for the full-space `assemble` and for tests.  The terms and the
+sector code take every level from SpinBasis (level, positions,
+sector_layout), which alone states the site layout.
 
 In `assemble` the term is laid on bond (0, 1) and translated with
 SpinBasis.translate, and all contributions meet in one canonical
@@ -30,12 +32,13 @@ checks when it is made; H_comp's norm check is its largest absolute row sum.
 
 Only H_comp has off-diagonal entries, and it rewrites cycle labels and bits
 without moving the head or a position, so the head-0 form-valid sector V0
-((2(R+1))^N configurations) is an invariant block.  assemble_sector builds
-such a block, or any closed subset of it like the legal orbit (assemble_orbit),
-without the d^(N+1) space, from the class tables and a binary search in the
-touched pairs; off_sector_floor, a min-plus path bound over classes plus a
-solve on the touched pairs, bounds H off the form-valid set, which makes a
-sector eigenvalue below it a full-space one.
+(SpinBasis.sector_dim configurations) is an invariant block.
+assemble_sector builds such a block, or any closed subset of it like the
+legal orbit (assemble_orbit), without the d^(N+1) space, from the class
+tables and a binary search in the touched pairs; off_sector_floor, a
+min-plus path bound over classes plus a solve on the touched pairs, whose
+weighted sum is one canonical reduction (_summed_on), bounds H off the
+form-valid set, which makes a sector eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
 building any bond term).  It sorts the full-space sum per site-0 row block
@@ -56,7 +59,7 @@ from math import isfinite
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Data, SpinBasis, orbit_label_walk, slot_edges
+from .basis import SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape, SweepSchedule
 from .spectral import CHUNK, hermiticity_residual, low_spectrum
 
@@ -302,7 +305,8 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     Its entries touch only the 4 pre and 4 post pairs of each slot edge,
     O(T) pairs in all, held reduced as the term's touched part."""
     shape = schedule.shape
-    d, base = SpinBasis(shape).local_dim, 2 * (shape.n_cycles + 1)
+    basis = SpinBasis(shape)
+    d = basis.local_dim
     edges = slot_edges(shape)
     bond = np.array([edge.bond for edge in edges], dtype=np.int64)[:, None]
     x1, x2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # gate order 2 x1 + x2
@@ -310,8 +314,7 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     def pair_indices(labels) -> np.ndarray:
         """Pair keys of Data(x1, labels[0], n) Data(x2, labels[1], n + 1), per edge."""
         labels = np.array(labels, dtype=np.int64)
-        left = 1 + x1 + 2 * labels[:, :1] + base * (bond - 1)
-        return left * d + 1 + x2 + 2 * labels[:, 1:] + base * bond
+        return basis.level(x1, labels[:, :1], bond) * d + basis.level(x2, labels[:, 1:], bond + 1)
 
     pre, post = pair_indices([edge.pre for edge in edges]), pair_indices([edge.post for edge in edges])
     gates = np.array([schedule.gate_at(edge.cycle, edge.bond) for edge in edges]).reshape(-1, 4, 4)
@@ -336,14 +339,8 @@ def _left_projector(levels, basis: SpinBasis, provenance: str) -> LocalTerm:
 def build_h_input_bond(shape: ProblemShape) -> LocalTerm:
     """Ancilla penalty: project bit 1 at cycle 0 on positions M+1..N."""
     basis = SpinBasis(shape)
-    ancillas = [basis.encode(Data(1, 0, z)) for z in range(shape.input_len + 1, shape.n_qubits + 1)]
+    ancillas = basis.level(1, 0, np.arange(shape.input_len + 1, shape.n_sites))
     return _left_projector(ancillas, basis, "h_input")
-
-
-def _positions(shape: ProblemShape) -> np.ndarray:
-    """The position of every level: 0 for the head, z for Data(bit, cycle, z)."""
-    base = 2 * (shape.n_cycles + 1)
-    return np.concatenate(([0], 1 + np.arange(shape.n_qubits * base) // base))
 
 
 def build_h_form_bond(shape: ProblemShape) -> LocalTerm:
@@ -369,14 +366,14 @@ def build_h_form_bond(shape: ProblemShape) -> LocalTerm:
     table[0] -= 1  # the reward
     table[position != n, 0] += 2  # head not preceded by position N
     table[0, position != 1] += 2  # head not followed by position 1
-    return LocalTerm(SpinBasis(shape).local_dim, provenance="h_form",
-                     classes=_positions(shape), table=table).validate()
+    basis = SpinBasis(shape)
+    return LocalTerm(basis.local_dim, provenance="h_form", classes=basis.positions, table=table).validate()
 
 
 def build_h_output_bond(shape: ProblemShape) -> LocalTerm:
     """Reject penalty: project bit 1 at cycle R, position 1."""
     basis = SpinBasis(shape)
-    return _left_projector([basis.encode(Data(1, shape.n_cycles, 1))], basis, "h_output")
+    return _left_projector([basis.level(1, shape.n_cycles, 1)], basis, "h_output")
 
 
 @dataclass(frozen=True)
@@ -420,20 +417,26 @@ class RingOperator:
 DIM_CAP = 2 ** 24
 
 
+def _capped(dim: int, what: str) -> int:
+    """`dim`, the dim of `what`; BuildError above DIM_CAP."""
+    if dim > DIM_CAP:
+        raise BuildError(f"{what} dim {dim} exceeds cap {DIM_CAP}")
+    return dim
+
+
 def checked_dim(shape: ProblemShape) -> int:
     """Configuration-space dim of a full-space build; BuildError above DIM_CAP."""
-    dim = SpinBasis(shape).config_dim
-    if dim > DIM_CAP:
-        raise BuildError(f"configuration space dim {dim} exceeds cap {DIM_CAP}")
-    return dim
+    return _capped(SpinBasis(shape).config_dim, "configuration space")
+
+
+def checked_sector_dim(shape: ProblemShape) -> int:
+    """States of the head-0 form-valid sector V0; BuildError above DIM_CAP."""
+    return _capped(SpinBasis(shape).sector_dim, "sector")
 
 
 def checked_orbit_dim(shape: ProblemShape) -> int:
     """States of the legal-orbit block, (T+1) 2^N; BuildError above DIM_CAP."""
-    dim = (shape.total_steps + 1) * 2 ** shape.n_qubits
-    if dim > DIM_CAP:
-        raise BuildError(f"orbit block dim {dim} exceeds cap {DIM_CAP}")
-    return dim
+    return _capped((shape.total_steps + 1) * 2 ** shape.n_qubits, "orbit block")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
@@ -554,7 +557,7 @@ def _sector_contributions(weighted_terms: list[tuple[LocalTerm, float]], shape: 
     nothing.
     """
     basis = SpinBasis(shape)
-    n, d, base = shape.n_qubits, basis.local_dim, 2 * (shape.n_cycles + 1)
+    n, d = shape.n_qubits, basis.local_dim
     if basis.sector_dim > np.iinfo(np.int64).max:
         raise BuildError(f"sector dim {basis.sector_dim} does not fit in int64")
     keys = np.asarray(configs, dtype=np.int64).ravel()
@@ -567,13 +570,9 @@ def _sector_contributions(weighted_terms: list[tuple[LocalTerm, float]], shape: 
     if any(term.local_dim != d for term, _ in weighted_terms):
         raise BuildError("bond term local dimension mismatch")
 
-    # Site s holds level lowest[s] + digit, digit < width[s], weighing place[s]
-    # in the key: the head (level 0) on site 0, Data(bit, cycle, z) on site z.
-    lowest = np.concatenate(([0], 1 + base * np.arange(n)))
-    width = np.concatenate(([1], np.full(n, base)))
-    place = np.concatenate(([0], np.int64(base) ** np.arange(n - 1, -1, -1)))
+    lowest, width, place = basis.sector_layout()  # of site s, as the key reads it
     levels = np.zeros((size, n + 1), dtype=np.int64)
-    levels[:, 1:] = lowest[1:] + (keys[:, None] // place[1:]) % base
+    levels[:, 1:] = lowest[1:] + (keys[:, None] // place[1:]) % width[1:]
 
     # Pair p is configuration p // (N+1) on bond p % (N+1), which joins
     # sites b and b + 1.
@@ -667,8 +666,7 @@ def assemble_orbit(weighted_terms: list[tuple[LocalTerm, float]], shape: Problem
 def _band_pairs(shape: ProblemShape) -> list[tuple]:
     """The (left, right) level bands of V0's ring bonds, bond (0, 1) first:
     the head (level 0) on site 0, the levels Data(bit, cycle, z) on site z."""
-    base = 2 * (shape.n_cycles + 1)
-    bands = [[0], *(1 + base * z + np.arange(base) for z in range(shape.n_qubits))]
+    bands = [lowest + np.arange(count) for lowest, count, _ in zip(*SpinBasis(shape).sector_layout())]
     return list(zip(bands, bands[1:] + bands[:1]))
 
 
@@ -694,7 +692,7 @@ def _position_classes(form: LocalTerm, shape: ProblemShape):
     stored = np.concatenate((form.table.astype(complex).ravel(), form.vals))
     if np.any(form.rows != form.cols) or np.any(stored.imag != 0) or np.any(stored.real % 1 != 0):
         raise BuildError(f"{form.provenance}: bond term is not diagonal and integer-valued")
-    position, sites = _positions(shape), shape.n_sites
+    position, sites = SpinBasis(shape).positions, shape.n_sites
     if form.rows.size:
         table = form.table[np.ix_(form.classes, form.classes)].astype(float)
         table.flat[form.rows] += form.vals.real
@@ -735,43 +733,33 @@ def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
 def _summed_on(weighted_terms: list[tuple[LocalTerm, float]], pairs: np.ndarray) -> sp.csr_matrix:
-    """The sum of weight * term.matrix, term after term, on the sorted pair
-    keys `pairs`, relabelled in order; `pairs` holds every touched pair.
+    """The sum of weight * term.matrix over the terms on the sorted pair keys
+    `pairs`, relabelled in order; `pairs` holds every touched pair.
 
-    Each term's own entries are those its matrix holds (reduced where both
-    parts hold a pair), and the weighted terms are added entry by entry in
-    order, zero sums dropped, as scipy adds the d^2 CSRs, so every entry has
-    the same bits."""
+    Every term's weighted entries on them, its class table's nonzero cells
+    and its touched part, meet in one _reduce_pairs call, so each entry is
+    summed in the canonical rank order, as everywhere else in the module."""
     d, size = weighted_terms[0][0].local_dim, pairs.size
-    keys, values = [], []
+    rows, cols, vals = [], [], []
     for term, weight in weighted_terms:
         cells = term.table[term.classes[pairs // d], term.classes[pairs % d]]
         diagonal = np.flatnonzero(cells)
-        rows = np.concatenate((diagonal, np.searchsorted(pairs, term.rows)))
-        cols = np.concatenate((diagonal, np.searchsorted(pairs, term.cols)))
-        vals = np.concatenate((cells[diagonal].astype(complex), term.vals))
-        if diagonal.size and term.rows.size:
-            rows, cols, vals = _reduce_pairs(rows, cols, vals)
-        keys.append(rows * size + cols)
-        values.append(vals * weight)
-    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
-    summed = np.zeros(entries.size, dtype=complex)
-    for at, vals in zip(np.split(where, np.cumsum([k.size for k in keys[:-1]])), values):
-        summed[at] += vals
-    kept = summed != 0
-    rows, cols = np.divmod(entries[kept], size)
-    return sp.csr_matrix((summed[kept], cols, np.searchsorted(rows, np.arange(size + 1))), shape=(size, size))
+        rows += [diagonal, np.searchsorted(pairs, term.rows)]
+        cols += [diagonal, np.searchsorted(pairs, term.cols)]
+        vals += [cells[diagonal].astype(complex) * weight, term.vals * weight]
+    rows, cols, summed = _reduce_pairs(*map(np.concatenate, (rows, cols, vals)))
+    return sp.csr_matrix((summed, cols, np.searchsorted(rows, np.arange(size + 1))), shape=(size, size))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
 def _lowest_level(weighted_terms: list[tuple[LocalTerm, float]]) -> float:
-    """The lowest eigenvalue of the sum of weight * term.matrix, term after
-    term, as low_spectrum finds it on the d^2 bond space, from no d^2-indexed
-    array.  The touched pairs carry every off-diagonal entry, so
-    low_spectrum solves the sum on them alone (_summed_on), with the same
-    blocks in the same pair-key order.  Every other pair is a 1 x 1 block
-    holding the weighted class tables, summed on its pair of joint classes
-    (the classes of all terms at once).
+    """The lowest eigenvalue of the sum of weight * term.matrix, as
+    low_spectrum finds it on the d^2 bond space, from no d^2-indexed array.
+    The touched pairs carry every off-diagonal entry, so low_spectrum solves
+    the sum on them alone (_summed_on), with the same blocks in the same
+    pair-key order.  Every other pair is a 1 x 1 block holding the weighted
+    class tables, summed on its pair of joint classes (the classes of all
+    terms at once).
     """
     terms = [term for term, _ in weighted_terms]
     d = terms[0].local_dim

@@ -23,12 +23,11 @@ import scipy.sparse as sp
 from .basis import SpinBasis, frozen_patterns, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
-    DIM_CAP,
-    BuildError,
     CouplingConstants,
     LocalTerm,
     assemble_sector,
     assemble_sector_parts,
+    checked_sector_dim,
     form_minimum_off_sector,
     off_sector_floor,
     orbit_keys,
@@ -224,13 +223,6 @@ class SectorHamiltonian:
                 f"{what} {value:.12g} is not below the off-sector floor {self.floor:.12g}")
 
 
-def _checked_sector_dim(shape: ProblemShape) -> int:
-    sector_dim = SpinBasis(shape).sector_dim
-    if sector_dim > DIM_CAP:
-        raise BuildError(f"sector dim {sector_dim} exceeds cap {DIM_CAP}")
-    return sector_dim
-
-
 def sector_hamiltonian(
     schedule: SweepSchedule, constants: CouplingConstants,
     shared: dict[str, LocalTerm] | None = None, form_minimum: float | None = None,
@@ -245,7 +237,7 @@ def sector_hamiltonian(
     H_form), when given, are used instead of being built again.
     """
     shape = schedule.shape
-    sector_dim = _checked_sector_dim(shape)
+    sector_dim = checked_sector_dim(shape)
     terms = standard_parts(schedule, shared)
     total = assemble_sector(total_parts(terms, constants), shape, np.arange(sector_dim))  # all of V0
     return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape, form_minimum))
@@ -329,17 +321,12 @@ def _witness_candidates(shape: ProblemShape) -> list[tuple[int, ...]]:
     return [tuple(bits) for bits in qubit_bits(shape.n_qubits)[::step].tolist()]
 
 
-def orbit_expectations(schedule: SweepSchedule, witness_bits, terms: dict[str, LocalTerm]):
+def orbit_expectations(history: HistoryState, terms: dict[str, LocalTerm], walk: np.ndarray):
     """<eta|P|eta> for the ring sum P of every named bond term on the
-    legal-orbit block, eta the witness's history state at head site 0: the
-    oracle command's rows, and the separation's best-witness parts.  The
-    blocks come from one lookup pass over the orbit keys."""
-    return _history_rows(simulate_history(schedule, witness_bits), terms, orbit_keys(schedule.shape))
-
-
-def _history_rows(history: HistoryState, terms: dict[str, LocalTerm], walk: np.ndarray):
-    """orbit_expectations' rows for a simulated history state, `walk` the
-    orbit keys (orbit_keys)."""
+    legal-orbit block, eta the simulated history state at head site 0 and
+    `walk` the orbit keys (orbit_keys): the oracle command's rows, and the
+    separation's best-witness parts.  The blocks come from one lookup pass
+    over the orbit keys."""
     blocks = assemble_sector_parts([(term, 1.0) for term in terms.values()], history.shape, walk)
     return expectations(history.orbit_vector(), dict(zip(terms, blocks)))
 
@@ -396,7 +383,7 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, sh
         residual=float(filtered.residuals[0]),
         best_witness=bits,
         variational_energy=energy,
-        variational_parts=_history_rows(history, sector.terms, walk),
+        variational_parts=orbit_expectations(history, sector.terms, walk),
         reject_probability_best=history.reject_probability(),
         off_sector_floor=sector.floor,
     )
@@ -414,7 +401,7 @@ def separation_experiment(
         raise PromiseError("schedules must share one shape")
     if constants is None:
         constants = auto_constants(accepting)
-    _checked_sector_dim(accepting.shape)
+    checked_sector_dim(accepting.shape)
     shared = _Shared.of(accepting.shape)
     sides = (_schedule_energies(schedule, constants, shared) for schedule in (accepting, rejecting))
     return SeparationReport(accepting.shape, constants, *sides)

@@ -101,6 +101,38 @@ class TestOrbitIndices:
             basis.orbit_indices(0, [[0] * 8])
 
 
+LAYOUT_SHAPES = [(2, 1, 1), (3, 1, 2), (4, 2, 3), (5, 1, 1), (2, 1, 40)]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("dims", LAYOUT_SHAPES, ids=str)
+    def test_level_and_positions_agree_with_the_codec(self, dims):
+        basis = SpinBasis(ProblemShape(*dims))
+        states = list(basis.states())
+        assert states[0] is HEAD and len(states) == basis.local_dim
+        bits, cycles, positions = (np.array([getattr(s, name) for s in states[1:]])
+                                   for name in ("bit", "cycle", "position"))
+        assert np.array_equal(basis.level(bits, cycles, positions), np.arange(1, basis.local_dim))
+        assert all(basis.level(s.bit, s.cycle, s.position) == basis.encode(s) for s in states[1:])
+        assert np.array_equal(basis.positions, np.concatenate(([0], positions)))
+
+    @pytest.mark.parametrize("dims", LAYOUT_SHAPES, ids=str)
+    def test_sector_keys_decode_to_the_levels_of_orbit_indices(self, dims):
+        shape = ProblemShape(*dims)
+        basis = SpinBasis(shape)
+        n, d = shape.n_qubits, basis.local_dim
+        patterns = list(itertools.product(range(shape.n_cycles + 1), repeat=n))
+        lowest, count, place = basis.sector_layout()
+        assert (lowest[0], count[0], place[0]) == (0, 1, 0) and np.prod(count) == basis.sector_dim
+        keys = basis.sector_keys(patterns)
+        levels = lowest[1:] + keys[..., None] // place[1:] % count[1:]
+        indices = basis.orbit_indices(0, patterns)
+        digits = indices[..., None] // np.int64(d) ** np.arange(n, -1, -1) % d  # sites 0..N
+        assert np.all(digits[..., 0] == 0)
+        assert np.array_equal(levels, digits[..., 1:])
+        assert np.array_equal(np.argsort(keys, axis=None), np.argsort(indices, axis=None))
+
+
 class TestInitialConfig:
     def test_head_first(self):
         config = initial_config("00", 0, ProblemShape(2, 1, 1))

@@ -9,7 +9,7 @@ import pytest
 
 from clockring import cli, hamiltonian
 from clockring.cli import main
-from clockring.circuit import format_circuit_text, schedule_from_placements
+from clockring.circuit import ProblemShape, format_circuit_text, schedule_from_placements
 from clockring.hamiltonian import parse_triplets, standard_parts
 
 
@@ -100,6 +100,31 @@ class TestOracleCommand:
         assert rows["H_output"] == "0.5"
         assert rows["p_reject"] == "1"
         assert rows["p_reject_over_steps"] == "0.5"
+
+    def test_history_is_simulated_once(self, capsys, monkeypatch, tmp_path):
+        # The rows and p_reject read one simulated history; p_reject is the
+        # bits a separate simulation gives.
+        from clockring import oracle, promise
+        from clockring.circuit import random_schedule
+
+        schedule = random_schedule(ProblemShape(3, 2, 2), np.random.default_rng(5))
+        path = tmp_path / "rand.txt"
+        path.write_text(format_circuit_text(schedule))
+        history = oracle.simulate_history(schedule, "101")
+        rows = promise.orbit_expectations(history, standard_parts(schedule), hamiltonian.orbit_keys(schedule.shape))
+        p_rej = oracle.reject_probability(schedule, "101")
+        steps = schedule.shape.total_steps + 1
+        want = oracle.format_expectation_report(rows) + f"p_reject {p_rej:.12g}\np_reject_over_steps {p_rej / steps:.12g}\n"
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return history
+
+        for module in (cli, oracle, promise):
+            monkeypatch.setattr(module, "simulate_history", counted)
+        code, out, _ = run_cli(capsys, "oracle", "--circuit", str(path), "--witness", "101")
+        assert (code, len(calls), out) == (0, 1, want)
 
 
 class TestSpectrumCommand:
@@ -395,7 +420,7 @@ class TestOrbitBlockPastTheCap:
             monkeypatch.setattr(module, "standard_parts", refuse)
         for module in (cli, hamiltonian):
             monkeypatch.setattr(module, "build_h_comp_bond", refuse)
-        for module in (oracle, promise):
+        for module in (cli, oracle, promise):
             monkeypatch.setattr(module, "simulate_history", refuse)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")

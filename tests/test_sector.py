@@ -171,7 +171,8 @@ class TestAssembleSector:
         schedule = SweepSchedule(shape)
         tracemalloc.start()
         try:
-            rows = promise.orbit_expectations(schedule, "00", standard_parts(schedule))
+            history = simulate_history(schedule, "00")
+            rows = promise.orbit_expectations(history, standard_parts(schedule), hamiltonian.orbit_keys(shape))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -520,3 +520,17 @@ def test_spectral_is_the_only_eigensolver_module():
     assert slot_edge_importers <= {"basis", "hamiltonian"}
     assert not any("hamiltonian" in n for n in spectral_sources)
     assert hamiltonian.hermiticity_residual is spectral.hermiticity_residual
+
+
+def test_basis_is_the_only_module_with_layout_arithmetic():
+    # SpinBasis states the site layout once (level, positions, sector_layout);
+    # an `n_cycles + 1` anywhere else restates it.
+    def adds_one_to_n_cycles(node):
+        sides = (node.left, node.right) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) else ()
+        return (any(isinstance(side, ast.Attribute) and side.attr == "n_cycles" for side in sides)
+                and any(isinstance(side, ast.Constant) and side.value == 1 for side in sides))
+
+    package = Path(spectral.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")
+               if any(map(adds_one_to_n_cycles, ast.walk(ast.parse(path.read_text()))))}
+    assert modules == {"basis"}
