@@ -245,6 +245,8 @@ def qubit_bits(n: int) -> np.ndarray:
 
 def _as_bits(bits, n: int) -> list[int]:
     if isinstance(bits, str):
+        if set(bits) - set("01"):
+            raise BasisError(f"need a bit string of length {n}")
         bits = [int(c) for c in bits]
     bits = list(bits)
     if len(bits) != n or any(b not in (0, 1) for b in bits):

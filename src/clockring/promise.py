@@ -247,7 +247,10 @@ def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: in
     """The k lowest levels of H: ceil(k / (N+1)) V0 levels, each repeated
     once per head translate with its residual, V0 clusters expanded by
     index; SpectralError unless the k-th is below the off-sector floor."""
-    sector, copies = sector_hamiltonian(schedule, constants), schedule.shape.n_sites
+    copies = schedule.shape.n_sites
+    if k < 1:  # on k itself, before any build: its V0 level count would misstate it
+        raise SpectralError(f"k = {k} out of range 1..{copies * SpinBasis(schedule.shape).sector_dim}")
+    sector = sector_hamiltonian(schedule, constants)
     levels, dim = -(-k // copies), sector.total.shape[0]
     if levels > dim:
         raise SpectralError(f"k = {k} exceeds the {copies} x {dim} levels of V0 and its translates")

@@ -1,10 +1,15 @@
 """Low-lying spectra of assembled operators, with reference chain models.
 
 An operator is split into the connected components of its off-diagonal
-pattern; each component spans an invariant block, solved on its own:
-densely up to DENSE_THRESHOLD states (equal-size blocks share one stacked
-LAPACK call), by restarted Lanczos above it (scipy's ARPACK from a
-LANCZOS_SEED start vector, so runs are deterministic).  Ground energies
+pattern, found in numpy by hook and jump (``_components``: roots hook onto
+the smallest root across their edges, pointers jump to their roots, and
+each round strictly lowers a root, so at most dim rounds run; components
+are numbered by smallest index, as scipy.sparse.csgraph numbers them).
+Each component spans an invariant block, solved on its own: densely up to
+DENSE_THRESHOLD states (equal-size blocks share one stacked LAPACK call),
+by restarted Lanczos above it (scipy's ARPACK from a LANCZOS_SEED start
+vector, so runs are deterministic; scipy.sparse.linalg, which loads
+scipy.linalg, is imported on the first such solve).  Ground energies
 (``ground_energy``), gaps (``gap``, which ``gapscan`` prints for the orbit
 block) and the off-sector floor of ``hamiltonian`` all come from
 ``low_spectrum``; only the separation's small orbit-block ground level and
@@ -21,8 +26,6 @@ from math import comb, cos, isfinite, pi
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .basis import SpinBasis, frozen_patterns, orbit_label_walk
 from .circuit import ProblemShape
@@ -152,12 +155,33 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
 
 def _components(mat) -> tuple[np.ndarray, np.ndarray]:
     """Component label of every index, and component sizes, for the graph
-    whose edges are the stored off-diagonal entries of mat."""
-    pattern = sp.csr_matrix(  # float64, the dtype csgraph works in, so it is not copied
-        (np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape
-    )
-    count, labels = connected_components(pattern, directed=False)
-    return labels, np.bincount(labels, minlength=count)
+    whose edges are the stored off-diagonal entries of mat, either way round.
+
+    Hook and jump (Shiloach and Vishkin, J. Algorithms 3, 1982): every index
+    points at a parent no larger than itself, and a root, which points at
+    itself, is the smallest index of its tree.  Self-loops are dropped once
+    and each edge is held by its two ends' roots.  Each round, every root
+    hooks onto the smallest root across its edges (np.minimum.at), pointers
+    jump (parent = parent[parent]) until nothing changes, and edges whose
+    ends now share a root are dropped.  A round turns the larger root of
+    every edge it starts with into a non-root, so the roots strictly
+    decrease and at most dim rounds run.  With no edges left each tree is a
+    component; components are numbered by their smallest index, the
+    undirected numbering of scipy.sparse.csgraph.connected_components.
+    """
+    dim = mat.shape[0]
+    # Indices in intp, numpy's own index type: gathers with them need no cast.
+    parent = np.arange(dim)
+    heads, tails = np.repeat(parent, np.diff(mat.indptr)), mat.indices.astype(np.intp)
+    while (edge := heads != tails).any():
+        heads, tails = heads.compress(edge), tails.compress(edge)
+        np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+        heads, tails = parent[heads], parent[tails]
+    roots = parent == np.arange(dim)
+    labels = (np.cumsum(roots) - 1)[parent]
+    return labels, np.bincount(labels, minlength=int(np.count_nonzero(roots)))
 
 
 def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
@@ -224,6 +248,8 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
 def _arpack_eigenpairs(mat, k: int):
     """The k lowest of at least min(6, dim - 2) Ritz pairs from restarted
     Lanczos, started from a LANCZOS_SEED vector; needs k < dim - 1."""
+    import scipy.sparse.linalg as spla  # here only: it loads scipy.linalg too
+
     dim = mat.shape[0]
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
     v0 /= np.linalg.norm(v0)

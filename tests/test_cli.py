@@ -293,9 +293,19 @@ class TestErrors:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_k_zero(self, capsys):
-        code, _, err = run_cli(capsys, "spectrum", "--n", "2", "--k", "0")
-        assert code == 1
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--k", "0")
+        assert (code, out, err) == (1, "", "error: k = 0 out of range 1..48\n")
+
+    def test_k_negative(self, capsys):
+        # The given k, and the 3 x 16 levels H certifies at (2,1,1), not the
+        # V0 level count a negative k would be turned into.
+        code, out, err = run_cli(capsys, "spectrum", "--n", "2", "--k", "-3")
+        assert (code, out, err) == (1, "", "error: k = -3 out of range 1..48\n")
+
+    @pytest.mark.parametrize("witness", ["1x", "0 ", "-1"])
+    def test_witness_outside_01(self, capsys, witness):
+        code, out, err = run_cli(capsys, "oracle", "--n", "2", "--witness", witness)
+        assert (code, out, err) == (1, "", "error: need a bit string of length 2\n")
 
     @pytest.mark.parametrize("argv,message", [
         (("spectrum", "--n", "2", "--r", "0"), "error: n_cycles must be >= 1\n"),
@@ -483,15 +493,40 @@ def test_pinned_report_bytes(capsys, argv):
     assert out == PINNED_REPORTS[argv]
 
 
-@pytest.mark.parametrize("argv", [("compile", "--n", "2"), ("gapscan", "--tplus", "3,5,9")], ids=" ".join)
-def test_module_entry_point_prints_the_pinned_report(argv):
-    # `python -m clockring` runs the same CLI without an install.
+def _fresh_python(*args):
+    """Run a new interpreter that imports this checkout's clockring."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-m", "clockring", *argv], capture_output=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [("compile", "--n", "2"), ("gapscan", "--tplus", "3,5,9")], ids=" ".join)
+def test_module_entry_point_prints_the_pinned_report(argv):
+    # `python -m clockring` runs the same CLI without an install.
+    done = _fresh_python("-m", "clockring", *argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode() == PINNED_REPORTS[argv]
+
+
+def test_separation_loads_no_scipy_graph_or_eigensolver_stack():
+    """Importing clockring and certifying a separation, which runs no
+    Lanczos, loads none of scipy.sparse.csgraph, scipy.sparse.linalg (only
+    ARPACK needs it, imported where it is called) or scipy.linalg, which
+    the other two pull in; together they cost about 11 MB of RSS and 0.05
+    to 0.13 s of start-up.  A later scipy.linalg user, such as ROADMAP item 4's
+    eigh_tridiagonal routing, imports it where it is used and updates this
+    guard on purpose."""
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    done = _fresh_python("-c", "\n".join([
+        "import sys",
+        "import clockring",
+        "from clockring import cli",
+        "code = cli.main(['verify', '--mode', 'separation', '--desk-pair', '--n', '2', '--r', '2'])",
+        f"print(code, [m for m in {heavy!r} if m in sys.modules])",
+    ]))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().splitlines()[-1] == "0 []"
 
 
 class TestDeterminism:

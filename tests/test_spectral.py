@@ -30,7 +30,7 @@ from clockring import hamiltonian, spectral
 from clockring.basis import config_from_labels, is_legal, orbit_label_walk
 from clockring.circuit import force_reject_gate, schedule_from_placements
 from clockring.hamiltonian import assemble_total
-from clockring.promise import auto_constants
+from clockring.promise import auto_constants, sector_hamiltonian
 from clockring.spectral import (
     CLUSTER_RTOL,
     ConvergenceError,
@@ -363,6 +363,59 @@ def test_hermiticity_residual_matches_the_difference(name, monkeypatch):
     for chunk in (3, 2 ** 18):  # stored entries per block: several blocks, or one
         monkeypatch.setattr(spectral, "CHUNK", chunk)
         np.testing.assert_equal(hermiticity_residual(mat), want)
+
+
+def _assert_components_match_csgraph(mat):
+    """_components gives the labels and sizes of scipy's undirected connected
+    components of mat's stored pattern; the reference is imported here only."""
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
+    count, want = connected_components(pattern, directed=False)
+    labels, sizes = spectral._components(mat)
+    np.testing.assert_array_equal(labels, want)
+    np.testing.assert_array_equal(sizes, np.bincount(want, minlength=count))
+
+
+def _path(order):
+    """One-sided edges between consecutive entries of order."""
+    n = len(order)
+    return sp.csr_matrix((np.ones(n - 1), (order[:-1], order[1:])), shape=(n, n))
+
+
+def _component_cases():
+    rng = np.random.default_rng(23)
+    cases = {}
+    for size, density in [(2, 0.5), (17, 0.05), (60, 0.02), (200, 0.004), (200, 0.02), (500, 0.003)]:
+        a = sp.random(size, size, density=density, random_state=rng, dtype=complex).tocsr()
+        cases[f"one-sided-{size}-{density}"] = a
+        cases[f"symmetric-{size}-{density}"] = (a + a.conj().T).tocsr()
+    n = 2049
+    cases["path-shuffled"] = _path(rng.permutation(n))
+    zigzag = np.empty(n, dtype=np.int64)  # 0, n-1, 1, n-2, ...
+    zigzag[0::2], zigzag[1::2] = np.arange((n + 1) // 2), np.arange(n - 1, (n - 1) // 2, -1)
+    cases["path-zigzag"] = _path(zigzag)
+    spokes = np.delete(np.arange(40), 17)
+    cases["star"] = sp.csr_matrix((np.ones(39), (np.full(39, 17), spokes)), shape=(40, 40))
+    cases["isolated"] = sp.csr_matrix((np.ones(3), ([2, 5, 9], [7, 3, 2])), shape=(12, 12))
+    cases["empty"] = sp.csr_matrix((6, 6))
+    cases["self-loops"] = sp.identity(7, format="csr")
+    cases["one-by-one"] = sp.csr_matrix(np.array([[2.0]]))
+    cases["one-by-one-empty"] = sp.csr_matrix((1, 1))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_component_cases()))
+def test_components_match_csgraph(name):
+    _assert_components_match_csgraph(_component_cases()[name])
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 8), (3, 1, 1), (3, 1, 2), (4, 1, 1)], ids=str)
+def test_components_of_ladder_blocks_match_csgraph(shape):
+    shape = ProblemShape(*shape)
+    for schedule in (SweepSchedule(shape), random_schedule(shape, np.random.default_rng(3))):
+        _assert_components_match_csgraph(sector_hamiltonian(schedule, auto_constants(schedule)).total)
+        _assert_components_match_csgraph(hamiltonian.assemble_orbit([(build_h_comp_bond(schedule), 1.0)], shape))
 
 
 class TestGap:
