@@ -50,18 +50,26 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _read_circuit(path, args) -> SweepSchedule:
+    """The schedule in the circuit file at `path`, whose shape line leaves
+    --n, --m and --r nothing to set."""
+    if (args.n, args.m, args.r) != (None, None, None):
+        raise ScheduleError("a circuit file gives the shape: drop --n, --m and --r")
+    with open(path) as fh:
+        return parse_circuit_text(fh.read())
+
+
 def _load_schedule(args, cap=None) -> SweepSchedule:
     """The schedule of --circuit or --n; `cap`, when given, checks its shape
     first (for --n, before the schedule is built)."""
     if args.circuit:
-        with open(args.circuit) as fh:
-            schedule = parse_circuit_text(fh.read())
+        schedule = _read_circuit(args.circuit, args)
         if cap:
             cap(schedule.shape)
         return schedule
     if args.n is None:
         raise ScheduleError("need --circuit or --n to define a schedule")
-    shape = ProblemShape(args.n, args.m, args.r)
+    shape = ProblemShape(args.n, 1 if args.m is None else args.m, 1 if args.r is None else args.r)
     if cap:
         cap(shape)
     return SweepSchedule(shape)
@@ -169,23 +177,26 @@ def cmd_gapscan(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.mode == "separation":
-        if args.desk_pair:
-            shape = ProblemShape(2, 1, 1)
-            accepting = SweepSchedule(shape)
-            rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, 1)
+        if args.desk_pair:  # the identity schedule against force-reject in slot (1, 1), at (2, 1, R)
+            if args.circuit or args.circuit_no or args.n not in (None, 2) or args.m not in (None, 1):
+                raise ScheduleError("--desk-pair is the (2,1,R) pair from --r: it takes no circuit "
+                                    "file, and --n only as 2 and --m only as 1")
+            n_cycles = 1 if args.r is None else args.r
+            accepting = SweepSchedule(ProblemShape(2, 1, n_cycles))
+            rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, n_cycles)
         elif not (args.circuit and args.circuit_no):
             print("error: separation needs --circuit and --circuit-no (or --desk-pair)",
                   file=sys.stderr)
             return 1
         else:
-            with open(args.circuit) as fh:
-                accepting = parse_circuit_text(fh.read())
-            with open(args.circuit_no) as fh:
-                rejecting = parse_circuit_text(fh.read())
+            accepting = _read_circuit(args.circuit, args)
+            rejecting = _read_circuit(args.circuit_no, args)
         constants = _resolve_constants(accepting, args)
         report = separation_experiment(accepting, rejecting, constants)
         sys.stdout.write(report.format())
         return 0
+    if args.desk_pair or args.circuit_no:
+        raise ScheduleError("--mode decide reads one schedule: drop --desk-pair and --circuit-no")
     schedule = _load_schedule(args)
     params = PromiseParameters(args.a, args.b)
     sector = sector_hamiltonian(schedule, _resolve_constants(schedule, args))
@@ -211,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     def source(p):
         p.add_argument("--circuit", help="circuit text file")
         p.add_argument("--n", type=int, help="qubit count when no circuit file is given")
-        p.add_argument("--m", type=int, default=1, help="witness length (default 1)")
-        p.add_argument("--r", type=int, default=1, help="cycle count (default 1)")
+        p.add_argument("--m", type=int, help="witness length (default 1)")
+        p.add_argument("--r", type=int, help="cycle count (default 1)")
 
     def assembly(p):  # coupling constants of the total
         p.add_argument("--j1", type=float, default=1.0)
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("decide", "separation"), default="separation")
     p.add_argument("--circuit-no", dest="circuit_no", help="rejecting circuit file")
     p.add_argument("--desk-pair", action="store_true", dest="desk_pair",
-                   help="use the built-in N=2 accepting/rejecting pair")
+                   help="use the built-in (2,1,R) accepting/rejecting pair")
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=0.5)
     p.set_defaults(func=cmd_verify)

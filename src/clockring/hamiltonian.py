@@ -7,7 +7,8 @@ class-pair table (H_form's (N+1) x (N+1) table over positions, H_input's
 and H_output's left-site levels), and its touched part holds the reduced
 entries of the few level pairs it touches (H_comp's O(16 T)).  The one
 d^2-indexed object left is LocalTerm.matrix, the d^2 x d^2 CSR, built on
-demand for the full-space `assemble` and for tests.  The terms and the
+demand for tests only: the full-space `assemble` reads the stored entries,
+LocalTerm.entries(), through _weighted_entries.  The terms and the
 sector code take every level from SpinBasis (level, positions,
 sector_layout), which alone states the site layout.
 
@@ -106,7 +107,7 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _finite refuses what overflowed
-def _sum_runs(keys, ranks, table, n_cols: int, counts: np.ndarray, out, at: int, values=None) -> int:
+def _sum_runs(keys, ranks, table, n_cols: int, counts: np.ndarray, out, at: int) -> int:
     """Reduce one block of rows: the per-key sums of table[ranks], in the
     given order, with `keys`, row * n_cols + col with rows counted from the
     block's first, sorted.  The nonzero sums and their columns are written
@@ -116,8 +117,7 @@ def _sum_runs(keys, ranks, table, n_cols: int, counts: np.ndarray, out, at: int,
     The block is summed in runs of at most CHUNK contributions, each cut
     where a row begins; a row with more contributions than that makes a run
     of its own.  So a run holds every contribution to its entries and rows,
-    and each sum and count is that of the whole block.  `values`, complex
-    scratch, receives a run's gathered values when given and long enough.
+    and each sum and count is that of the whole block.
     """
     data, indices = out
     start = 0
@@ -127,10 +127,7 @@ def _sum_runs(keys, ranks, table, n_cols: int, counts: np.ndarray, out, at: int,
             cut = keys.searchsorted(keys[stop] - keys[stop] % n_cols)
             stop = cut if cut > start else keys.searchsorted(keys[start] - keys[start] % n_cols + n_cols)
         run = keys[start:stop]
-        # Every rank is in range; "clip" writes `out` directly, "raise" through a buffer.
-        room = values is not None and run.size <= values.size
-        gathered = np.take(table, ranks[start:start + run.size], mode="clip",
-                           out=values[:run.size] if room else None)
+        gathered = np.take(table, ranks[start:start + run.size], mode="clip")  # every rank is in range
         starts = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
         # Summed straight into the output: a run has no more entries than the
         # bound leaves room for, and the zero sums are then squeezed out.
@@ -149,11 +146,11 @@ def _sum_runs(keys, ranks, table, n_cols: int, counts: np.ndarray, out, at: int,
     return at
 
 
-def _split_packed(codes, width: int, keys=None):
-    """Sort codes packed as key * width + rank in place; the keys, written to
-    `keys` when given, and the ranks, which are written over `codes`."""
+def _split_packed(codes, width: int):
+    """Sort codes packed as key * width + rank in place; the keys, and the
+    ranks, which are written over `codes`."""
     codes.sort()
-    keys = np.floor_divide(codes, width, out=keys)
+    keys = codes // width
     np.remainder(codes, width, out=codes)
     return keys, codes
 
@@ -234,7 +231,8 @@ class LocalTerm:
     `rows` sorted, `cols` ascending within a row, and their values `vals`.
     LocalTerm(d, matrix, provenance) keeps the stored entries of a d^2 x d^2
     sparse matrix, duplicates summed, as its touched part.  The d^2 CSR,
-    `matrix`, is built on demand, for the full-space `assemble` and for tests.
+    `matrix`, is built on demand for tests; the full-space `assemble` reads
+    `entries()` instead.
     """
 
     def __init__(self, local_dim: int, matrix=None, provenance: str = "", *,
@@ -476,9 +474,9 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
     once from a bound, `dim` diagonal entries plus one per off-diagonal
     contribution (a contribution is off-diagonal when its term entry is),
     and trimmed at the end; the per-row counts, kept in the index dtype,
-    become the indptr by one in-place cumulative sum.  One scratch array
-    holds the largest block's codes and keys and a run's gathered values,
-    so the sum holds the output and one block, never a second copy.
+    become the indptr by one in-place cumulative sum.  Each block allocates
+    its codes and keys, and each run its gathered values, all freed before
+    the next block, so the sum holds the output and one block, never a copy.
     """
     dim, d, n_sites = basis.config_dim, basis.local_dim, basis.shape.n_sites
     rest, top = dim // d ** 2, dim // d  # top: the rows of one site-0 digit
@@ -507,13 +505,10 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
             ends.append(digit)
             sizes.append(0)
         sizes[-1] += count
-    largest = max(sizes)  # scratch: a block's codes, its keys, a run's values (two int64 each)
-    scratch = np.empty(2 * largest + 2 * min(largest, CHUNK), dtype=np.int64)
-    values = scratch[2 * largest:].view(complex)
     counts, out = _output(dim, bound)
     at = 0
     for start, stop, size in zip([0] + ends, ends + [d], sizes):
-        codes, filled = scratch[:size], 0
+        codes, filled = np.empty(size, dtype=np.int64), 0
         for carry, bounds, spread in spreads:
             part = carry[bounds[start]:bounds[stop]]
             fill = codes[filled:filled + part.size * spread.size]
@@ -521,8 +516,9 @@ def _ring_sum(rows, cols, vals, basis: SpinBasis) -> sp.csr_matrix:
             filled += fill.size
         if start:  # keys from the block's first row
             codes -= start * top * dim * table.size
-        keys, ranks = _split_packed(codes, table.size, scratch[largest:largest + size])
-        at = _sum_runs(keys, ranks, table, dim, counts[1 + start * top:1 + stop * top], out, at, values)
+        keys, ranks = _split_packed(codes, table.size)
+        at = _sum_runs(keys, ranks, table, dim, counts[1 + start * top:1 + stop * top], out, at)
+        del codes, fill, keys, ranks  # no array of this block is left when the next is made
     return _csr(out, at, counts, dim)
 
 

@@ -39,10 +39,10 @@ DENSE_THRESHOLD = 4096  # largest component block diagonalized densely
 LANCZOS_SEED = 7
 # Elements one array pass holds, here and in hamiltonian: the codes of one
 # ring-sum run (and of a block of site-0 digits, unless one digit holds
-# more), the rows of one shift-operator pass, and the
-# stored entries of one Hermiticity or translation check block (about
-# 7 MiB of scratch per translation block).
-CHUNK = 2 ** 18
+# more), the rows of one shift-operator pass, and the stored entries of one
+# Hermiticity or translation check block (about 3 MiB of scratch per
+# translation block of the (3,1,3) and (4,1,1) totals).
+CHUNK = 2 ** 16
 
 
 class SpectralError(RuntimeError):
@@ -153,9 +153,10 @@ def _cluster(eigenvalues: np.ndarray, tol: float) -> list[list[int]]:
     return clusters
 
 
-def _components(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Component label of every index, and component sizes, for the graph
-    whose edges are the stored off-diagonal entries of mat, either way round.
+def _components(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component label of every index, component sizes, and the row of every
+    stored entry, for the graph whose edges are the stored off-diagonal
+    entries of mat, either way round.
 
     Hook and jump (Shiloach and Vishkin, J. Algorithms 3, 1982): every index
     points at a parent no larger than itself, and a root, which points at
@@ -172,7 +173,8 @@ def _components(mat) -> tuple[np.ndarray, np.ndarray]:
     dim = mat.shape[0]
     # Indices in intp, numpy's own index type: gathers with them need no cast.
     parent = np.arange(dim)
-    heads, tails = np.repeat(parent, np.diff(mat.indptr)), mat.indices.astype(np.intp)
+    rows = np.repeat(parent, np.diff(mat.indptr))
+    heads, tails = rows, mat.indices.astype(np.intp)
     while (edge := heads != tails).any():
         heads, tails = heads.compress(edge), tails.compress(edge)
         np.minimum.at(parent, np.maximum(heads, tails), np.minimum(heads, tails))
@@ -181,11 +183,12 @@ def _components(mat) -> tuple[np.ndarray, np.ndarray]:
         heads, tails = parent[heads], parent[tails]
     roots = parent == np.arange(dim)
     labels = (np.cumsum(roots) - 1)[parent]
-    return labels, np.bincount(labels, minlength=int(np.count_nonzero(roots)))
+    return labels, np.bincount(labels, minlength=int(np.count_nonzero(roots))), rows
 
 
-def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
-    """The k lowest eigenpairs, and whether Lanczos solved any block.
+def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, rows: np.ndarray, k: int):
+    """The k lowest eigenpairs, and whether Lanczos solved any block;
+    `rows` holds the row of every stored entry of mat.
 
     A component is diagonalized densely with the others of its size, unless
     it exceeds DENSE_THRESHOLD states and k < size - 1: then by Lanczos on
@@ -199,7 +202,6 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
     start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     local = np.empty(dim, dtype=np.int64)
     local[members] = np.arange(dim) - np.repeat(start, sizes)
-    rows = np.repeat(np.arange(dim, dtype=mat.indices.dtype), np.diff(mat.indptr))  # of the entries
     entry_comp = labels[rows]
     entry_size = sizes[entry_comp]
     dtype = np.result_type(mat.dtype, np.float64)
@@ -216,8 +218,8 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
         slot[comps] = np.arange(len(comps))
         if size > DENSE_THRESHOLD and k < size - 1:
             iterative = True
-            rows = members[start[comps][:, None] + np.arange(size)]
-            values, vectors = map(np.array, zip(*[_arpack_eigenpairs(mat[i][:, i], k) for i in rows]))
+            states = members[start[comps][:, None] + np.arange(size)]  # one component's per row
+            values, vectors = map(np.array, zip(*[_arpack_eigenpairs(mat[i][:, i], k) for i in states]))
         else:
             blocks = np.zeros((len(comps), size, size), dtype=dtype)
             mine = entry_size == size
@@ -240,8 +242,8 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, k: int):
     for size, vectors in block_vectors.items():
         cols = np.flatnonzero(sizes[chosen_comp] == size)
         comp = chosen_comp[cols]
-        rows = members[start[comp][:, None] + np.arange(size)]
-        out[rows, cols[:, None]] = vectors[slot[comp], :, chosen_level[cols]]
+        states = members[start[comp][:, None] + np.arange(size)]
+        out[states, cols[:, None]] = vectors[slot[comp], :, chosen_level[cols]]
     return candidates[chosen], out, iterative
 
 

@@ -278,6 +278,47 @@ class TestVerify:
         assert code == 1
         assert "circuit-no" in err
 
+    @pytest.mark.parametrize("r", ["1", "2"])
+    def test_desk_pair_reads_r(self, capsys, tmp_path, r):
+        # The (2,1,R) pair given as circuit files prints the same bytes; at
+        # R = 1 they are the pinned report.
+        from clockring.circuit import SweepSchedule, force_reject_gate
+
+        files = []
+        for name, schedule in (("yes", SweepSchedule(ProblemShape(2, 1, int(r)))),
+                               ("no", schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, int(r)))):
+            files.append(tmp_path / f"{name}.txt")
+            files[-1].write_text(format_circuit_text(schedule))
+        code, want, _ = run_cli(capsys, "verify", "--mode", "separation",
+                                "--circuit", str(files[0]), "--circuit-no", str(files[1]))
+        assert code == 0
+        pinned = PINNED_REPORTS[("verify", "--mode", "separation", "--desk-pair")]
+        assert (want == pinned) == (r == "1")
+        for argv in (("--r", r), ("--n", "2", "--m", "1", "--r", r)):
+            assert run_cli(capsys, "verify", "--mode", "separation", "--desk-pair", *argv) == (0, want, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--mode", "separation", "--desk-pair", "--n", "3"),
+        ("verify", "--mode", "separation", "--desk-pair", "--m", "2"),
+        ("verify", "--mode", "separation", "--desk-pair", "--circuit", "CIRCUIT"),
+        ("verify", "--mode", "separation", "--desk-pair", "--circuit-no", "CIRCUIT"),
+        ("verify", "--mode", "decide", "--n", "2", "--desk-pair"),
+        ("verify", "--mode", "decide", "--n", "2", "--circuit-no", "CIRCUIT"),
+        ("verify", "--mode", "decide", "--circuit", "CIRCUIT", "--n", "2"),
+        ("verify", "--mode", "separation", "--circuit", "CIRCUIT", "--circuit-no", "CIRCUIT", "--r", "2"),
+        ("compile", "--circuit", "CIRCUIT", "--n", "2"),
+        ("oracle", "--circuit", "CIRCUIT", "--m", "1"),
+        ("spectrum", "--circuit", "CIRCUIT", "--r", "1"),
+        ("export", "--circuit", "CIRCUIT", "--r", "1", "--out", "UNWRITTEN"),
+    ], ids=" ".join)
+    def test_source_flags_it_would_ignore_are_refused(self, capsys, circuit_file, tmp_path, argv):
+        out_path = tmp_path / "op.txt"
+        argv = [{"CIRCUIT": circuit_file, "UNWRITTEN": str(out_path)}.get(a, a) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out_path.exists()
+
 
 class TestLemmaCommand:
     def test_no_violations(self, capsys):

@@ -390,6 +390,34 @@ class TestAssembly:
         mat, peak = _traced_peak(lambda: assemble_total(schedule, constants).matrix)
         assert peak < 2.5 * _csr_bytes(mat)
 
+    @pytest.mark.parametrize("shape, total, most_mib", [((3, 1, 3), False, 6), ((3, 1, 2), True, 4)])
+    def test_ring_sum_holds_little_over_its_output(self, shape, total, most_mib):
+        # Each block of about CHUNK = 2^16 codes allocates its own codes and
+        # keys: 4.2 MiB over the 12.4 MiB CSR of a seeded (3,1,3) H_comp, and
+        # 2.1 MiB over the 6.5 MiB of a seeded (3,1,2) total.  One scratch
+        # array for the largest block of 2^18 codes held 16.3 and 11.6 MiB.
+        from clockring import auto_constants
+        from clockring.hamiltonian import _ring_sum, _weighted_entries, total_parts
+
+        schedule = random_schedule(ProblemShape(*shape), np.random.default_rng(0))
+        if total:
+            parts = total_parts(standard_parts(schedule), auto_constants(schedule))
+        else:
+            parts = [(build_h_comp_bond(schedule), 1.0)]
+        basis = SpinBasis(schedule.shape)
+        entries = _weighted_entries(parts, basis.local_dim)
+        mat, peak = _traced_peak(lambda: _ring_sum(*entries, basis))
+        assert peak - _csr_bytes(mat) <= most_mib * 2 ** 20
+
+    def test_hermiticity_check_of_h_comp_holds_little(self):
+        # A seeded (3,1,3) H_comp, 12.4 MiB: the transposed byte labels and
+        # one block of 2^16 stored entries take 4.8 MiB; blocks of 2^18 took 12.6.
+        schedule = random_schedule(ProblemShape(3, 1, 3), np.random.default_rng(0))
+        mat = assemble_part(build_h_comp_bond(schedule), schedule.shape).matrix
+        residual, peak = _traced_peak(lambda: hermiticity_residual(mat))
+        assert residual == 0.0
+        assert peak <= 7 * 2 ** 20
+
     def test_hermiticity_check_holds_less_than_a_copy(self):
         # The check transposes position labels (a byte an entry here), not
         # the complex values; a transposed copy alone is about one CSR.

@@ -124,7 +124,7 @@ class TestLowSpectrum:
             low_spectrum(sparse([[1, np.nan], [np.nan, 2]]), 1)
 
     def test_non_finite_residual_refused(self, monkeypatch):
-        def nan_solve(mat, labels, sizes, k):
+        def nan_solve(mat, labels, sizes, rows, k):
             return np.full(k, np.nan), np.eye(mat.shape[0])[:, :k], False
 
         monkeypatch.setattr(spectral, "_block_eigenpairs", nan_solve)
@@ -372,7 +372,8 @@ def _assert_components_match_csgraph(mat):
 
     pattern = sp.csr_matrix((np.ones(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
     count, want = connected_components(pattern, directed=False)
-    labels, sizes = spectral._components(mat)
+    labels, sizes, rows = spectral._components(mat)
+    np.testing.assert_array_equal(rows, np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)))
     np.testing.assert_array_equal(labels, want)
     np.testing.assert_array_equal(sizes, np.bincount(want, minlength=count))
 
