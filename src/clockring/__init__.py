@@ -14,7 +14,6 @@ from .basis import (
     SpinBasis,
     enumerate_legal_orbit,
     initial_config,
-    is_legal,
     orbit_label_walk,
 )
 from .circuit import (

@@ -356,44 +356,3 @@ def enumerate_legal_orbit(shape: ProblemShape) -> list[tuple[int, ClockDescripto
     return [(t, ClockDescriptor(t, m, n, labels))
             for t, ((m, n), labels) in enumerate(zip(slots, orbit_label_walk(shape)))]
 
-
-def is_legal(config: Sequence[SpinState], shape: ProblemShape):
-    """Check head count, position layout, and clock-pattern membership.
-
-    Returns (ok, violations); violation tags name the penalty family that
-    would fire on the configuration.
-    """
-    n_sites = shape.n_sites
-    if len(config) != n_sites:
-        raise BasisError(f"config must have {n_sites} sites")
-    violations = []
-
-    head_sites = [i for i, s in enumerate(config) if s is HEAD]
-    if len(head_sites) != 1:
-        violations.append(f"head-count: {len(head_sites)} heads")
-    for i, s in enumerate(config):
-        nxt = config[(i + 1) % n_sites]
-        if nxt is HEAD and not (isinstance(s, Data) and s.position == shape.n_qubits):
-            violations.append("head-adjacency: head not preceded by position N")
-        if s is HEAD and not (isinstance(nxt, Data) and nxt.position == 1):
-            violations.append("head-adjacency: head not followed by position 1")
-        if isinstance(s, Data) and isinstance(nxt, Data):
-            if nxt.position != s.position + 1:
-                violations.append(
-                    f"position-increment at the pair ({s.position},{nxt.position})"
-                )
-    if violations:
-        return False, violations
-
-    head_site = head_sites[0]
-    positions = [
-        config[(head_site + z) % n_sites] for z in range(1, shape.n_qubits + 1)
-    ]
-    if any(not isinstance(s, Data) or s.position != z + 1 for z, s in enumerate(positions)):
-        violations.append("position-increment: positions do not read 1..N after the head")
-        return False, violations
-
-    labels = tuple(s.cycle for s in positions)
-    if labels not in set(orbit_label_walk(shape)):
-        violations.append(f"clock-pattern: labels {labels} not in the legal orbit")
-    return not violations, violations

@@ -76,14 +76,11 @@ def _load_schedule(args, cap=None) -> SweepSchedule:
 
 
 def _resolve_constants(schedule: SweepSchedule, args) -> CouplingConstants:
-    if args.alpha == "auto" or args.j2 == "auto":
-        auto = auto_constants(schedule, j1=args.j1)
-        j2 = auto.j2 if args.j2 == "auto" else float(args.j2)
-        alpha = auto.alpha if args.alpha == "auto" else float(args.alpha)
-        return CouplingConstants(args.j1, j2, alpha, auto.w_out)
-    return CouplingConstants.with_default_output_weight(
-        schedule.shape, args.j1, float(args.j2), float(args.alpha)
-    )
+    """--j1, --j2 and --alpha, each 'auto' one and w_out from auto_constants."""
+    auto = auto_constants(schedule, j1=args.j1)
+    j2 = auto.j2 if args.j2 == "auto" else float(args.j2)
+    alpha = auto.alpha if args.alpha == "auto" else float(args.alpha)
+    return CouplingConstants(args.j1, j2, alpha, auto.w_out)
 
 
 def cmd_compile(args) -> int:

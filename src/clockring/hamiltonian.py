@@ -1,11 +1,12 @@
 """Bond-local Hermitian terms and their translation-invariant ring sums.
 
 Every part of the total Hamiltonian is a single bond term summed over all
-N+1 ring bonds.  A term (LocalTerm) is never a d^2-indexed array: its
-diagonal part maps each of the d levels to a class and reads a small
-class-pair table (H_form's (N+1) x (N+1) table over positions, H_input's
-and H_output's left-site levels), and its touched part holds the reduced
-entries of the few level pairs it touches (H_comp's O(16 T)).  The one
+N+1 ring bonds.  A term (LocalTerm) has one form, never a d^2-indexed
+array: a class table, whose diagonal part maps each of the d levels to a
+class and reads a small class-pair table (H_form's (N+1) x (N+1) table
+over positions, H_input's and H_output's left-site levels), plus touched
+pairs, the reduced entries of the few level pairs it touches (H_comp's
+O(16 T)).  form_minimum_off_sector reads class-table terms only.  The one
 d^2-indexed object left is LocalTerm.matrix, the d^2 x d^2 CSR, built on
 demand for tests only: the full-space `assemble` reads the stored entries,
 LocalTerm.entries(), through _weighted_entries.  The terms and the
@@ -229,19 +230,13 @@ class LocalTerm:
     the d levels to a class, and the class-pair table is small.  The touched
     part holds canonically reduced entries over pair keys left * d + right:
     `rows` sorted, `cols` ascending within a row, and their values `vals`.
-    LocalTerm(d, matrix, provenance) keeps the stored entries of a d^2 x d^2
-    sparse matrix, duplicates summed, as its touched part.  The d^2 CSR,
-    `matrix`, is built on demand for tests; the full-space `assemble` reads
-    `entries()` instead.
+    These two parts are the term's one form.  The d^2 CSR, `matrix`, is
+    built on demand for tests; the full-space `assemble` reads `entries()`
+    instead.
     """
 
-    def __init__(self, local_dim: int, matrix=None, provenance: str = "", *,
-                 classes=None, table=None, pairs=None):
+    def __init__(self, local_dim: int, provenance: str = "", *, classes=None, table=None, pairs=None):
         self.local_dim, self.provenance = local_dim, provenance
-        if matrix is not None:  # its stored entries in row-major order
-            coo = sp.coo_matrix(matrix, dtype=complex)
-            coo.sum_duplicates()
-            pairs = (coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data)
         self.classes = np.zeros(local_dim, dtype=np.int64) if classes is None else np.asarray(classes)
         self.table = np.zeros((1, 1), dtype=np.int8) if table is None else np.asarray(table)
         if pairs is None:
@@ -386,10 +381,6 @@ class CouplingConstants:
     def __post_init__(self):
         if not all(isfinite(c) and c > 0 for c in (self.j1, self.j2, self.alpha, self.w_out)):
             raise BuildError("coupling constants must be finite and strictly positive")
-
-    @classmethod
-    def with_default_output_weight(cls, shape: ProblemShape, j1, j2, alpha):
-        return cls(j1, j2, alpha, float(shape.total_steps))
 
 
 @dataclass
@@ -659,65 +650,44 @@ def assemble_orbit(weighted_terms: list[tuple[LocalTerm, float]], shape: Problem
     return assemble_sector(weighted_terms, shape, orbit_keys(shape))
 
 
-def _band_pairs(shape: ProblemShape) -> list[tuple]:
-    """The (left, right) level bands of V0's ring bonds, bond (0, 1) first:
-    the head (level 0) on site 0, the levels Data(bit, cycle, z) on site z."""
-    bands = [lowest + np.arange(count) for lowest, count, _ in zip(*SpinBasis(shape).sector_layout())]
-    return list(zip(bands, bands[1:] + bands[:1]))
-
-
-def _sector_form_range(table: np.ndarray, shape: ProblemShape, classes=None) -> tuple[float, float]:
-    """Lowest and highest ring sum over V0 of the diagonal bond term
-    table[classes[left], classes[right]], by a min-plus and a max-plus pass
-    over the classes of its band pairs; `classes` is the identity on levels
-    when None, so `table` is then d x d."""
-    low = high = np.zeros(1)
-    for left, right in _band_pairs(shape):
-        if classes is not None:
-            left, right = np.unique(classes[left]), np.unique(classes[right])
-        weights = table[np.ix_(left, right)]
-        low, high = (low[:, None] + weights).min(axis=0), (high[:, None] + weights).max(axis=0)
-    return float(low[0]), float(high[0])
-
-
 def _position_classes(form: LocalTerm, shape: ProblemShape):
-    """Classes of the levels that refine their positions, the term's float
-    table over them, and each class's position; BuildError unless the term is
-    diagonal and integer-valued.  A term with a touched part (one made from a
-    matrix) gives every level its own class and a d x d table."""
-    stored = np.concatenate((form.table.astype(complex).ravel(), form.vals))
-    if np.any(form.rows != form.cols) or np.any(stored.imag != 0) or np.any(stored.real % 1 != 0):
-        raise BuildError(f"{form.provenance}: bond term is not diagonal and integer-valued")
+    """The term's float table over classes of the levels that refine their
+    positions, and each class's position; BuildError unless the term is a
+    class table, with no touched part, of integer values."""
+    values = form.table.astype(complex)
+    if form.rows.size or np.any(values.imag != 0) or np.any(values.real % 1 != 0):
+        raise BuildError(f"{form.provenance}: bond term is not an integer-valued class table")
     position, sites = SpinBasis(shape).positions, shape.n_sites
-    if form.rows.size:
-        table = form.table[np.ix_(form.classes, form.classes)].astype(float)
-        table.flat[form.rows] += form.vals.real
-        return np.arange(form.local_dim), table, position
-    kept, classes = np.unique(form.classes * sites + position, return_inverse=True)
-    return classes, form.table[np.ix_(kept // sites, kept // sites)].astype(float), kept % sites
+    kept = np.unique(form.classes * sites + position)
+    return form.table[np.ix_(kept // sites, kept // sites)].astype(float), kept % sites
 
 
 def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     """Lowest ring sum of the H_form bond term over configurations outside V.
 
     V (one head, positions 1..N clockwise from it) holds the rings whose
-    every bond is a band pair, positions (z, z + 1 mod N+1), and a rotation,
-    which keeps the sum, makes a bond that is not the closing bond (site N,
-    site 0).  Over classes that refine positions (_position_classes) the
-    answer is the lowest paths[f, c] + table[c, f] over non-band class pairs
-    (c, f), paths being the min-plus table of N-bond sums from class f on
-    site 0 to c on site N; every class holds a level, so every class ring is
-    a ring of levels.  The term must be diagonal and integer-valued, with
-    all of V0 (so all of V) at the ring minimum -1 and the rest above it,
-    else BuildError.
+    every bond is a band pair, positions (z, z + 1 mod N+1), so a ring is
+    in V exactly when its class ring, over classes that refine positions
+    (_position_classes), is; every class holds a level, so every class ring
+    is a ring of levels.  One min-plus pass of N bonds takes three tables
+    at once, each closed by its own bond (c, f) from class c on site N to f
+    on site 0: the table, whose rings closed by a non-band pair are those
+    outside V up to a rotation, which keeps the sum; the table with every
+    non-band pair at +inf, whose finite rings are V's, each rotation of a
+    V0 ring, so its minimum is V0's lowest sum; and that table negated,
+    whose minimum is minus V0's highest.  The term must be an integer-valued
+    class table, with all of V0 (so all of V) at the ring minimum -1 and the
+    rest above it, else BuildError.
     """
-    classes, table, position = _position_classes(form, shape)
+    table, position = _position_classes(form, shape)
     band_pair = position == (position[:, None] + 1) % shape.n_sites  # band_pair[c, f]
-    paths = table
+    tables = np.stack((table, np.where(band_pair, table, np.inf), np.where(band_pair, -table, np.inf)))
+    paths = tables
     for _ in range(shape.n_qubits - 1):
-        paths = (paths[:, :, None] + table).min(axis=1)
-    off_v = (paths + table.T)[~band_pair.T].min(initial=np.inf)  # paths[f, c] closed by (c, f)
-    low_v0, high_v0 = _sector_form_range(table, shape, classes)
+        paths = (paths[:, :, :, None] + tables[:, None]).min(axis=2)
+    rings = paths + tables.transpose(0, 2, 1)  # rings[k, f, c]: paths[k, f, c] closed by (c, f)
+    off_v = rings[0][~band_pair.T].min(initial=np.inf)
+    low_v0, high_v0 = rings[1].min(), 0.0 - rings[2].min()  # a zero highest sum stays +0.0
     if min(low_v0, off_v) != -1:
         raise BuildError(f"{form.provenance}: ring minimum {min(low_v0, off_v):g}, expected -1")
     if high_v0 != -1:
@@ -838,12 +808,7 @@ def total_parts(
 def assemble_total(schedule: SweepSchedule, constants: CouplingConstants) -> RingOperator:
     """The total Hamiltonian of the schedule's standard parts (see total_parts)."""
     checked_dim(schedule.shape)
-    tag = (
-        f"total(j1={constants.j1:.12g},j2={constants.j2:.12g},"
-        f"alpha={constants.alpha:.12g},w_out={constants.w_out:.12g})"
-    )
-    weighted = total_parts(standard_parts(schedule), constants)
-    return assemble(weighted, schedule.shape, provenance=tag)
+    return assemble(total_parts(standard_parts(schedule), constants), schedule.shape)
 
 
 def build_shift_operator(shape: ProblemShape) -> RingOperator:

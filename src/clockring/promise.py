@@ -23,6 +23,7 @@ import scipy.sparse as sp
 from .basis import SpinBasis, frozen_patterns, qubit_bits
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
+    DIM_CAP,
     CouplingConstants,
     LocalTerm,
     assemble_sector,
@@ -86,7 +87,10 @@ def choose_j(norm_h1: float) -> float:
     """J = 8||H1||^2 + 2||H1||; slack exactly 1/8 for any positive norm."""
     if norm_h1 < 0:
         raise PromiseError("norm_h1 must be nonnegative")
-    return 8.0 * norm_h1 ** 2 + 2.0 * norm_h1
+    try:
+        return 8.0 * norm_h1 ** 2 + 2.0 * norm_h1
+    except OverflowError:  # a float power raises where a product would give inf
+        raise PromiseError(f"J overflows at ||H1|| = {norm_h1:.6g}") from None
 
 
 def choose_alpha(shape: ProblemShape, c_est: float) -> float:
@@ -132,10 +136,13 @@ def verify_lemma_numeric(seed: int, trials: int, dim: int = 8) -> LemmaTrialRepo
     complement), draws Hermitian H1 with ||H1|| <= 1, and compares the dense
     smallest eigenvalue of H1 + H2 against the sandwich bounds.  Violations
     beyond numerical tolerance indicate an implementation bug, never a
-    failure of the bound itself.  Needs trials >= 1 and dim >= 2.
+    failure of the bound itself.  Needs trials >= 1 and dim >= 2, and
+    dim^2 at most DIM_CAP: each trial holds several dim x dim arrays.
     """
     if trials < 1 or dim < 2:
         raise PromiseError(f"need trials >= 1 and dim >= 2, got trials {trials}, dim {dim}")
+    if dim * dim > DIM_CAP:
+        raise PromiseError(f"dim {dim}: dim^2 = {dim * dim} exceeds cap {DIM_CAP}")
     rng = np.random.default_rng(seed)
     violations = 0
     worst_lower = np.inf
@@ -259,7 +266,7 @@ def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: in
     sector.certify(values[-1], f"level {k - 1}")
     clusters = [[i for j in members for i in range(j * copies, min(j * copies + copies, k))]
                 for members in report.clusters]
-    return SpectralReport(k, values, np.repeat(report.residuals, copies)[:k], clusters, report.method)
+    return SpectralReport(values, np.repeat(report.residuals, copies)[:k], clusters, report.method)
 
 
 @dataclass

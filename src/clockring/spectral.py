@@ -61,7 +61,6 @@ class ConvergenceError(SpectralError):
 
 @dataclass
 class SpectralReport:
-    requested: int
     eigenvalues: np.ndarray
     residuals: np.ndarray
     clusters: list[list[int]]
@@ -299,7 +298,7 @@ def low_spectrum(operator, k: int) -> SpectralReport:
             residual=float(residuals.max()),
         )
     clusters = _cluster(values, CLUSTER_RTOL * scale)
-    return SpectralReport(k, values, residuals, clusters, method, vectors=vectors)
+    return SpectralReport(values, residuals, clusters, method, vectors=vectors)
 
 
 def ground_energy(operator):

@@ -355,7 +355,12 @@ class TestErrors:
          "error: coupling constants must be finite and strictly positive\n"),
         (("spectrum", "--n", "2", "--alpha", "nan", "--k", "2"),
          "error: coupling constants must be finite and strictly positive\n"),
-    ], ids=["r0", "m0", "j2-inf", "alpha-nan"])
+        (("compile", "--n", "2", "--j1", "-1", "--j2", "1", "--alpha", "1"),
+         "error: coupling constants must be finite and strictly positive\n"),
+        (("compile", "--n", "2", "--j1", "1e200"), "error: J overflows at ||H1|| = 3e+200\n"),
+        # Each trial holds dim x dim arrays: refused before any of them.
+        (("lemma", "--dim", "4097"), "error: dim 4097: dim^2 = 16785409 exceeds cap 16777216\n"),
+    ], ids=["r0", "m0", "j2-inf", "alpha-nan", "j1-negative", "j1-overflow", "lemma-dim-4097"])
     def test_bad_shape_or_constant(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", message)

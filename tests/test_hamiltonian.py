@@ -109,7 +109,8 @@ def test_operator_norm_matches_dense_spectrum(dims, sign):
     schedule = random_schedule(shape, np.random.default_rng(sum(dims)))
     parts = {"H_comp": build_h_comp_bond(schedule)} if dims == (2, 1, 64) else standard_parts(schedule)
     for name, term in parts.items():
-        term = LocalTerm(term.local_dim, sign * term.matrix, name)
+        term = LocalTerm(term.local_dim, name, classes=term.classes, table=sign * term.table,
+                         pairs=(term.rows, term.cols, sign * term.vals))
         live = np.union1d(*term.matrix.nonzero())
         block = term.matrix[live][:, live].toarray()
         bound = np.abs(block).sum(axis=1).max(initial=0.0)
@@ -472,7 +473,7 @@ class TestAssembly:
 
     def test_nan_terms_are_refused(self, desk_shape, monkeypatch):
         d = SpinBasis(desk_shape).local_dim
-        nan = LocalTerm(d, sp.diags(np.full(d * d, np.nan)).tocsr(), "nan")
+        nan = LocalTerm(d, "nan", classes=np.arange(d), table=np.full((d, d), np.nan))
         with pytest.raises(BuildError, match="hermiticity residual nan"):
             nan.validate()
         with pytest.raises(BuildError, match="weighted bond-term value is not finite"):
@@ -492,7 +493,7 @@ class TestAssembly:
     def test_history_energy_is_form_reward_only(self, desk_shape, desk_identity_schedule):
         from clockring import simulate_history
 
-        constants = CouplingConstants.with_default_output_weight(desk_shape, 1.0, 2.0, 3.0)
+        constants = CouplingConstants(1.0, 2.0, 3.0, float(desk_shape.total_steps))
         total = assemble_total(desk_identity_schedule, constants)
         eta = simulate_history(desk_identity_schedule, "00").history_vector()
         energy = float(np.real(np.vdot(eta, total.matrix @ eta)))
@@ -580,7 +581,7 @@ class TestTranslationInvariance:
     def test_random_schedule_total_commutes(self, rng):
         shape = ProblemShape(2, 1, 2)
         schedule = random_schedule(shape, rng)
-        constants = CouplingConstants.with_default_output_weight(shape, 1.0, 5.0, 2.0)
+        constants = CouplingConstants(1.0, 5.0, 2.0, float(shape.total_steps))
         total = assemble_total(schedule, constants)
         shift = build_shift_operator(shape)
         assert check_translation_invariance(total, shift) == 0.0
@@ -589,7 +590,7 @@ class TestTranslationInvariance:
     def test_row_blocks_match_the_permuted_difference(self, chunk, monkeypatch):
         shape = ProblemShape(2, 1, 2)
         schedule = random_schedule(shape, np.random.default_rng(5))
-        total = assemble_total(schedule, CouplingConstants.with_default_output_weight(shape, 1.0, 5.0, 2.0))
+        total = assemble_total(schedule, CouplingConstants(1.0, 5.0, 2.0, float(shape.total_steps)))
         shift = build_shift_operator(shape)
         p = shift.matrix.indices
         bumped = total.matrix.copy()

@@ -9,7 +9,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from clockring import (
     HistoryState,
@@ -38,7 +37,6 @@ from clockring.hamiltonian import (
     DIM_CAP,
     BuildError,
     CouplingConstants,
-    _sector_form_range,
     assemble_sector,
     form_minimum_off_sector,
     off_sector_floor,
@@ -61,6 +59,16 @@ def all_patterns(shape: ProblemShape) -> np.ndarray:
 def v0_indices(shape: ProblemShape) -> np.ndarray:
     """Full-space indices of V0, in index order."""
     return np.sort(SpinBasis(shape).orbit_indices(0, all_patterns(shape)), axis=None)
+
+
+def level_table(term: hamiltonian.LocalTerm) -> np.ndarray:
+    """The d x d table of a diagonal bond term's value on every level pair."""
+    return term.matrix.diagonal().real.reshape(term.local_dim, term.local_dim)
+
+
+def level_term(table: np.ndarray, name: str) -> hamiltonian.LocalTerm:
+    """The diagonal bond term of a d x d level-pair table: one class per level."""
+    return hamiltonian.LocalTerm(len(table), name, classes=np.arange(len(table)), table=table)
 
 
 def schedules():
@@ -214,10 +222,10 @@ class TestOffSectorFloor:
         rng = np.random.default_rng(12)
         outcomes = set()
         for _ in range(12):
-            diagonal = form.matrix.diagonal().real.copy()
+            table = level_table(form)
             where = rng.integers(0, d * d, rng.integers(1, 4))
-            diagonal[where] += rng.choice([-2, -1, 1, 2], where.size)
-            term = hamiltonian.LocalTerm(d, sp.diags(diagonal.astype(complex)).tocsr(), "bumped")
+            table.flat[where] += rng.choice([-2, -1, 1, 2], where.size)
+            term = level_term(table, "bumped")
             ring = assemble_part(term, shape).matrix.diagonal().real
             valid = np.all(ring[inside] == -1) and ring[~inside].min() > -1
             if valid:
@@ -227,6 +235,21 @@ class TestOffSectorFloor:
                     form_minimum_off_sector(term, shape)
             outcomes.add(valid)
         assert outcomes == {True, False}
+
+    def test_form_pass_holds_nothing_of_bond_space_size(self):
+        # (2,1,4096): d = 16,389, so one d x d float table would be 2.1 GB;
+        # the form term and its pass read the 3 x 3 position table, whose
+        # minimum is the desk shape's.
+        desk, shape = ProblemShape(2, 1, 1), ProblemShape(2, 1, 4096)
+        assert SpinBasis(shape).local_dim == 16_389
+        tracemalloc.start()
+        try:
+            minimum = form_minimum_off_sector(hamiltonian.build_h_form_bond(shape), shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert minimum == form_minimum_off_sector(hamiltonian.build_h_form_bond(desk), desk)
+        assert peak <= 4 * 2 ** 20
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_floor_past_int64_config_dims(self, n):
@@ -240,51 +263,85 @@ class TestOffSectorFloor:
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2), (3, 1, 1)])
     def test_v0_band_pass_matches_brute_force(self, shape):
+        # Integer bumps on H_form's level table that keep the ring minimum
+        # at -1: a term is accepted exactly when all of V0 stays at -1 and
+        # nothing outside V reaches it, and a V0 off -1 is refused with V0's
+        # brute-force span, so the band pass reads V0's lowest and highest.
         shape = ProblemShape(*shape)
         form = hamiltonian.build_h_form_bond(shape)
-        d = form.local_dim
+        d, v0 = form.local_dim, v0_indices(shape)
+        basis = SpinBasis(shape)
+        inside = np.zeros(basis.config_dim, dtype=bool)
+        for head in range(shape.n_sites):
+            inside[basis.orbit_indices(head, all_patterns(shape)).ravel()] = True
         rng = np.random.default_rng(5)
-        noise = sp.diags(rng.integers(-3, 4, d * d).astype(complex)).tocsr()
-        for term in (form, hamiltonian.LocalTerm(d, noise, "noise")):
-            diagonal = assemble_part(term, shape).matrix.diagonal().real[v0_indices(shape)]
-            bond = term.matrix.diagonal().real.reshape(d, d)
-            assert _sector_form_range(bond, shape) == (diagonal.min(), diagonal.max())
+        outcomes = set()
+        for _ in range(40):
+            table = level_table(form)
+            where = rng.integers(0, d * d, rng.integers(1, 6))
+            table.flat[where] += rng.choice([-3, 1, 2], where.size)
+            term = level_term(table, "bumped")
+            ring = assemble_part(term, shape).matrix.diagonal().real
+            if ring.min() != -1:
+                continue
+            low, high = ring[v0].min(), ring[v0].max()
+            if low == high == -1 and ring[~inside].min() > -1:
+                assert form_minimum_off_sector(term, shape) == ring[~inside].min()
+                outcomes.add("accepted")
+            elif low == high == -1:
+                with pytest.raises(BuildError, match="a ring outside V reaches -1"):
+                    form_minimum_off_sector(term, shape)
+                outcomes.add("outside")
+            else:
+                with pytest.raises(BuildError, match=f"V0 configurations span {low:g}..{high:g}, not -1"):
+                    form_minimum_off_sector(term, shape)
+                outcomes.add("span")
+        assert {"accepted", "span"} <= outcomes
 
     def test_form_term_off_minus_one_on_v0_is_refused(self):
         shape = ProblemShape(2, 1, 1)
         form = hamiltonian.build_h_form_bond(shape)
-        basis, d = SpinBasis(shape), form.local_dim
+        basis, table = SpinBasis(shape), level_table(form)
         a, b = basis.encode(Data(0, 0, 1)), basis.encode(Data(0, 0, 2))
-        lift = sp.csr_matrix(([1.0], ([a * d + b], [a * d + b])), shape=form.matrix.shape)
-        lifted = hamiltonian.LocalTerm(d, form.matrix + lift, "lifted")
+        lifted = table.copy()
+        lifted[a, b] += 1
         with pytest.raises(BuildError):
-            form_minimum_off_sector(lifted, shape)
+            form_minimum_off_sector(level_term(lifted, "lifted"), shape)
         # Swapping the two levels keeps the ring minimum and its count but
         # moves the minimizers off V: only the V0 band pass sees it.
-        swap = np.arange(d)
+        swap = np.arange(len(table))
         swap[[a, b]] = [b, a]
-        diagonal = form.matrix.diagonal()[(swap[:, None] * d + swap).ravel()]
-        swapped = hamiltonian.LocalTerm(d, sp.diags(diagonal).tocsr(), "swapped")
         with pytest.raises(BuildError, match="V0 configurations span -1..4, not -1"):
-            form_minimum_off_sector(swapped, shape)
+            form_minimum_off_sector(level_term(table[np.ix_(swap, swap)], "swapped"), shape)
+        # Raising every head-to-position-1 bond lifts all of V0 to 0, and
+        # lowering the bond from the head to position 2 takes a ring outside
+        # V to -1: V0's lowest sum is then above the ring minimum.
+        raised = table.copy()
+        raised[basis.encode(HEAD), basis.positions == 1] += 1
+        raised[basis.encode(HEAD), basis.positions == 2] -= 3
+        with pytest.raises(BuildError, match="V0 configurations span 0..0, not -1"):
+            form_minimum_off_sector(level_term(raised, "raised"), shape)
 
     def test_broken_form_term_is_refused(self):
         shape = ProblemShape(2, 1, 1)
         form = hamiltonian.build_h_form_bond(shape)
-        halved = hamiltonian.LocalTerm(form.local_dim, form.matrix * 0.5, "halved")
+        table = level_table(form)
         with pytest.raises(BuildError, match="integer"):
-            form_minimum_off_sector(halved, shape)
-        doubled = hamiltonian.LocalTerm(form.local_dim, form.matrix * 2, "doubled")
+            form_minimum_off_sector(level_term(table * 0.5, "halved"), shape)
         with pytest.raises(BuildError, match="ring minimum"):
-            form_minimum_off_sector(doubled, shape)
+            form_minimum_off_sector(level_term(table * 2, "doubled"), shape)
         # Lowering by 3 the bond from the head to position 2 takes a ring
         # outside V down to -1, while V0 stays at -1 and nothing goes below.
-        basis, d = SpinBasis(shape), form.local_dim
-        skip = basis.encode(HEAD) * d + basis.encode(Data(0, 0, 2))
-        dip = sp.csr_matrix(([3.0], ([skip], [skip])), shape=form.matrix.shape)
-        lowered = hamiltonian.LocalTerm(d, form.matrix - dip, "lowered")
+        basis = SpinBasis(shape)
+        lowered = table.copy()
+        lowered[basis.encode(HEAD), basis.encode(Data(0, 0, 2))] -= 3
         with pytest.raises(BuildError, match="a ring outside V reaches -1, not above -1"):
-            form_minimum_off_sector(lowered, shape)
+            form_minimum_off_sector(level_term(lowered, "lowered"), shape)
+        # A touched part, even a diagonal one, is not a class table.
+        touched = hamiltonian.LocalTerm(form.local_dim, "touched", classes=form.classes, table=form.table,
+                                        pairs=(np.array([0]), np.array([0]), np.array([1.0 + 0j])))
+        with pytest.raises(BuildError, match="touched: bond term is not an integer-valued class table"):
+            form_minimum_off_sector(touched, shape)
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2)])
     def test_floor_is_below_the_spectrum_off_v(self, shape):
