@@ -133,7 +133,7 @@ def cmd_spectrum(args) -> int:
     constants = _resolve_constants(schedule, args)
     if args.orbit_restrict:
         sub = assemble_orbit(total_parts(standard_parts(schedule), constants), schedule.shape)
-        report = low_spectrum(sub, args.k)
+        report = low_spectrum(sub, args.k, constants.lower_bound)
     else:
         report = sector_spectrum(schedule, constants, args.k)
     if args.frozen_scan:  # 2^N bit strings on every frozen pattern, at every head site
@@ -196,8 +196,9 @@ def cmd_verify(args) -> int:
         raise ScheduleError("--mode decide reads one schedule: drop --desk-pair and --circuit-no")
     schedule = _load_schedule(args)
     params = PromiseParameters(args.a, args.b)
-    sector = sector_hamiltonian(schedule, _resolve_constants(schedule, args))
-    decision = decide(sector.total, params)
+    constants = _resolve_constants(schedule, args)
+    sector = sector_hamiltonian(schedule, constants)
+    decision = decide(sector.total, params, constants.lower_bound)
     sector.certify(decision.lambda0, "sector lambda0")
     sys.stdout.write(decision.format(params))
     return 0

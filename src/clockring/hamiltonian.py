@@ -382,6 +382,13 @@ class CouplingConstants:
         if not all(isfinite(c) and c > 0 for c in (self.j1, self.j2, self.alpha, self.w_out)):
             raise BuildError("coupling constants must be finite and strictly positive")
 
+    @property
+    def lower_bound(self) -> float:
+        """-alpha * J2, at most every level of the total and of each of its
+        blocks (Weyl): J1 H_input, J2 H_comp and w_out H_output are positive
+        semidefinite, and H_form's ring minimum is -1."""
+        return -self.alpha * self.j2
+
 
 @dataclass
 class RingOperator:
@@ -723,14 +730,16 @@ def _lowest_level(weighted_terms: list[tuple[LocalTerm, float]]) -> float:
     low_spectrum finds it on the d^2 bond space, from no d^2-indexed array.
     The touched pairs carry every off-diagonal entry, so low_spectrum solves
     the sum on them alone (_summed_on), with the same blocks in the same
-    pair-key order.  Every other pair is a 1 x 1 block holding the weighted
-    class tables, summed on its pair of joint classes (the classes of all
-    terms at once).
+    pair-key order, given the lower bound 0: off_sector_floor passes the
+    parts other than H_form, positive weights times the projectors H_input
+    and H_output and the positive semidefinite H_comp.  Every other pair is
+    a 1 x 1 block holding the weighted class tables, summed on its pair of
+    joint classes (the classes of all terms at once).
     """
     terms = [term for term, _ in weighted_terms]
     d = terms[0].local_dim
     pairs = np.unique(np.concatenate([np.concatenate((t.rows, t.cols)) for t in terms]))
-    lowest = [low_spectrum(_summed_on(weighted_terms, pairs), 1).eigenvalues[0]] if pairs.size else []
+    lowest = [low_spectrum(_summed_on(weighted_terms, pairs), 1, 0.0).eigenvalues[0]] if pairs.size else []
     code = np.zeros(d, dtype=np.int64)  # the joint class of a level, in mixed radix
     for term in terms:
         code = code * term.table.shape[0] + term.classes

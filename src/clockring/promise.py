@@ -185,8 +185,8 @@ class PromiseDecision:
         )
 
 
-def decide(operator, params: PromiseParameters) -> PromiseDecision:
-    lam, _, residual = ground_energy(operator)
+def decide(operator, params: PromiseParameters, lower_bound: float | None = None) -> PromiseDecision:
+    lam, _, residual = ground_energy(operator, lower_bound)
     if lam <= params.a:
         verdict = "Yes"
     elif lam > params.b:
@@ -261,7 +261,7 @@ def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: in
     levels, dim = -(-k // copies), sector.total.shape[0]
     if levels > dim:
         raise SpectralError(f"k = {k} exceeds the {copies} x {dim} levels of V0 and its translates")
-    report = low_spectrum(sector.total, levels)
+    report = low_spectrum(sector.total, levels, constants.lower_bound)
     values = np.repeat(report.eigenvalues, copies)[:k]
     sector.certify(values[-1], f"level {k - 1}")
     clusters = [[i for j in members for i in range(j * copies, min(j * copies + copies, k))]
@@ -370,7 +370,7 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, sh
     sector = sector_hamiltonian(schedule, constants, shared.parts, shared.form_minimum)
     total = sector.total
     frozen, walk = shared.frozen, shared.walk
-    filtered = low_spectrum(exclude_frozen(total, frozen)[0], 1)
+    filtered = low_spectrum(exclude_frozen(total, frozen)[0], 1, constants.lower_bound)
     lam_filtered = float(filtered.eigenvalues[0])
     sector.certify(lam_filtered, "sector lambda0")
     # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.

@@ -5,18 +5,32 @@ pattern, found in numpy by hook and jump (``_components``: roots hook onto
 the smallest root across their edges, pointers jump to their roots, and
 each round strictly lowers a root, so at most dim rounds run; components
 are numbered by smallest index, as scipy.sparse.csgraph numbers them).
-Each component spans an invariant block, solved on its own: densely up to
-DENSE_THRESHOLD states (equal-size blocks share one stacked LAPACK call),
-by restarted Lanczos above it (scipy's ARPACK from a LANCZOS_SEED start
-vector, so runs are deterministic; scipy.sparse.linalg, which loads
-scipy.linalg, is imported on the first such solve).  Ground energies
-(``ground_energy``), gaps (``gap``, which ``gapscan`` prints for the orbit
-block) and the off-sector floor of ``hamiltonian`` all come from
-``low_spectrum``; only the separation's small orbit-block ground level and
-the projection-lemma checks of ``promise`` call LAPACK directly.  Also: the
-hermiticity residual, restriction to configurations, the orbit and frozen
-configuration indices of the walk and the frozen patterns of ``basis``, and
-the uniform/engineered hopping chains used as exact references.
+Each component spans an invariant block, solved on its own: up to
+DENSE_THRESHOLD states densely (equal-size blocks share one stacked LAPACK
+call), above it by shift-invert Lanczos (Ericsson and Ruhe, Math. Comp. 35,
+1980) at sigma = b - SHIFT_MARGIN * max(1, |b|).  b is the block's
+Gershgorin bound, or the caller's ``lower_bound`` when larger: by Weyl's
+inequality every block of a total lies above -alpha J2
+(``CouplingConstants.lower_bound``), as J1 H_input, J2 H_comp and w_out
+H_output are positive semidefinite and H_form's ring minimum is -1.  H -
+sigma is factored once (SuperLU, symmetric mode, diagonal pivots); by
+Sylvester's law of inertia, positive pivots in matching row and column
+orders prove it positive definite, so the k largest levels of (H -
+sigma)^-1 are the k lowest of H.  Otherwise the bound was wrong and
+SpectralError is raised, as it is for a factor over FACTOR_BYTE_CAP bytes.
+ARPACK starts from a LANCZOS_SEED vector, so runs are deterministic;
+scipy.sparse.linalg, which loads scipy.linalg, is imported on the first
+such solve.  Every level of both routes passes one residual check,
+DENSE_RESIDUAL_TOL times the operator's norm estimate.
+
+Ground energies (``ground_energy``), gaps (``gap``, which ``gapscan``
+prints for the orbit block) and the off-sector floor of ``hamiltonian``
+all come from ``low_spectrum``; only the separation's small orbit-block
+ground level and the projection-lemma checks of ``promise`` call LAPACK
+directly.  Also: the hermiticity residual, restriction to configurations,
+the orbit and frozen configuration indices of the walk and the frozen
+patterns of ``basis``, and the uniform/engineered hopping chains used as
+exact references.
 """
 
 from __future__ import annotations
@@ -31,11 +45,27 @@ from .basis import SpinBasis, frozen_patterns, orbit_label_walk
 from .circuit import ProblemShape
 
 DENSE_RESIDUAL_TOL = 1e-8
-ITERATIVE_RESIDUAL_TOL = 1e-6
-MAX_MATVECS = 10000
 CLUSTER_RTOL = 1e-7  # eigenvalues within CLUSTER_RTOL * max(1, ||H||) share a cluster
 GAP_K_CAP = 64
-DENSE_THRESHOLD = 4096  # largest component block diagonalized densely
+# Largest component block diagonalized densely: the crossover, measured with
+# one BLAS thread on a 2-CPU Xeon.  At k = 64 on real path blocks (gapscan)
+# dense takes 7 ms per 193-state block against 9 ms for shift-invert, and
+# 12 ms against 9 ms at 257; at k = 1 and 8 on complex random (2,1,R) orbit
+# blocks shift-invert leads from about 128 states (3.0 ms against 4.0 ms) and
+# takes 3-4 ms against 18 ms at 256.
+DENSE_THRESHOLD = 256
+# Shift-invert's sigma lies SHIFT_MARGIN * max(1, |b|) below the lower bound
+# b: far above the rounding of H - sigma (about 1e-7 on the (2,1,1024) floor
+# block, norm 3e8), near enough b to keep the lowest levels apart once
+# inverted.  k = 8 on a 4,480-state random (7,1,1) V0 component took 1.27 s
+# at 1e-3 and 0.83 s at 1e-4; gapscan's paths and the (2,1,1100) orbit block
+# took the same at every margin from 1e-3 to 1e-6.
+SHIFT_MARGIN = 1e-4
+# Bytes of the largest LU factor of one shifted block.  SuperLU has no
+# symbolic pass to ask first, so a factor is refused once built, before
+# Lanczos runs: the 4,480-state random (7,1,1) V0 component's holds 34 MiB,
+# the 17,920-state random (8,1,1) one's 566 MiB (20 s, 1.2 GB peak).
+FACTOR_BYTE_CAP = 2 ** 29
 LANCZOS_SEED = 7
 # Elements one array pass holds, here and in hamiltonian: the codes of one
 # ring-sum run (and of a block of site-0 digits, unless one digit holds
@@ -50,13 +80,7 @@ class SpectralError(RuntimeError):
 
 
 class ConvergenceError(SpectralError):
-    """A solve did not converge or failed its residual check; carries the
-    best estimate and its residual when there is one."""
-
-    def __init__(self, message, best_value=None, residual=None):
-        super().__init__(message)
-        self.best_value = best_value
-        self.residual = residual
+    """A solve did not converge or failed its residual check."""
 
 
 @dataclass
@@ -185,16 +209,18 @@ def _components(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return labels, np.bincount(labels, minlength=int(np.count_nonzero(roots))), rows
 
 
-def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, rows: np.ndarray, k: int):
-    """The k lowest eigenpairs, and whether Lanczos solved any block;
+def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, rows: np.ndarray, k: int,
+                      lower_bound: float | None):
+    """The k lowest eigenpairs, and whether shift-invert solved any block;
     `rows` holds the row of every stored entry of mat.
 
     A component is diagonalized densely with the others of its size, unless
-    it exceeds DENSE_THRESHOLD states and k < size - 1: then by Lanczos on
-    its own block.  Each component offers its min(size, k) lowest levels,
-    ordered by component label, then level; a stable sort picks the k
-    lowest, so ties break the same way on every run.  Each vector is
-    supported on its own block.
+    it exceeds DENSE_THRESHOLD states and k < size - 1: then by shift-invert
+    Lanczos on its own block (_shift_invert_eigenpairs, below the larger of
+    `lower_bound` and the block's Gershgorin bound).  Each component offers
+    its min(size, k) lowest levels, ordered by component label, then level;
+    a stable sort picks the k lowest, so ties break the same way on every
+    run.  Each vector is supported on its own block.
     """
     dim = mat.shape[0]
     members = np.argsort(labels, kind="stable")  # component-major, index order inside
@@ -218,7 +244,8 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, rows: np.ndarr
         if size > DENSE_THRESHOLD and k < size - 1:
             iterative = True
             states = members[start[comps][:, None] + np.arange(size)]  # one component's per row
-            values, vectors = map(np.array, zip(*[_arpack_eigenpairs(mat[i][:, i], k) for i in states]))
+            values, vectors = map(np.array, zip(*[_shift_invert_eigenpairs(mat[i][:, i], k, lower_bound)
+                                                  for i in states]))
         else:
             blocks = np.zeros((len(comps), size, size), dtype=dtype)
             mine = entry_size == size
@@ -246,64 +273,75 @@ def _block_eigenpairs(mat, labels: np.ndarray, sizes: np.ndarray, rows: np.ndarr
     return candidates[chosen], out, iterative
 
 
-def _arpack_eigenpairs(mat, k: int):
-    """The k lowest of at least min(6, dim - 2) Ritz pairs from restarted
-    Lanczos, started from a LANCZOS_SEED vector; needs k < dim - 1."""
+def _shift_invert_eigenpairs(mat, k: int, lower_bound: float | None):
+    """The k lowest eigenpairs of one component block, by Lanczos on
+    (H - sigma)^-1 (see the module docstring); needs k < dim - 1.  The
+    Gershgorin bound is the least row diagonal less the row's off-diagonal
+    magnitudes.  SuperLU's P (H - sigma) P^T = L U, L unit lower triangular,
+    is L D L^H with D the diagonal of U, so its negative pivots count the
+    eigenvalues below sigma (Sylvester)."""
     import scipy.sparse.linalg as spla  # here only: it loads scipy.linalg too
 
     dim = mat.shape[0]
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
-    v0 /= np.linalg.norm(v0)
-    ritz = max(k, min(6, dim - 2))
+    if not mat.data.imag.any():  # symmetric Lanczos, about five times faster than complex Arnoldi
+        mat = mat.real
+    off_diagonal = np.asarray(abs(mat).sum(axis=1)).ravel() - abs(mat.diagonal())
+    bound = float((mat.diagonal().real - off_diagonal).min())
+    if lower_bound is not None:
+        bound = max(bound, lower_bound)
+    sigma = bound - SHIFT_MARGIN * max(1.0, abs(bound))
+    shifted = (mat - sigma * sp.identity(dim, dtype=mat.dtype, format="csr")).tocsc()
     try:
-        values, vectors = spla.eigsh(mat, k=ritz, which="SA", v0=v0, maxiter=MAX_MATVECS, tol=0)
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # an exactly singular pivot: sigma is an eigenvalue
+        raise SpectralError(f"H - {sigma:.12g} is singular: {bound:.12g} is no lower bound") from exc
+    held = lu.nnz * (shifted.dtype.itemsize + 4)  # L and U entries with their int32 row indices
+    if held > FACTOR_BYTE_CAP:
+        raise SpectralError(f"the LU factor of a {dim}-state block holds {held:,} bytes, "
+                            f"over the cap of {FACTOR_BYTE_CAP:,}")
+    negative = int(np.count_nonzero(lu.U.diagonal().real <= 0))
+    if negative or not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SpectralError(f"H - {sigma:.12g} is not proven positive definite ({negative} pivots "
+                            f"not positive): {bound:.12g} is no lower bound")
+    inverse = spla.LinearOperator(shifted.shape, matvec=lu.solve, dtype=shifted.dtype)
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+    try:
+        values, vectors = spla.eigsh(mat, k=k, sigma=sigma, which="LM", v0=v0 / np.linalg.norm(v0),
+                                     OPinv=inverse, tol=0)
     except spla.ArpackNoConvergence as exc:
-        best, residual = None, None
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            i = int(np.argmin(exc.eigenvalues.real))
-            best = float(exc.eigenvalues[i].real)
-            vec = exc.eigenvectors[:, i]
-            residual = float(np.linalg.norm(mat @ vec - best * vec))
-        raise ConvergenceError(
-            f"Lanczos did not converge for k = {k} within maxiter {MAX_MATVECS}",
-            best_value=best,
-            residual=residual,
-        ) from exc
-    order = np.argsort(values)[:k]
+        raise ConvergenceError(f"shift-invert Lanczos at {sigma:.12g} did not converge for k = {k}") from exc
+    order = np.argsort(values)
     return values[order], vectors[:, order]
 
 
-def low_spectrum(operator, k: int) -> SpectralReport:
+def low_spectrum(operator, k: int, lower_bound: float | None = None) -> SpectralReport:
     """The k smallest eigenvalues with residuals and degeneracy clusters,
-    solved block by block (see _block_eigenpairs); method is "iterative",
-    with the looser residual tolerance, when Lanczos solved a block."""
+    solved block by block (see _block_eigenpairs); method is "iterative"
+    when shift-invert solved a block.  `lower_bound`, when given, is a
+    lower bound on every eigenvalue, known to the caller from the
+    operator's structure; shift-invert proves it before using it."""
     mat = _as_matrix(operator).tocsr()
     dim = mat.shape[0]
     if not 1 <= k <= dim:
         raise SpectralError(f"k = {k} out of range 1..{dim}")
     _hermiticity_check(mat)
 
-    values, vectors, iterative = _block_eigenpairs(mat, *_components(mat), k)
-    method = "iterative" if iterative else "dense"
-    tol_scale = ITERATIVE_RESIDUAL_TOL if iterative else DENSE_RESIDUAL_TOL
-
+    values, vectors, iterative = _block_eigenpairs(mat, *_components(mat), k, lower_bound)
     residuals = np.array(
         [np.linalg.norm(mat @ vectors[:, i] - values[i] * vectors[:, i]) for i in range(len(values))]
     )
     scale = max(1.0, _norm_estimate(mat))
-    if not np.all(residuals <= tol_scale * scale):
-        raise ConvergenceError(
-            f"residuals exceed {tol_scale:g} * {scale:.3g}",
-            best_value=float(values[0]),
-            residual=float(residuals.max()),
-        )
+    if not np.all(residuals <= DENSE_RESIDUAL_TOL * scale):
+        raise ConvergenceError(f"residuals exceed {DENSE_RESIDUAL_TOL:g} * {scale:.3g}: largest "
+                               f"{residuals.max():.3g}, lowest level {values[0]:.12g}")
     clusters = _cluster(values, CLUSTER_RTOL * scale)
-    return SpectralReport(values, residuals, clusters, method, vectors=vectors)
+    return SpectralReport(values, residuals, clusters, "iterative" if iterative else "dense", vectors=vectors)
 
 
-def ground_energy(operator):
-    """Smallest eigenvalue, its vector, and the residual norm."""
-    report = low_spectrum(operator, 1)
+def ground_energy(operator, lower_bound: float | None = None):
+    """Smallest eigenvalue, its vector, and the residual norm (see low_spectrum)."""
+    report = low_spectrum(operator, 1, lower_bound)
     vec = report.vectors[:, 0]
     return float(report.eigenvalues[0]), vec, float(report.residuals[0])
 

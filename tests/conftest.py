@@ -28,3 +28,20 @@ def form_valid():
         return len(heads) == 1 and all(
             config[(heads[0] + z) % len(config)].position == z for z in range(1, len(config)))
     return valid
+
+
+@pytest.fixture(scope="session")
+def levels_below():
+    """The number of eigenvalues of a Hermitian sparse matrix below a value,
+    counted by Sylvester's law of inertia: the negative pivots of a
+    symmetric-mode, diagonal-pivot LU of the shifted matrix."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    def count(mat, value) -> int:
+        shifted = (mat - value * sp.identity(mat.shape[0], format="csr")).tocsc()
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        return int(np.count_nonzero(lu.U.diagonal().real < 0))
+    return count

@@ -445,6 +445,28 @@ class TestOrbitBlockPastTheCap:
         assert total == "64"
         assert float(gap_value) == pytest.approx(path_gap(65), rel=1e-9)
 
+    def test_factor_over_the_byte_cap_is_one_error_line(self, capsys, monkeypatch):
+        # T+1 = 300: four 300-state paths, each above the dense cut.
+        from clockring import spectral
+
+        monkeypatch.setattr(spectral, "FACTOR_BYTE_CAP", 1024)
+        code, out, err = run_cli(capsys, "gapscan", "--tplus", "300")
+        assert code == 1 and out == "T gap scaled_gap\n"
+        assert err.startswith("error: the LU factor of a 300-state block holds ")
+        assert len(err.splitlines()) == 1
+
+    def test_gapscan_2049_peak_stays_small(self):
+        # Four 2,049-state paths by shift-invert; a dense stack of them took 770 MB.
+        script = ("import resource, sys\n"
+                  "from clockring.cli import main\n"
+                  "code = main(['gapscan', '--tplus', '2049'])\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        done = _fresh_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().splitlines()[1].startswith("2048 2.3508003327")
+        assert int(done.stderr.decode()) < 200 * 1024  # ru_maxrss is in KiB
+
     def test_oracle_builds_no_full_space_vector_or_operator(self, capsys, monkeypatch):
         from clockring.oracle import HistoryState
 

@@ -400,6 +400,24 @@ class TestSectorSpectrumReport:
         assert sector.clusters == full.clusters
         assert np.all(sector.residuals <= 1e-8 * max(1.0, abs(full.eigenvalues[0])))
 
+    def test_large_v0_component_by_shift_invert(self, levels_below):
+        # Random (7,1,1) V0 (seed 3) has two 4,480-state components, far
+        # above the dense cut; k = 8 on one of them, at the total's bound.
+        from clockring import spectral
+
+        schedule = random_schedule(ProblemShape(7, 1, 1), np.random.default_rng(3))
+        constants = auto_constants(schedule)
+        total = promise.sector_hamiltonian(schedule, constants).total
+        labels, sizes, _ = spectral._components(total)
+        assert sorted(sizes)[-2:] == [4480, 4480]
+        states = np.flatnonzero(labels == np.flatnonzero(sizes == 4480)[0])
+        block = total[states][:, states]
+        report = low_spectrum(block, 8, constants.lower_bound)
+        assert report.method == "iterative"
+        assert report.eigenvalues[0] == pytest.approx(-9989.26726104, abs=1e-7)
+        assert report.eigenvalues[-1] == pytest.approx(-9988.73732929, abs=1e-7)
+        assert levels_below(block, report.eigenvalues[-1] + 1e-6) == 8
+
     def test_levels_beyond_the_sector_are_refused(self):
         from clockring.promise import sector_spectrum
 

@@ -1,4 +1,5 @@
 import ast
+import time
 from math import cos, pi
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from clockring import (
 from clockring import hamiltonian, spectral
 from clockring.basis import config_from_labels, orbit_label_walk
 from clockring.circuit import force_reject_gate, schedule_from_placements
-from clockring.hamiltonian import assemble_total
+from clockring.hamiltonian import assemble_orbit, assemble_total, standard_parts, total_parts
 from clockring.promise import auto_constants, sector_hamiltonian
 from clockring.spectral import (
     CLUSTER_RTOL,
@@ -124,7 +125,7 @@ class TestLowSpectrum:
             low_spectrum(sparse([[1, np.nan], [np.nan, 2]]), 1)
 
     def test_non_finite_residual_refused(self, monkeypatch):
-        def nan_solve(mat, labels, sizes, rows, k):
+        def nan_solve(mat, labels, sizes, rows, k, lower_bound):
             return np.full(k, np.nan), np.eye(mat.shape[0])[:, :k], False
 
         monkeypatch.setattr(spectral, "_block_eigenpairs", nan_solve)
@@ -215,14 +216,14 @@ class TestBlockEngine:
             mat[np.ix_(idx, idx)] = block
             at += len(block)
         solved = []
-        arpack = spectral._arpack_eigenpairs
+        shift_invert = spectral._shift_invert_eigenpairs
 
-        def recording(sub, k):
+        def recording(sub, k, lower_bound):
             solved.append(sub.shape[0])
-            return arpack(sub, k)
+            return shift_invert(sub, k, lower_bound)
 
         monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
-        monkeypatch.setattr(spectral, "_arpack_eigenpairs", recording)
+        monkeypatch.setattr(spectral, "_shift_invert_eigenpairs", recording)
         k = 12
         report = low_spectrum(sparse(mat), k)
         assert report.method == "iterative"
@@ -234,11 +235,13 @@ class TestBlockEngine:
         assert [len(c) for c in report.clusters] == [len(c) for c in spectral._cluster(want, tol)]
         assert [len(c) for c in report.clusters][:2] == [2, 2]  # one level from each chain
 
-    def test_dense_groups_keep_only_the_offered_vectors(self):
+    def test_dense_groups_keep_only_the_offered_vectors(self, monkeypatch):
         # Two dense size groups; at k = 1 the first group's stack must be
-        # released before the second one is solved.
+        # released before the second one is solved.  The cut is raised so
+        # both chains stay on the dense route.
         import tracemalloc
 
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 1200)
         def chain(n, shift):
             return sp.diags([np.arange(n) * 0.01 + shift, -np.ones(n - 1), -np.ones(n - 1)],
                             [0, 1, -1])
@@ -255,17 +258,6 @@ class TestBlockEngine:
         largest_stack = 1200 * 1200 * 8  # its blocks and its vectors are both live at the peak
         assert peak < 2.2 * largest_stack
 
-    def test_partial_lanczos_result_raises(self, monkeypatch):
-        # Two isolated low levels converge at once; the other two requested do not.
-        diag = np.r_[[-10.0, -9.0], np.linspace(0, 1, 298)]
-        mat = sparse(np.diag(diag) + 1e-3 * path_laplacian(300))
-        monkeypatch.setattr(spectral, "MAX_MATVECS", 1)
-        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
-        with pytest.raises(ConvergenceError) as info:
-            low_spectrum(mat, 4)
-        assert info.value.best_value == pytest.approx(-10, abs=1e-2)
-        assert info.value.residual <= 1e-8
-
     def test_three_qubit_identity_ground_degeneracy(self):
         schedule = SweepSchedule(ProblemShape(3, 1, 1))
         total = assemble_total(schedule, auto_constants(schedule))
@@ -279,6 +271,72 @@ class TestBlockEngine:
         assert result.ground_degeneracy == 44
         assert result.ground_value == pytest.approx(-2376, abs=1e-9)
         assert result.next_value == pytest.approx(-2375.66701723, abs=1e-8)
+
+
+def _random_orbit_block(n_cycles: int):
+    """The total's orbit block of a random (2,1,R) schedule, 4 (R + 1)
+    states in one component, and the total's lower bound -alpha J2."""
+    shape = ProblemShape(2, 1, n_cycles)
+    schedule = random_schedule(shape, np.random.default_rng(3))
+    constants = auto_constants(schedule)
+    return assemble_orbit(total_parts(standard_parts(schedule), constants), shape), constants.lower_bound
+
+
+@pytest.fixture(scope="module")
+def orbit_block_1100():
+    return _random_orbit_block(1100)
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_large_random_orbit_block_in_under_a_second(self, orbit_block_1100, levels_below, k):
+        block, bound = orbit_block_1100
+        assert block.shape == (4404, 4404)
+        assert spectral._components(block)[1].tolist() == [4404]
+        start = time.perf_counter()
+        report = low_spectrum(block, k, bound)
+        assert time.perf_counter() - start < 1.0
+        assert report.method == "iterative"
+        assert bound <= report.eigenvalues[0] == pytest.approx(-1421.32944821, abs=1e-6)
+        # No level is skipped: exactly k lie below a point just above the k-th.
+        assert levels_below(block, report.eigenvalues[-1] + 1e-6) == k
+
+    @pytest.mark.parametrize("n_cycles", [64, 255])  # 260 and 1,024 states
+    def test_random_orbit_blocks_match_dense(self, n_cycles):
+        block, bound = _random_orbit_block(n_cycles)
+        assert block.shape[0] > spectral.DENSE_THRESHOLD
+        dense = np.linalg.eigvalsh(block.toarray())
+        for k in (1, 8):
+            report = low_spectrum(block, k, bound)
+            assert report.method == "iterative"
+            assert np.abs(report.eigenvalues - dense[:k]).max() <= 1e-10 * np.abs(dense[:k]).max()
+
+    def test_gershgorin_bound_alone_gives_the_same_levels(self):
+        block, bound = _random_orbit_block(64)
+        with_bound, alone = low_spectrum(block, 8, bound), low_spectrum(block, 8)
+        assert np.abs(with_bound.eigenvalues - alone.eigenvalues).max() <= 1e-10 * abs(bound)
+
+    @staticmethod
+    def _isolated_ground():
+        # A 300-state path with one site pulled down: one level near -3,
+        # the rest in [0, 4].
+        mat = path_laplacian(300)
+        mat[0, 0] -= 3.0
+        return sparse(mat), np.linalg.eigvalsh(mat)
+
+    def test_bound_above_ground_level_raises(self):
+        mat, levels = self._isolated_ground()
+        assert levels[0] < -2 and levels[1] > 0
+        with pytest.raises(SpectralError, match="not proven positive definite"):
+            low_spectrum(mat, 1, levels[0] + 1.0)
+        with pytest.raises(SpectralError, match="no lower bound"):
+            low_spectrum(mat, 2, 2.0)  # many levels below the shift
+
+    def test_bound_below_ground_level_gives_the_levels(self):
+        mat, levels = self._isolated_ground()
+        report = low_spectrum(mat, 3, levels[0] - 0.5)
+        assert report.method == "iterative"
+        assert np.abs(report.eigenvalues - levels[:3]).max() <= 1e-10
 
 
 class TestRestrict:
