@@ -10,7 +10,8 @@ Selecting J = 8||H1||^2 + 2||H1|| makes the lower-bound slack exactly 1/8.
 Every spectral value of a schedule's total Hamiltonian comes from the
 head-0 form-valid sector V0 (see ``hamiltonian`` and sector_hamiltonian):
 the separation experiment, sector_spectrum and ``decide``, each on the one
-V0 total it builds, whose slice at the walk keys is the orbit block.
+V0 total it builds, through spectral.low_spectrum.  The separation's orbit
+block is that total at the sorted walk keys, solved by low_spectrum too.
 """
 
 from __future__ import annotations
@@ -344,19 +345,23 @@ def orbit_expectations(history: HistoryState, terms: dict[str, LocalTerm], walk:
 @dataclass
 class _Shared:
     """What both schedules of a separation share, built once: the bond terms
-    that do not read the schedule, H_form's off-sector minimum, and the V0
-    keys of the frozen configurations (sorted) and of the orbit (walk order)."""
+    that do not read the schedule, H_form's off-sector minimum, the V0 keys
+    of the frozen configurations (sorted) and of the orbit (walk order), and
+    the order that sorts the walk's keys."""
 
     parts: dict[str, LocalTerm]
     form_minimum: float
     frozen: np.ndarray
     walk: np.ndarray
+    order: np.ndarray
 
     @classmethod
     def of(cls, shape: ProblemShape) -> "_Shared":
         parts = shape_parts(shape)
         frozen = np.sort(SpinBasis(shape).sector_keys(frozen_patterns(shape)), axis=None)
-        return cls(parts, form_minimum_off_sector(parts["H_form"], shape), frozen, orbit_keys(shape))
+        walk = orbit_keys(shape)
+        return cls(parts, form_minimum_off_sector(parts["H_form"], shape), frozen, walk,
+                   np.argsort(walk, kind="stable"))
 
 
 def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, shared: _Shared) -> ScheduleEnergies:
@@ -364,7 +369,10 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, sh
 
     A filtered lambda0 below the off-sector floor is the full-space value;
     otherwise SpectralError.  The orbit block is the V0 total at the walk
-    keys, in HistoryState.orbit_vector order.
+    keys in sorted order, the order the filtered solve holds them in, and
+    low_spectrum solves it with the same bound: the orbit and filtered
+    levels agree bit for bit whenever the filtered ground level lies on the
+    orbit.  Witness energies read HistoryState.orbit_vector in that order.
     """
     shape = schedule.shape
     sector = sector_hamiltonian(schedule, constants, shared.parts, shared.form_minimum)
@@ -376,13 +384,14 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, sh
     # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
     lam_full = float(min(lam_filtered, total.diagonal().real[frozen].min(initial=np.inf)))
 
-    orbit = {"total": total[walk][:, walk]}
-    lam_orbit = float(np.linalg.eigvalsh(orbit["total"].toarray())[0])
+    keys = walk[shared.order]
+    orbit = {"total": total[keys][:, keys]}
+    lam_orbit = float(low_spectrum(orbit["total"], 1, constants.lower_bound).eigenvalues[0])
     # The first candidate of lowest history energy is the best witness.
     best = None
     for bits in _witness_candidates(shape):
         history = simulate_history(schedule, bits)
-        energy = expectations(history.orbit_vector(), orbit)[0][1]
+        energy = expectations(history.orbit_vector()[shared.order], orbit)[0][1]
         if best is None or energy < best[0]:
             best = energy, bits, history
     energy, bits, history = best

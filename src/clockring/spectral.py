@@ -17,20 +17,22 @@ sigma is factored once (SuperLU, symmetric mode, diagonal pivots); by
 Sylvester's law of inertia, positive pivots in matching row and column
 orders prove it positive definite, so the k largest levels of (H -
 sigma)^-1 are the k lowest of H.  Otherwise the bound was wrong and
-SpectralError is raised, as it is for a factor over FACTOR_BYTE_CAP bytes.
+SpectralError is raised, as it is when the factor and the copy of U its
+pivots are read from would exceed FACTOR_BYTE_CAP bytes.
 ARPACK starts from a LANCZOS_SEED vector, so runs are deterministic;
 scipy.sparse.linalg, which loads scipy.linalg, is imported on the first
 such solve.  Every level of both routes passes one residual check,
 DENSE_RESIDUAL_TOL times the operator's norm estimate.
 
-Ground energies (``ground_energy``), gaps (``gap``, which ``gapscan``
-prints for the orbit block) and the off-sector floor of ``hamiltonian``
-all come from ``low_spectrum``; only the separation's small orbit-block
-ground level and the projection-lemma checks of ``promise`` call LAPACK
-directly.  Also: the hermiticity residual, restriction to configurations,
-the orbit and frozen configuration indices of the walk and the frozen
-patterns of ``basis``, and the uniform/engineered hopping chains used as
-exact references.
+Every reported level comes from ``low_spectrum``: ground energies
+(``ground_energy``), gaps (``gap``, which ``gapscan`` prints for the orbit
+block), the off-sector floor of ``hamiltonian``, and the separation's
+orbit level, whose block is the V0 total at the sorted walk keys.  Only
+the projection-lemma checks of ``promise``, on their own random matrices
+(8 x 8 by default), call LAPACK directly.  Also: the hermiticity residual,
+restriction to configurations, the orbit and frozen configuration indices
+of the walk and the frozen patterns of ``basis``, and the
+uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
@@ -61,10 +63,12 @@ DENSE_THRESHOLD = 256
 # at 1e-3 and 0.83 s at 1e-4; gapscan's paths and the (2,1,1100) orbit block
 # took the same at every margin from 1e-3 to 1e-6.
 SHIFT_MARGIN = 1e-4
-# Bytes of the largest LU factor of one shifted block.  SuperLU has no
-# symbolic pass to ask first, so a factor is refused once built, before
-# Lanczos runs: the 4,480-state random (7,1,1) V0 component's holds 34 MiB,
-# the 17,920-state random (8,1,1) one's 566 MiB (20 s, 1.2 GB peak).
+# Bytes of one shifted block's LU factor and of the CSC copy of U that
+# reading its pivots makes (lu.U), which is at most as large as the factor.
+# SuperLU has no symbolic pass to ask first, so a factor is refused once
+# built, before U is copied: twice the factor of the 4,480-state random
+# (7,1,1) V0 component is 68 MiB, of the 17,920-state random (8,1,1) one
+# 1.1 GiB (the factor alone took 20 s and a 1.2 GB peak).
 FACTOR_BYTE_CAP = 2 ** 29
 LANCZOS_SEED = 7
 # Elements one array pass holds, here and in hamiltonian: the codes of one
@@ -297,9 +301,9 @@ def _shift_invert_eigenpairs(mat, k: int, lower_bound: float | None):
     except RuntimeError as exc:  # an exactly singular pivot: sigma is an eigenvalue
         raise SpectralError(f"H - {sigma:.12g} is singular: {bound:.12g} is no lower bound") from exc
     held = lu.nnz * (shifted.dtype.itemsize + 4)  # L and U entries with their int32 row indices
-    if held > FACTOR_BYTE_CAP:
-        raise SpectralError(f"the LU factor of a {dim}-state block holds {held:,} bytes, "
-                            f"over the cap of {FACTOR_BYTE_CAP:,}")
+    if 2 * held > FACTOR_BYTE_CAP:  # with lu.U's copy: U and its column pointers fit in `held`
+        raise SpectralError(f"the LU factor of a {dim}-state block holds {held:,} bytes and reading "
+                            f"its pivots copies up to as many again, over the cap of {FACTOR_BYTE_CAP:,}")
     negative = int(np.count_nonzero(lu.U.diagonal().real <= 0))
     if negative or not np.array_equal(lu.perm_r, lu.perm_c):
         raise SpectralError(f"H - {sigma:.12g} is not proven positive definite ({negative} pivots "

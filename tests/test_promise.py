@@ -15,6 +15,7 @@ from clockring import (
     force_reject_gate,
     ground_energy,
     projection_bounds,
+    random_schedule,
     schedule_from_placements,
     separation_experiment,
     standard_parts,
@@ -146,11 +147,16 @@ class TestDecide:
             PromiseParameters(a=1.0, b=1.0)
 
 
-def desk_pair():
-    shape = ProblemShape(2, 1, 1)
+def desk_pair(r=1):
+    shape = ProblemShape(2, 1, r)
     accepting = SweepSchedule(shape)
-    rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, 1)
+    rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 2, 1, r)
     return accepting, rejecting
+
+
+def random_pair(shape, seed):
+    return (random_schedule(shape, np.random.default_rng(seed)),
+            random_schedule(shape, np.random.default_rng(seed + 100)))
 
 
 class TestSeparation:
@@ -213,6 +219,31 @@ class TestSeparation:
         separation_experiment(accepting, rejecting)
         assert len(calls) == 2 and calls[0] is accepting and calls[1] is rejecting
         assert shapes == [accepting.shape]
+
+    @pytest.mark.parametrize("pair", [desk_pair(3), desk_pair(4), desk_pair(8), desk_pair(256),
+                                      random_pair(ProblemShape(3, 2, 1), 1)],
+                             ids=["desk-3", "desk-4", "desk-8", "desk-256", "random-321"])
+    def test_orbit_level_is_the_filtered_level(self, pair):
+        # The orbit block is solved as the filtered solve holds the same
+        # components, so where the filtered ground lies on the orbit the
+        # two levels are one computation.
+        report = separation_experiment(*pair)
+        for side in (report.yes, report.no):
+            assert side.lambda0_orbit == side.lambda0_filtered
+        assert report.separation_orbit == report.separation
+
+    def test_orbit_level_above_lower_illegal_components(self):
+        report = separation_experiment(*random_pair(ProblemShape(3, 1, 8), 5))
+        for side in (report.yes, report.no):
+            assert side.lambda0_orbit > side.lambda0_filtered
+
+    def test_separation_makes_no_dense_eigen_call(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        report = separation_experiment(*desk_pair(3))
+        assert report.separation > 0
 
     def test_shape_mismatch_rejected(self):
         accepting, _ = desk_pair()

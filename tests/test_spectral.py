@@ -1,4 +1,5 @@
 import ast
+import re
 import time
 from math import cos, pi
 from pathlib import Path
@@ -338,6 +339,20 @@ class TestShiftInvert:
         assert report.method == "iterative"
         assert np.abs(report.eigenvalues - levels[:3]).max() <= 1e-10
 
+    def test_byte_cap_counts_the_copy_of_u(self, monkeypatch):
+        # The pivots are read from a copy of U, up to the factor's size again:
+        # a cap between one and two factor sizes refuses the solve.
+        block = sparse(path_laplacian(300))
+        monkeypatch.setattr(spectral, "FACTOR_BYTE_CAP", 1)
+        with pytest.raises(SpectralError, match="over the cap") as refused:
+            low_spectrum(block, 1)
+        held = int(re.search(r"holds ([\d,]+) bytes", str(refused.value))[1].replace(",", ""))
+        monkeypatch.setattr(spectral, "FACTOR_BYTE_CAP", held * 3 // 2)
+        with pytest.raises(SpectralError, match="over the cap"):
+            low_spectrum(block, 1)
+        monkeypatch.setattr(spectral, "FACTOR_BYTE_CAP", 2 * held)
+        assert low_spectrum(block, 1).method == "iterative"
+
 
 class TestRestrict:
     def test_single_configuration_diagonal(self, desk_identity_schedule, desk_shape):
@@ -630,6 +645,26 @@ def test_spectral_is_the_only_eigensolver_module():
     assert slot_edge_importers <= {"basis", "hamiltonian"}
     assert not any("hamiltonian" in n for n in spectral_sources)
     assert hamiltonian.hermiticity_residual is spectral.hermiticity_residual
+
+
+def test_spectral_is_the_only_module_with_eigen_calls():
+    # Every reported level comes from low_spectrum; the projection-lemma
+    # check draws its own random matrices and diagonalizes them.
+    allowed = {("promise", "verify_lemma_numeric"), ("promise", "_random_hermitian")}
+    package = Path(spectral.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "spectral":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {child: (path.stem, node.name) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) for child in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("eigh", "eigvalsh", "eigsh"):
+                    callers.add(owner.get(node, (path.stem, None)))
+    assert callers <= allowed
 
 
 def test_basis_is_the_only_module_with_layout_arithmetic():
