@@ -37,10 +37,10 @@ without moving the head or a position, so the head-0 form-valid sector V0
 (SpinBasis.sector_dim configurations) is an invariant block.
 assemble_sector builds such a block, or any closed subset of it like the
 legal orbit (assemble_orbit), without the d^(N+1) space, from the class
-tables and a binary search in the touched pairs; off_sector_floor, a
-min-plus path bound over classes plus a solve on the touched pairs, whose
-weighted sum is one canonical reduction (_summed_on), bounds H off the
-form-valid set, which makes a sector eigenvalue below it a full-space one.
+tables and a binary search in the touched pairs; off_sector_floor, H_form's
+weighted min-plus path bound over classes (the other parts are positive
+semidefinite), bounds H off the form-valid set, which makes a sector
+eigenvalue below it a full-space one.
 `assemble` builds the full space, which only compile and export need, and
 refuses more than DIM_CAP configurations (assemble_total does so before
 building any bond term).  It sorts the full-space sum per site-0 row block
@@ -63,7 +63,7 @@ import scipy.sparse as sp
 
 from .basis import SpinBasis, orbit_label_walk, slot_edges
 from .circuit import ProblemShape, SweepSchedule
-from .spectral import CHUNK, hermiticity_residual, low_spectrum
+from .spectral import CHUNK, hermiticity_residual
 
 HERMITICITY_TOL = 1e-12
 RING_HERMITICITY_TOL = 1e-10
@@ -386,7 +386,8 @@ class CouplingConstants:
     def lower_bound(self) -> float:
         """-alpha * J2, at most every level of the total and of each of its
         blocks (Weyl): J1 H_input, J2 H_comp and w_out H_output are positive
-        semidefinite, and H_form's ring minimum is -1."""
+        semidefinite, and H_form's ring minimum is -1.  off_sector_floor
+        reads the same fact off V, where H_form's minimum is higher."""
         return -self.alpha * self.j2
 
 
@@ -704,77 +705,22 @@ def form_minimum_off_sector(form: LocalTerm, shape: ProblemShape) -> float:
     return float(off_v)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
-def _summed_on(weighted_terms: list[tuple[LocalTerm, float]], pairs: np.ndarray) -> sp.csr_matrix:
-    """The sum of weight * term.matrix over the terms on the sorted pair keys
-    `pairs`, relabelled in order; `pairs` holds every touched pair.
-
-    Every term's weighted entries on them, its class table's nonzero cells
-    and its touched part, meet in one _reduce_pairs call, so each entry is
-    summed in the canonical rank order, as everywhere else in the module."""
-    d, size = weighted_terms[0][0].local_dim, pairs.size
-    rows, cols, vals = [], [], []
-    for term, weight in weighted_terms:
-        cells = term.table[term.classes[pairs // d], term.classes[pairs % d]]
-        diagonal = np.flatnonzero(cells)
-        rows += [diagonal, np.searchsorted(pairs, term.rows)]
-        cols += [diagonal, np.searchsorted(pairs, term.cols)]
-        vals += [cells[diagonal].astype(complex) * weight, term.vals * weight]
-    rows, cols, summed = _reduce_pairs(*map(np.concatenate, (rows, cols, vals)))
-    return sp.csr_matrix((summed, cols, np.searchsorted(rows, np.arange(size + 1))), shape=(size, size))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # _finite or the solve refuses what overflowed
-def _lowest_level(weighted_terms: list[tuple[LocalTerm, float]]) -> float:
-    """The lowest eigenvalue of the sum of weight * term.matrix, as
-    low_spectrum finds it on the d^2 bond space, from no d^2-indexed array.
-    The touched pairs carry every off-diagonal entry, so low_spectrum solves
-    the sum on them alone (_summed_on), with the same blocks in the same
-    pair-key order, given the lower bound 0: off_sector_floor passes the
-    parts other than H_form, positive weights times the projectors H_input
-    and H_output and the positive semidefinite H_comp.  Every other pair is
-    a 1 x 1 block holding the weighted class tables, summed on its pair of
-    joint classes (the classes of all terms at once).
-    """
-    terms = [term for term, _ in weighted_terms]
-    d = terms[0].local_dim
-    pairs = np.unique(np.concatenate([np.concatenate((t.rows, t.cols)) for t in terms]))
-    lowest = [low_spectrum(_summed_on(weighted_terms, pairs), 1, 0.0).eigenvalues[0]] if pairs.size else []
-    code = np.zeros(d, dtype=np.int64)  # the joint class of a level, in mixed radix
-    for term in terms:
-        code = code * term.table.shape[0] + term.classes
-    _, first, joint = np.unique(code, return_index=True, return_inverse=True)
-    value = 0.0  # on every pair of joint classes, read at their first levels
-    for term, weight in weighted_terms:
-        kind = term.classes[first]
-        value = value + term.table[np.ix_(kind, kind)].astype(float) * weight
-    count = np.bincount(joint, minlength=first.size)
-    taken = np.bincount(joint[pairs // d] * count.size + joint[pairs % d], minlength=count.size ** 2)
-    lowest.append(value[np.outer(count, count) > taken.reshape(value.shape)].min(initial=np.inf))
-    return float(min(lowest))
-
-
-def off_sector_floor(
-    parts: dict[str, LocalTerm], constants: CouplingConstants, shape: ProblemShape,
-    form_minimum: float | None = None,
-) -> float:
-    """A lower bound on the total Hamiltonian outside the form-valid set V.
+def off_sector_floor(parts: dict[str, LocalTerm], constants: CouplingConstants, shape: ProblemShape) -> float:
+    """A lower bound on the total Hamiltonian outside the form-valid set V:
+    H_form's weight in total_parts times form_minimum_off_sector.
 
     Every part keeps V invariant (assemble_sector's closure check on V0,
     and translation for the other heads), so the complement is invariant
-    too.  There weighted H_form is at least its weight times
-    form_minimum_off_sector, passed as `form_minimum` when already known,
-    and the other weighted parts together are at least N+1 times the lowest
-    eigenvalue of their weighted bond-term sum (_lowest_level).
+    too.  There weighted H_form is at least that product, and the other
+    weighted parts add at least 0: J1 H_input and w_out H_output are
+    nonnegative diagonal projectors, and H_comp is a sum of edge operators
+    with unitary gates, each positive semidefinite (the fact
+    CouplingConstants.lower_bound rests on).  So the floor needs no
+    eigensolve, and it carries no solver rounding.
     """
     form = parts["H_form"]
-    floor, rest = 0.0, []
-    for term, weight in total_parts(parts, constants):
-        if term is form:
-            floor += weight * (form_minimum_off_sector(form, shape) if form_minimum is None else form_minimum)
-        else:
-            rest.append((term, weight))
-    return floor + shape.n_sites * _lowest_level(rest)
+    weight = next(weight for term, weight in total_parts(parts, constants) if term is form)
+    return weight * form_minimum_off_sector(form, shape)
 
 
 def shape_parts(shape: ProblemShape) -> dict[str, LocalTerm]:

@@ -30,7 +30,6 @@ from .hamiltonian import (
     assemble_sector,
     assemble_sector_parts,
     checked_sector_dim,
-    form_minimum_off_sector,
     off_sector_floor,
     orbit_keys,
     shape_parts,
@@ -233,7 +232,7 @@ class SectorHamiltonian:
 
 def sector_hamiltonian(
     schedule: SweepSchedule, constants: CouplingConstants,
-    shared: dict[str, LocalTerm] | None = None, form_minimum: float | None = None,
+    shared: dict[str, LocalTerm] | None = None,
 ) -> SectorHamiltonian:
     """BuildError before any bond term if V0 has more than DIM_CAP states.
 
@@ -241,14 +240,13 @@ def sector_hamiltonian(
     carry the same levels, and off_sector_floor checks that every V0
     configuration sits at the H_form floor of -1.  So a V0 level below that
     floor is a full-space level, N+1 times over.  Only the V0 total is built.
-    `shared` (shape_parts) and `form_minimum` (form_minimum_off_sector of its
-    H_form), when given, are used instead of being built again.
+    `shared` (shape_parts), when given, is used instead of being built again.
     """
     shape = schedule.shape
     sector_dim = checked_sector_dim(shape)
     terms = standard_parts(schedule, shared)
     total = assemble_sector(total_parts(terms, constants), shape, np.arange(sector_dim))  # all of V0
-    return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape, form_minimum))
+    return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape))
 
 
 def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: int) -> SpectralReport:
@@ -345,23 +343,20 @@ def orbit_expectations(history: HistoryState, terms: dict[str, LocalTerm], walk:
 @dataclass
 class _Shared:
     """What both schedules of a separation share, built once: the bond terms
-    that do not read the schedule, H_form's off-sector minimum, the V0 keys
-    of the frozen configurations (sorted) and of the orbit (walk order), and
-    the order that sorts the walk's keys."""
+    that do not read the schedule, the V0 keys of the frozen configurations
+    (sorted) and of the orbit (walk order), and the order that sorts the
+    walk's keys."""
 
     parts: dict[str, LocalTerm]
-    form_minimum: float
     frozen: np.ndarray
     walk: np.ndarray
     order: np.ndarray
 
     @classmethod
     def of(cls, shape: ProblemShape) -> "_Shared":
-        parts = shape_parts(shape)
         frozen = np.sort(SpinBasis(shape).sector_keys(frozen_patterns(shape)), axis=None)
         walk = orbit_keys(shape)
-        return cls(parts, form_minimum_off_sector(parts["H_form"], shape), frozen, walk,
-                   np.argsort(walk, kind="stable"))
+        return cls(shape_parts(shape), frozen, walk, np.argsort(walk, kind="stable"))
 
 
 def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, shared: _Shared) -> ScheduleEnergies:
@@ -375,7 +370,7 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, sh
     orbit.  Witness energies read HistoryState.orbit_vector in that order.
     """
     shape = schedule.shape
-    sector = sector_hamiltonian(schedule, constants, shared.parts, shared.form_minimum)
+    sector = sector_hamiltonian(schedule, constants, shared.parts)
     total = sector.total
     frozen, walk = shared.frozen, shared.walk
     filtered = low_spectrum(exclude_frozen(total, frozen)[0], 1, constants.lower_bound)

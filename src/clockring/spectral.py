@@ -26,13 +26,13 @@ DENSE_RESIDUAL_TOL times the operator's norm estimate.
 
 Every reported level comes from ``low_spectrum``: ground energies
 (``ground_energy``), gaps (``gap``, which ``gapscan`` prints for the orbit
-block), the off-sector floor of ``hamiltonian``, and the separation's
-orbit level, whose block is the V0 total at the sorted walk keys.  Only
-the projection-lemma checks of ``promise``, on their own random matrices
-(8 x 8 by default), call LAPACK directly.  Also: the hermiticity residual,
-restriction to configurations, the orbit and frozen configuration indices
-of the walk and the frozen patterns of ``basis``, and the
-uniform/engineered hopping chains used as exact references.
+block), and the separation's orbit level, whose block is the V0 total at
+the sorted walk keys.  Only the projection-lemma checks of ``promise``, on
+their own random matrices (8 x 8 by default), call LAPACK directly.  Also:
+the hermiticity residual, restriction to configurations, the orbit and
+frozen configuration indices of the walk and the frozen patterns of
+``basis``, and the uniform/engineered hopping chains used as exact
+references.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ GAP_K_CAP = 64
 # takes 3-4 ms against 18 ms at 256.
 DENSE_THRESHOLD = 256
 # Shift-invert's sigma lies SHIFT_MARGIN * max(1, |b|) below the lower bound
-# b: far above the rounding of H - sigma (about 1e-7 on the (2,1,1024) floor
-# block, norm 3e8), near enough b to keep the lowest levels apart once
+# b: far above the rounding of H - sigma (about 1e-7 on the random (2,1,1100)
+# orbit block, norm 5e8), near enough b to keep the lowest levels apart once
 # inverted.  k = 8 on a 4,480-state random (7,1,1) V0 component took 1.27 s
 # at 1e-3 and 0.83 s at 1e-4; gapscan's paths and the (2,1,1100) orbit block
 # took the same at every margin from 1e-3 to 1e-6.

@@ -457,15 +457,18 @@ class TestOrbitBlockPastTheCap:
 
     def test_gapscan_2049_peak_stays_small(self):
         # Four 2,049-state paths by shift-invert; a dense stack of them took 770 MB.
-        script = ("import resource, sys\n"
+        # The child reads its own VmHWM: ru_maxrss carries the parent's peak
+        # over vfork/exec, so it would read pytest's size, not the child's.
+        script = ("import sys\n"
                   "from clockring.cli import main\n"
                   "code = main(['gapscan', '--tplus', '2049'])\n"
-                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+                  "peak = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+                  "print(peak.split()[1], file=sys.stderr)\n"
                   "sys.exit(code)\n")
         done = _fresh_python("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stdout.decode().splitlines()[1].startswith("2048 2.3508003327")
-        assert int(done.stderr.decode()) < 200 * 1024  # ru_maxrss is in KiB
+        assert int(done.stderr.decode()) < 200 * 1024  # VmHWM is in kB
 
     def test_oracle_builds_no_full_space_vector_or_operator(self, capsys, monkeypatch):
         from clockring.oracle import HistoryState

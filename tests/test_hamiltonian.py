@@ -82,7 +82,7 @@ class TestCompBond:
         def refuse(*args):
             raise AssertionError("eigensolve in a bond-term build")
 
-        monkeypatch.setattr(hamiltonian, "low_spectrum", refuse)
+        monkeypatch.setattr(spectral, "low_spectrum", refuse)
         build_h_comp_bond(random_schedule(ProblemShape(3, 1, 2), rng))
 
     def test_random_gates_isospectral_to_laplacian(self, rng):

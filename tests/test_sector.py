@@ -343,6 +343,35 @@ class TestOffSectorFloor:
         with pytest.raises(BuildError, match="touched: bond term is not an integer-valued class table"):
             form_minimum_off_sector(touched, shape)
 
+    @pytest.mark.parametrize("shape,seed", [((2, 1, 1), None), ((5, 1, 2), 1), ((2, 1, 1024), None)],
+                             ids=["identity-2-1-1", "random-5-1-2", "identity-2-1-1024"])
+    def test_floor_is_the_weighted_form_minimum(self, shape, seed):
+        # J1 H_input, J2 H_comp and w_out H_output are positive semidefinite,
+        # so the floor is weighted H_form's minimum off V, with no solver
+        # rounding: a solve of the other parts put random (5,1,2) at -1.6e-10.
+        shape = ProblemShape(*shape)
+        schedule = SweepSchedule(shape) if seed is None else random_schedule(shape, np.random.default_rng(seed))
+        constants, parts = auto_constants(schedule), standard_parts(schedule)
+        want = constants.j2 * constants.alpha * form_minimum_off_sector(parts["H_form"], shape)
+        assert off_sector_floor(parts, constants, shape) == want
+
+    def test_separation_side_solves_filtered_and_orbit_only(self, monkeypatch):
+        # The floor needs no eigensolve, so one side of a separation runs
+        # low_spectrum twice: on the filtered V0 total and on the orbit block.
+        solved = []
+
+        def counted(operator, *args):
+            solved.append(operator.shape[0])
+            return low_spectrum(operator, *args)
+
+        for module in (hamiltonian, promise):
+            monkeypatch.setattr(module, "low_spectrum", counted, raising=False)
+        accepting, _ = desk_pair(1)
+        shape = accepting.shape
+        promise._schedule_energies(accepting, auto_constants(accepting), promise._Shared.of(shape))
+        assert len(solved) == 2
+        assert solved[1] == hamiltonian.orbit_keys(shape).size
+
     @pytest.mark.parametrize("shape", [(2, 1, 1), (2, 1, 2)])
     def test_floor_is_below_the_spectrum_off_v(self, shape):
         schedule = random_schedule(ProblemShape(*shape), np.random.default_rng(9))

@@ -625,6 +625,7 @@ class TestChainModels:
 def test_spectral_is_the_only_eigensolver_module():
     package = Path(spectral.__file__).parent
     linalg_importers, spectral_sources, slot_edge_importers = set(), set(), set()
+    from_spectral_in_hamiltonian = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -640,7 +641,12 @@ def test_spectral_is_the_only_eigensolver_module():
                 slot_edge_importers.add(path.stem)
             if path.stem == "spectral":
                 spectral_sources.update(names)
+            if path.stem == "hamiltonian" and isinstance(node, ast.ImportFrom) and node.module == "spectral":
+                from_spectral_in_hamiltonian.update(alias.name for alias in node.names)
     assert linalg_importers == {"spectral"}
+    # The bond terms and the off-sector floor solve nothing (off_sector_floor
+    # reads H_form's min-plus bound alone).
+    assert from_spectral_in_hamiltonian == {"CHUNK", "hermiticity_residual"}
     # slot_edges states the clock rule once; only the bond terms read it directly.
     assert slot_edge_importers <= {"basis", "hamiltonian"}
     assert not any("hamiltonian" in n for n in spectral_sources)
