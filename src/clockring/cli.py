@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .basis import frozen_patterns
+from .basis import SpinBasis, frozen_patterns
 from .circuit import (
     ProblemShape,
     ScheduleError,
@@ -20,6 +20,7 @@ from .circuit import (
 )
 from .hamiltonian import (
     CouplingConstants,
+    _capped,
     assemble,
     assemble_orbit,
     assemble_total,
@@ -129,7 +130,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    schedule = _load_schedule(args, checked_orbit_dim if args.orbit_restrict else None)
+    def cap(shape):  # before any pattern, schedule or bond term
+        if args.frozen_scan:  # frozen_patterns lists (R+1)^N clock patterns, |V0| / 2^N
+            _capped(SpinBasis(shape).sector_dim >> shape.n_qubits, "frozen-scan clock pattern space")
+        if args.orbit_restrict:
+            checked_orbit_dim(shape)
+
+    schedule = _load_schedule(args, cap)
     constants = _resolve_constants(schedule, args)
     if args.orbit_restrict:
         sub = assemble_orbit(total_parts(standard_parts(schedule), constants), schedule.shape)
@@ -174,6 +181,8 @@ def cmd_gapscan(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.mode == "separation":
+        if (args.a, args.b) != (None, None):
+            raise ScheduleError("--mode separation sets no promise: drop --a and --b")
         if args.desk_pair:  # the identity schedule against force-reject in slot (1, 1), at (2, 1, R)
             if args.circuit or args.circuit_no or args.n not in (None, 2) or args.m not in (None, 1):
                 raise ScheduleError("--desk-pair is the (2,1,R) pair from --r: it takes no circuit "
@@ -195,7 +204,7 @@ def cmd_verify(args) -> int:
     if args.desk_pair or args.circuit_no:
         raise ScheduleError("--mode decide reads one schedule: drop --desk-pair and --circuit-no")
     schedule = _load_schedule(args)
-    params = PromiseParameters(args.a, args.b)
+    params = PromiseParameters(0.0 if args.a is None else args.a, 0.5 if args.b is None else args.b)
     constants = _resolve_constants(schedule, args)
     sector = sector_hamiltonian(schedule, constants)
     decision = decide(sector.total, params, constants.lower_bound)
@@ -263,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit-no", dest="circuit_no", help="rejecting circuit file")
     p.add_argument("--desk-pair", action="store_true", dest="desk_pair",
                    help="use the built-in (2,1,R) accepting/rejecting pair")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.5)
+    p.add_argument("--a", type=float, help="promise threshold a, --mode decide only (default 0)")
+    p.add_argument("--b", type=float, help="promise threshold b, --mode decide only (default 0.5)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lemma", help="randomized projection-lemma check")

@@ -5,8 +5,8 @@ N+1 ring bonds.  A term (LocalTerm) has one form, never a d^2-indexed
 array: a class table, whose diagonal part maps each of the d levels to a
 class and reads a small class-pair table (H_form's (N+1) x (N+1) table
 over positions, H_input's and H_output's left-site levels), plus touched
-pairs, the reduced entries of the few level pairs it touches (H_comp's
-O(16 T)).  form_minimum_off_sector reads class-table terms only.  The one
+pairs, the entries of the few level pairs it touches (H_comp's O(16 T)).
+form_minimum_off_sector reads class-table terms only.  The one
 d^2-indexed object left is LocalTerm.matrix, the d^2 x d^2 CSR, built on
 demand for tests only: the full-space `assemble` reads the stored entries,
 LocalTerm.entries(), through _weighted_entries.  The terms and the
@@ -15,9 +15,10 @@ sector_layout), which alone states the site layout.
 
 In `assemble` the term is laid on bond (0, 1) and translated with
 SpinBasis.translate, and all contributions meet in one canonical
-reduction, so the sum commutes exactly with the cyclic shift.  The
-reduction ranks every value in a small table of the values in (real, imag)
-order, one entry per run of equal bits, and sorts one int64 code per
+reduction, _reduce, so the sum commutes exactly with the cyclic shift; it
+also sums sector blocks, LocalTerm.matrix and a term's touched pairs.  It
+ranks every value in a small table of the values in (real, imag) order,
+one entry per run of equal bits, and sorts one int64 code per
 contribution, the entry key row * dim + col times the table size plus the
 rank; equal ranks hold equal bits, so each entry's sum does not depend on
 how contributions arrived.  The sweep part is a sum of positive
@@ -193,32 +194,19 @@ def _reduce(keys, ranks, table, dim: int) -> sp.csr_matrix:
 
 
 def _canonical_coo(rows, cols, vals, dim: int) -> sp.csr_matrix:
-    """Deduplicate COO triples with a fixed, order-independent summation.
+    """Deduplicate COO triples with a fixed, order-independent summation:
+    the dim x dim CSR of their nonzero sums, columns ascending in a row.
 
     Each entry is summed in the value order of _value_table, and values
     that compare equal give the same sum in either order, so the result is
-    bit-identical however the triples were generated or partitioned.  When
+    bit-identical however the triples were generated or partitioned (a
+    term's touched pairs too, relabelled 0..n-1 so dim is n, not d^2).  When
     the packed codes would overflow int64, a two-key lexsort on (key, rank)
     gives the same order.
     """
     keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
     table, ranks = _value_table(vals)
     return _reduce(keys, ranks, table, dim)
-
-
-def _reduce_pairs(rows, cols, vals):
-    """Canonical entries of COO triples over pair keys: sorted by row, then
-    column, each the sum of its triples in the value order of _reduce, with
-    zero sums dropped.  A two-key sort, so no key row * d^2 + col is formed."""
-    if rows.size == 0:
-        return rows, cols, np.zeros(0, dtype=complex)
-    table, ranks = _value_table(vals)
-    order = np.lexsort((ranks, cols, rows))
-    rows, cols, ranks = rows[order], cols[order], ranks[order]
-    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]))))
-    summed = _finite(np.add.reduceat(table[ranks], starts), "a summed entry")
-    keep = summed != 0
-    return rows[starts][keep], cols[starts][keep], summed[keep]
 
 
 class LocalTerm:
@@ -228,8 +216,8 @@ class LocalTerm:
     d^2-indexed array.  The diagonal part gives the level pair (left, right)
     the value table[classes[left], classes[right]]: `classes` maps each of
     the d levels to a class, and the class-pair table is small.  The touched
-    part holds canonically reduced entries over pair keys left * d + right:
-    `rows` sorted, `cols` ascending within a row, and their values `vals`.
+    part holds the nonzero sums of _canonical_coo over pair keys left * d +
+    right: `rows` sorted, `cols` ascending within a row, values `vals`.
     These two parts are the term's one form.  The d^2 CSR, `matrix`, is
     built on demand for tests; the full-space `assemble` reads `entries()`
     instead.
@@ -296,7 +284,8 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     """Sweep term: one PSD edge operator per slot, summed over all slots.
 
     Its entries touch only the 4 pre and 4 post pairs of each slot edge,
-    O(T) pairs in all, held reduced as the term's touched part."""
+    O(T) pairs in all.  _canonical_coo sums them over those pairs relabelled
+    in order, and the labels map back to pair keys as the touched part."""
     shape = schedule.shape
     basis = SpinBasis(shape)
     d = basis.local_dim
@@ -316,7 +305,10 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     rows = np.concatenate((pre.ravel(), post.ravel(), post[edge, out], pre[edge, into]))
     cols = np.concatenate((pre.ravel(), post.ravel(), pre[edge, into], post[edge, out]))
     vals = np.concatenate((np.ones(8 * len(edges), dtype=complex), -amps, -amps.conj()))
-    term = LocalTerm(d, provenance="h_comp", pairs=_reduce_pairs(rows, cols, vals))
+    nodes, where = np.unique(np.concatenate((rows, cols)), return_inverse=True)
+    reduced = _canonical_coo(*np.split(where, 2), vals, nodes.size)  # row i holds pair nodes[i]
+    pairs = np.repeat(nodes, np.diff(reduced.indptr)), nodes[reduced.indices], reduced.data
+    term = LocalTerm(d, provenance="h_comp", pairs=pairs)
     return term.validate(max_norm=10 * shape.total_steps)
 
 

@@ -162,6 +162,19 @@ class TestSpectrumCommand:
         assert code == 0
         assert out.startswith("frozen_count ")
 
+    def test_frozen_scan_is_capped_before_anything_is_built(self, capsys, monkeypatch):
+        # (R+1)^N = 301^3 = 2.7e7 clock patterns, past DIM_CAP; the orbit block is small.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the frozen-scan cap")
+
+        for name in ("frozen_patterns", "SweepSchedule", "standard_parts"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run_cli(capsys, "spectrum", "--n", "3", "--r", "300",
+                                 "--orbit-restrict", "--frozen-scan")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: frozen-scan") and len(err.splitlines()) == 1
+        assert f"exceeds cap {hamiltonian.DIM_CAP}" in err
+
     def test_no_full_space_build(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("full-space build")
@@ -306,6 +319,8 @@ class TestVerify:
         ("verify", "--mode", "decide", "--n", "2", "--circuit-no", "CIRCUIT"),
         ("verify", "--mode", "decide", "--circuit", "CIRCUIT", "--n", "2"),
         ("verify", "--mode", "separation", "--circuit", "CIRCUIT", "--circuit-no", "CIRCUIT", "--r", "2"),
+        ("verify", "--mode", "separation", "--desk-pair", "--a", "5", "--b", "1"),
+        ("verify", "--mode", "separation", "--circuit", "CIRCUIT", "--circuit-no", "CIRCUIT", "--b", "0.5"),
         ("compile", "--circuit", "CIRCUIT", "--n", "2"),
         ("oracle", "--circuit", "CIRCUIT", "--m", "1"),
         ("spectrum", "--circuit", "CIRCUIT", "--r", "1"),

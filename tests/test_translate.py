@@ -20,13 +20,14 @@ from clockring import (
     SweepSchedule,
     assemble_part,
     assemble_total,
+    build_h_comp_bond,
     build_shift_operator,
     export_triplets,
     schedule_from_placements,
     standard_parts,
 )
 from clockring import hamiltonian
-from clockring.circuit import PAULI_X, embed_single_qubit, force_reject_gate
+from clockring.circuit import PAULI_X, embed_single_qubit, force_reject_gate, random_schedule
 from clockring.hamiltonian import BuildError, _canonical_coo, _packs
 from clockring.promise import auto_constants
 
@@ -92,6 +93,34 @@ def test_part_export_digests():
         for name, term in standard_parts(schedule).items()
     }
     assert got == PART_DIGESTS
+
+
+# build_h_comp_bond's touched part at sizes oracle and gapscan reach, past
+# PART_DIGESTS' (3,1,2): sha256 of the rows, cols and vals bytes.
+COMP_DIGESTS = {
+    "random-2-1-1024": (
+        "f0cbb59d0bb76c384c290618a2c011e5feb27134af24678e0ba81684e5c9bb7b",
+        "36683f2a6ca0020e68c7d89c4dcadfcd21a54d01390131cde1f79f726b865fa6",
+        "32f3001a1c4965ef63efaf3254fa892e0c5b5445d03e378ddaaf30846cffb20f",
+    ),
+    "identity-2-1-20000": (
+        "2099d9992ff9f6f62b7b010d5e27786cbaa348599f5c70a29defcee27a6db564",
+        "9ed0181f44f26ae4c0eec331c02eafd2d5229a630170efa3dd3808fd8b3eaec3",
+        "89aeea07ad35557ac8bb9bcc897b6badad93f12fb66644000981f50e61542ab0",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(COMP_DIGESTS))
+def test_h_comp_touched_part_digests(key):
+    if key == "random-2-1-1024":
+        schedule = random_schedule(ProblemShape(2, 1, 1024), np.random.default_rng(2))
+    else:
+        schedule = SweepSchedule(ProblemShape(2, 1, 20000))
+    term = build_h_comp_bond(schedule)
+    assert [a.dtype for a in (term.rows, term.cols, term.vals)] == [np.int64, np.int64, complex]
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (term.rows, term.cols, term.vals))
+    assert got == COMP_DIGESTS[key]
 
 
 def _wrap_reference(term, shape):
