@@ -11,8 +11,9 @@ all-zero pattern this generates exactly T + 1 = R(N-1) + 1 patterns
 connected in a path, one transition per sweep slot.
 
 slot_edges is the one statement of this rule.  orbit_label_walk replays
-it and checks the path on every call; frozen_patterns, the patterns no
-transition touches, reads the same per-bond pair counts.
+it and checks the path on every call.  touched_pairs lists the per-bond
+label pairs a transition touches; touched_patterns, the patterns holding
+one, never lists all (R+1)^N, and frozen_patterns, the rest, does.
 
 Configuration indices read ring site 0 as the most significant digit;
 SpinBasis.translate is the one rule that moves a configuration around the
@@ -199,6 +200,15 @@ class SpinBasis:
         digits = self.level(0, labels, np.arange(1, n + 1)) - lowest[1:]
         return (digits @ place[1:])[:, None] + qubit_bits(n) @ place[1:]
 
+    def pair_keys(self, bonds, labels) -> np.ndarray:
+        """Entry (e, 2 x1 + x2) is the bond pair key, left level * d + right
+        level, of Data(x1, labels[e, 0], bonds[e]) and Data(x2, labels[e, 1],
+        bonds[e] + 1); `bonds` is a column."""
+        labels = np.asarray(labels, dtype=np.int64)
+        x1, x2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        left, right = self.level(x1, labels[:, :1], bonds), self.level(x2, labels[:, 1:], bonds + 1)
+        return left * self.local_dim + right
+
     def _checked_labels(self, label_patterns) -> np.ndarray:
         n, r = self.shape.n_qubits, self.shape.n_cycles
         labels = np.asarray(label_patterns, dtype=np.int64)
@@ -293,6 +303,13 @@ def _pair_counts(edges: list[SlotEdge]) -> Counter:
     return Counter((edge.bond, pair) for edge in edges for pair in (edge.pre, edge.post))
 
 
+def touched_pairs(shape: ProblemShape) -> tuple[np.ndarray, np.ndarray]:
+    """The bond (one column) and the (left, right) cycle labels (rows) of every
+    distinct pre or post pair of a slot edge, sorted."""
+    table = np.array(sorted((bond, *labels) for bond, labels in _pair_counts(slot_edges(shape))))
+    return table[:, :1], table[:, 1:]
+
+
 def orbit_label_walk(shape: ProblemShape) -> list[tuple[int, ...]]:
     """The T+1 per-position label tuples along the computation.
 
@@ -327,7 +344,7 @@ def frozen_patterns(shape: ProblemShape) -> np.ndarray:
     touches: at no bond is their label pair a slot edge's pre or post pair.
     Their configurations have an identically zero H_comp row yet sit off the
     walk (every walk pattern ends a slot edge), so they are exact extra zero
-    modes of the sweep term.  O(N (R+1)^N)."""
+    modes of the sweep term.  O(N (R+1)^N); touched_patterns is the rest."""
     n, r = shape.n_qubits, shape.n_cycles
     touched = np.zeros((n - 1, r + 1, r + 1), dtype=bool)
     for bond, (left, right) in _pair_counts(slot_edges(shape)):
@@ -337,6 +354,23 @@ def frozen_patterns(shape: ProblemShape) -> np.ndarray:
     for b in range(n - 1):
         hit |= touched[b, patterns[:, b], patterns[:, b + 1]]
     return patterns[~hit]
+
+
+def touched_patterns(shape: ProblemShape, cap=None) -> np.ndarray:
+    """Clock patterns (rows, in lexicographic order) that some slot edge
+    touches, the complement of frozen_patterns: for each touched pair, the
+    patterns that hold it at its bond, whatever their other N - 2 labels, and
+    then their union.  That lists sum_b |pairs_b| (R+1)^(N-2) codes, never
+    (R+1)^N; `cap`, when given, is called with that bound first."""
+    n, base = shape.n_qubits, shape.n_cycles + 1
+    bonds, pairs = touched_pairs(shape)
+    if cap:
+        cap(len(pairs) * base ** (n - 2))
+    # Codes read position 1 as the top digit; place weighs position b + 1.
+    place = base ** (n - 1 - bonds)
+    high, low = np.divmod(np.arange(base ** (n - 2), dtype=np.int64), place)
+    codes = np.unique((high * base ** 2 + pairs[:, :1] * base + pairs[:, 1:]) * place + low)
+    return codes[:, None] // base ** np.arange(n - 1, -1, -1) % base
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .basis import SpinBasis, frozen_patterns
+from .basis import SpinBasis, touched_patterns
 from .circuit import (
     ProblemShape,
     ScheduleError,
@@ -130,9 +130,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    def cap(shape):  # before any pattern, schedule or bond term
-        if args.frozen_scan:  # frozen_patterns lists (R+1)^N clock patterns, |V0| / 2^N
-            _capped(SpinBasis(shape).sector_dim >> shape.n_qubits, "frozen-scan clock pattern space")
+    frozen = []
+
+    def cap(shape):  # before any schedule or bond term
+        if args.frozen_scan:  # the V0 states on no touched pattern, at every head site
+            touched = touched_patterns(shape, lambda bound: _capped(bound, "frozen-scan touched patterns"))
+            frozen.append(shape.n_sites * (SpinBasis(shape).sector_dim - (len(touched) << shape.n_qubits)))
         if args.orbit_restrict:
             checked_orbit_dim(shape)
 
@@ -143,9 +146,8 @@ def cmd_spectrum(args) -> int:
         report = low_spectrum(sub, args.k, constants.lower_bound)
     else:
         report = sector_spectrum(schedule, constants, args.k)
-    if args.frozen_scan:  # 2^N bit strings on every frozen pattern, at every head site
-        shape = schedule.shape
-        print(f"frozen_count {shape.n_sites * len(frozen_patterns(shape)) * 2 ** shape.n_qubits}")
+    if args.frozen_scan:
+        print(f"frozen_count {frozen[0]}")
     sys.stdout.write(report.format())
     return 0
 

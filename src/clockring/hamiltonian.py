@@ -288,17 +288,10 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     in order, and the labels map back to pair keys as the touched part."""
     shape = schedule.shape
     basis = SpinBasis(shape)
-    d = basis.local_dim
     edges = slot_edges(shape)
     bond = np.array([edge.bond for edge in edges], dtype=np.int64)[:, None]
-    x1, x2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])  # gate order 2 x1 + x2
-
-    def pair_indices(labels) -> np.ndarray:
-        """Pair keys of Data(x1, labels[0], n) Data(x2, labels[1], n + 1), per edge."""
-        labels = np.array(labels, dtype=np.int64)
-        return basis.level(x1, labels[:, :1], bond) * d + basis.level(x2, labels[:, 1:], bond + 1)
-
-    pre, post = pair_indices([edge.pre for edge in edges]), pair_indices([edge.post for edge in edges])
+    # Column 2 x1 + x2 of each edge's pair keys holds bits (x1, x2), the gate's order.
+    pre, post = (basis.pair_keys(bond, [getattr(edge, side) for edge in edges]) for side in ("pre", "post"))
     gates = np.array([schedule.gate_at(edge.cycle, edge.bond) for edge in edges]).reshape(-1, 4, 4)
     edge, out, into = np.nonzero(gates)
     amps = gates[edge, out, into]
@@ -308,7 +301,7 @@ def build_h_comp_bond(schedule: SweepSchedule) -> LocalTerm:
     nodes, where = np.unique(np.concatenate((rows, cols)), return_inverse=True)
     reduced = _canonical_coo(*np.split(where, 2), vals, nodes.size)  # row i holds pair nodes[i]
     pairs = np.repeat(nodes, np.diff(reduced.indptr)), nodes[reduced.indices], reduced.data
-    term = LocalTerm(d, provenance="h_comp", pairs=pairs)
+    term = LocalTerm(basis.local_dim, provenance="h_comp", pairs=pairs)
     return term.validate(max_norm=10 * shape.total_steps)
 
 
@@ -416,11 +409,6 @@ def _capped(dim: int, what: str) -> int:
 def checked_dim(shape: ProblemShape) -> int:
     """Configuration-space dim of a full-space build; BuildError above DIM_CAP."""
     return _capped(SpinBasis(shape).config_dim, "configuration space")
-
-
-def checked_sector_dim(shape: ProblemShape) -> int:
-    """States of the head-0 form-valid sector V0; BuildError above DIM_CAP."""
-    return _capped(SpinBasis(shape).sector_dim, "sector")
 
 
 def checked_orbit_dim(shape: ProblemShape) -> int:

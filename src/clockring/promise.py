@@ -8,10 +8,11 @@ eigenvalues at least J > 2||H1||, then
 Selecting J = 8||H1||^2 + 2||H1|| makes the lower-bound slack exactly 1/8.
 
 Every spectral value of a schedule's total Hamiltonian comes from the
-head-0 form-valid sector V0 (see ``hamiltonian`` and sector_hamiltonian):
-the separation experiment, sector_spectrum and ``decide``, each on the one
-V0 total it builds, through spectral.low_spectrum.  The separation's orbit
-block is that total at the sorted walk keys, solved by low_spectrum too.
+head-0 form-valid sector V0 (see ``hamiltonian`` and sector_hamiltonian),
+through spectral.low_spectrum: sector_spectrum and ``decide`` on all of V0,
+the separation experiment on its touched configurations only, whose block
+at the sorted walk keys is the orbit block; the frozen rest are 1x1 blocks
+whose lowest value is known in closed form.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import SpinBasis, frozen_patterns, qubit_bits
+from .basis import SpinBasis, qubit_bits, touched_pairs, touched_patterns
 from .circuit import ProblemShape, SweepSchedule
 from .hamiltonian import (
     DIM_CAP,
     CouplingConstants,
     LocalTerm,
+    _capped,
     assemble_sector,
     assemble_sector_parts,
-    checked_sector_dim,
     off_sector_floor,
     orbit_keys,
     shape_parts,
@@ -40,7 +41,6 @@ from .oracle import HistoryState, expectations, simulate_history
 from .spectral import (
     SpectralError,
     SpectralReport,
-    exclude_frozen,
     ground_energy,
     low_spectrum,
     path_gap,
@@ -175,7 +175,6 @@ class PromiseDecision:
     lambda0: float
     margin_yes: float
     margin_no: float
-    residual: float
 
     def format(self, params: PromiseParameters) -> str:
         margin = self.margin_yes if self.verdict == "Yes" else self.margin_no
@@ -186,14 +185,14 @@ class PromiseDecision:
 
 
 def decide(operator, params: PromiseParameters, lower_bound: float | None = None) -> PromiseDecision:
-    lam, _, residual = ground_energy(operator, lower_bound)
+    lam = ground_energy(operator, lower_bound)[0]
     if lam <= params.a:
         verdict = "Yes"
     elif lam > params.b:
         verdict = "No"
     else:
         verdict = "OutsidePromise"
-    return PromiseDecision(verdict, lam, params.a - lam, lam - params.b, residual)
+    return PromiseDecision(verdict, lam, params.a - lam, lam - params.b)
 
 
 def auto_constants(schedule: SweepSchedule, j1: float = 1.0) -> CouplingConstants:
@@ -216,8 +215,8 @@ def auto_constants(schedule: SweepSchedule, j1: float = 1.0) -> CouplingConstant
 
 @dataclass
 class SectorHamiltonian:
-    """H on V0, in full-space index order, the standard bond terms it sums,
-    and the off-sector floor: H is at least `floor` off the form-valid set."""
+    """H on V0 keys, in full-space index order, the standard bond terms it
+    sums, and the off-sector floor: H is at least `floor` off the form-valid set."""
 
     total: sp.csr_matrix
     terms: dict[str, LocalTerm]
@@ -232,20 +231,18 @@ class SectorHamiltonian:
 
 def sector_hamiltonian(
     schedule: SweepSchedule, constants: CouplingConstants,
-    shared: dict[str, LocalTerm] | None = None,
+    shared: dict[str, LocalTerm] | None = None, configs=None,
 ) -> SectorHamiltonian:
-    """BuildError before any bond term if V0 has more than DIM_CAP states.
-
-    V0 is closed under H (assemble_sector checks it), its N head translates
-    carry the same levels, and off_sector_floor checks that every V0
-    configuration sits at the H_form floor of -1.  So a V0 level below that
-    floor is a full-space level, N+1 times over.  Only the V0 total is built.
-    `shared` (shape_parts), when given, is used instead of being built again.
-    """
+    """H on the V0 keys `configs`, closed under H (assemble_sector checks
+    it), or on all of V0 with BuildError before any bond term above DIM_CAP.
+    V0's N head translates carry the same levels, and off_sector_floor checks
+    that every V0 configuration sits at the H_form floor of -1, so a level
+    below that floor is a full-space level, N+1 times over.  `shared`
+    (shape_parts), when given, is used instead of being built again."""
     shape = schedule.shape
-    sector_dim = checked_sector_dim(shape)
+    configs = np.arange(_capped(SpinBasis(shape).sector_dim, "sector")) if configs is None else configs
     terms = standard_parts(schedule, shared)
-    total = assemble_sector(total_parts(terms, constants), shape, np.arange(sector_dim))  # all of V0
+    total = assemble_sector(total_parts(terms, constants), shape, configs)
     return SectorHamiltonian(total, terms, off_sector_floor(terms, constants, shape))
 
 
@@ -272,8 +269,7 @@ def sector_spectrum(schedule: SweepSchedule, constants: CouplingConstants, k: in
 class ScheduleEnergies:
     lambda0_full: float
     lambda0_orbit: float
-    lambda0_filtered: float  # full space with frozen configurations excluded
-    residual: float  # of the filtered solve
+    lambda0_filtered: float  # the touched configurations' block: the frozen ones excluded
     best_witness: tuple[int, ...]
     variational_energy: float
     variational_parts: list[tuple[str, float, float]]
@@ -342,45 +338,57 @@ def orbit_expectations(history: HistoryState, terms: dict[str, LocalTerm], walk:
 
 @dataclass
 class _Shared:
-    """What both schedules of a separation share, built once: the bond terms
-    that do not read the schedule, the V0 keys of the frozen configurations
-    (sorted) and of the orbit (walk order), and the order that sorts the
-    walk's keys."""
+    """What both schedules of a separation share, built once after the caps
+    on touched patterns (by their bound) and states: shape_parts, the sorted
+    V0 keys of the touched configurations, the pair keys H_comp may hold,
+    and the walk's keys, sorting order and sorted positions among the
+    touched keys."""
 
     parts: dict[str, LocalTerm]
-    frozen: np.ndarray
+    touched: np.ndarray
+    pair_keys: np.ndarray
     walk: np.ndarray
     order: np.ndarray
+    at: np.ndarray
 
     @classmethod
     def of(cls, shape: ProblemShape) -> "_Shared":
-        frozen = np.sort(SpinBasis(shape).sector_keys(frozen_patterns(shape)), axis=None)
+        basis = SpinBasis(shape)
+        patterns = touched_patterns(shape, lambda bound: _capped(bound, "touched clock pattern bound"))
+        _capped(len(patterns) << shape.n_qubits, "touched sector")
+        touched = np.sort(basis.sector_keys(patterns), axis=None)
         walk = orbit_keys(shape)
-        return cls(shape_parts(shape), frozen, walk, np.argsort(walk, kind="stable"))
+        order = np.argsort(walk, kind="stable")
+        pair_keys = np.unique(basis.pair_keys(*touched_pairs(shape)))
+        return cls(shape_parts(shape), touched, pair_keys, walk, order,
+                   np.searchsorted(touched, walk[order]))
 
 
 def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, shared: _Shared) -> ScheduleEnergies:
-    """Energies of one schedule, all computed on V0 (see sector_hamiltonian).
+    """Energies of one schedule from its V0 total at the touched keys (see
+    sector_hamiltonian), whose lowest level, the filtered lambda0, is the
+    full-space value below the off-sector floor; otherwise SpectralError.
 
-    A filtered lambda0 below the off-sector floor is the full-space value;
-    otherwise SpectralError.  The orbit block is the V0 total at the walk
-    keys in sorted order, the order the filtered solve holds them in, and
-    low_spectrum solves it with the same bound: the orbit and filtered
-    levels agree bit for bit whenever the filtered ground level lies on the
-    orbit.  Witness energies read HistoryState.orbit_vector in that order.
+    SpectralError too unless H_comp holds touched pairs only: then a frozen
+    configuration is a 1x1 block, the lowest with every bit 0, where only
+    H_form's -1 on the head's bond sits, -alpha J2 weighted (lower_bound).
+    The orbit block is the touched block at the sorted walk keys, solved
+    with the same bound, so the orbit and filtered levels agree bit for bit
+    when the filtered ground level lies on the orbit; witness energies read
+    HistoryState.orbit_vector in that order.
     """
     shape = schedule.shape
-    sector = sector_hamiltonian(schedule, constants, shared.parts)
+    sector = sector_hamiltonian(schedule, constants, shared.parts, shared.touched)
+    comp = sector.terms["H_comp"]
+    if not np.isin(np.concatenate((comp.rows, comp.cols)), shared.pair_keys).all():
+        raise SpectralError("H_comp holds a level pair no slot edge touches")
     total = sector.total
-    frozen, walk = shared.frozen, shared.walk
-    filtered = low_spectrum(exclude_frozen(total, frozen)[0], 1, constants.lower_bound)
-    lam_filtered = float(filtered.eigenvalues[0])
+    lam_filtered = float(low_spectrum(total, 1, constants.lower_bound).eigenvalues[0])
     sector.certify(lam_filtered, "sector lambda0")
-    # Frozen configurations are 1x1 blocks, so their diagonal completes the spectrum.
-    lam_full = float(min(lam_filtered, total.diagonal().real[frozen].min(initial=np.inf)))
+    frozen = shared.touched.size < SpinBasis(shape).sector_dim  # a V0 configuration is untouched
+    lam_full = min(lam_filtered, constants.lower_bound) if frozen else lam_filtered
 
-    keys = walk[shared.order]
-    orbit = {"total": total[keys][:, keys]}
+    orbit = {"total": total[shared.at][:, shared.at]}
     lam_orbit = float(low_spectrum(orbit["total"], 1, constants.lower_bound).eigenvalues[0])
     # The first candidate of lowest history energy is the best witness.
     best = None
@@ -394,10 +402,9 @@ def _schedule_energies(schedule: SweepSchedule, constants: CouplingConstants, sh
         lambda0_full=lam_full,
         lambda0_orbit=lam_orbit,
         lambda0_filtered=lam_filtered,
-        residual=float(filtered.residuals[0]),
         best_witness=bits,
         variational_energy=energy,
-        variational_parts=orbit_expectations(history, sector.terms, walk),
+        variational_parts=orbit_expectations(history, sector.terms, shared.walk),
         reject_probability_best=history.reject_probability(),
         off_sector_floor=sector.floor,
     )
@@ -408,14 +415,12 @@ def separation_experiment(
     rejecting: SweepSchedule,
     constants: CouplingConstants | None = None,
 ) -> SeparationReport:
-    """Build both Hamiltonians on V0 with shared constants and compare
-    ground energies (see sector_hamiltonian), with what both share built
-    once (_Shared)."""
+    """Build both Hamiltonians at the touched V0 keys with shared constants
+    and compare ground energies, with what both share built once (_Shared)."""
     if accepting.shape != rejecting.shape:
         raise PromiseError("schedules must share one shape")
     if constants is None:
         constants = auto_constants(accepting)
-    checked_sector_dim(accepting.shape)
     shared = _Shared.of(accepting.shape)
     sides = (_schedule_energies(schedule, constants, shared) for schedule in (accepting, rejecting))
     return SeparationReport(accepting.shape, constants, *sides)

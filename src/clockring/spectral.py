@@ -26,13 +26,13 @@ DENSE_RESIDUAL_TOL times the operator's norm estimate.
 
 Every reported level comes from ``low_spectrum``: ground energies
 (``ground_energy``), gaps (``gap``, which ``gapscan`` prints for the orbit
-block), and the separation's orbit level, whose block is the V0 total at
-the sorted walk keys.  Only the projection-lemma checks of ``promise``, on
-their own random matrices (8 x 8 by default), call LAPACK directly.  Also:
-the hermiticity residual, restriction to configurations, the orbit and
-frozen configuration indices of the walk and the frozen patterns of
-``basis``, and the uniform/engineered hopping chains used as exact
-references.
+block), and the separation's filtered and orbit levels, on its V0 total
+at the touched keys and at the sorted walk keys among them.  Only the
+projection-lemma checks of ``promise``, on their own random matrices (8 x 8
+by default), call LAPACK directly.  Also: the hermiticity residual,
+restriction to configurations, full-space orbit and frozen configuration
+indices (the latter list every clock pattern: full-space checks only), and
+the uniform/engineered hopping chains used as exact references.
 """
 
 from __future__ import annotations
@@ -411,34 +411,22 @@ def detect_frozen(shape: ProblemShape) -> list[tuple]:
 
 def frozen_excluded_submatrix(operator, shape: ProblemShape):
     """Full-space operator restricted to the complement of the frozen
-    configurations (see exclude_frozen)."""
-    return exclude_frozen(operator, frozen_config_indices(shape))
-
-
-def exclude_frozen(operator, frozen: np.ndarray):
-    """Operator restricted to the complement of the sorted indices `frozen`,
-    and the kept indices.
+    configurations (frozen_config_indices), and the kept indices.
 
     Raises SpectralError unless every frozen row and column holds only its
     diagonal entry: each frozen configuration is then a 1x1 block, so the
     restriction is a genuine spectral block.
-    The kept entries are taken from the CSR arrays in their stored order,
-    their columns renumbered, as mat[keep][:, keep] would give them.
     """
     mat = _as_matrix(operator).tocsr()
     dim = mat.shape[0]
     frozen_at = np.zeros(dim, dtype=bool)
-    frozen_at[frozen] = True
+    frozen_at[frozen_config_indices(shape)] = True
     rows = np.repeat(np.arange(dim), np.diff(mat.indptr))
     touching = frozen_at[rows] | frozen_at[mat.indices]
     if np.any(touching & (rows != mat.indices)):
         raise SpectralError("a frozen configuration is coupled off the diagonal")
     keep = np.flatnonzero(~frozen_at)
-    renumbered = np.cumsum(~frozen_at) - 1
-    kept = ~touching
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[kept], minlength=dim)[keep])))
-    sub = sp.csr_matrix((mat.data[kept], renumbered[mat.indices[kept]], indptr), shape=(keep.size, keep.size))
-    return sub, keep
+    return mat[keep][:, keep], keep
 
 
 def chain_models(length: int, kind: str = "uniform") -> np.ndarray:

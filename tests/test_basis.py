@@ -24,6 +24,7 @@ from clockring.basis import (
     format_config,
     frozen_patterns,
     slot_edges,
+    touched_patterns,
 )
 from clockring.circuit import ShapeError, SweepSchedule
 from clockring.hamiltonian import assemble_orbit, build_h_comp_bond
@@ -280,3 +281,26 @@ def test_frozen_patterns_match_their_definition(n, m, r):
     assert frozen_patterns(shape).tolist() == _brute_frozen(shape)
 
 
+
+
+@pytest.mark.parametrize("n,m,r", [(2, 1, r) for r in range(1, 9)]
+                         + [(3, 1, 2), (3, 2, 3), (4, 1, 2), (4, 2, 1), (5, 1, 1)])
+def test_touched_patterns_are_the_complement_of_the_frozen(n, m, r):
+    shape = ProblemShape(n, m, r)
+    touched, frozen = touched_patterns(shape).tolist(), frozen_patterns(shape).tolist()
+    assert touched == sorted(touched) and not set(map(tuple, touched)) & set(map(tuple, frozen))
+    assert sorted(touched + frozen) == [list(p) for p in itertools.product(range(r + 1), repeat=n)]
+
+
+def test_touched_patterns_are_capped_by_their_bound_first(monkeypatch):
+    # 13 touched pairs at (3,1,4), each with every label on the third position.
+    bounds = []
+
+    def cap(bound):
+        bounds.append(bound)
+        raise ValueError("capped")
+
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("patterns made before the cap"))
+    with pytest.raises(ValueError, match="capped"):
+        touched_patterns(ProblemShape(3, 1, 4), cap)
+    assert bounds == [13 * 5]

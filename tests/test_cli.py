@@ -163,13 +163,17 @@ class TestSpectrumCommand:
         assert out.startswith("frozen_count ")
 
     def test_frozen_scan_is_capped_before_anything_is_built(self, capsys, monkeypatch):
-        # (R+1)^N = 301^3 = 2.7e7 clock patterns, past DIM_CAP; the orbit block is small.
+        # The touched patterns' bound, 135,992,101 at (4,1,300), is past
+        # DIM_CAP; the orbit block is small.
+        from clockring import basis
+
         def refuse(*args, **kwargs):
             raise AssertionError("built past the frozen-scan cap")
 
-        for name in ("frozen_patterns", "SweepSchedule", "standard_parts"):
+        for name in ("SweepSchedule", "standard_parts"):
             monkeypatch.setattr(cli, name, refuse)
-        code, out, err = run_cli(capsys, "spectrum", "--n", "3", "--r", "300",
+        monkeypatch.setattr(basis, "frozen_patterns", refuse)
+        code, out, err = run_cli(capsys, "spectrum", "--n", "4", "--r", "300",
                                  "--orbit-restrict", "--frozen-scan")
         assert (code, out) == (1, "")
         assert err.startswith("error: frozen-scan") and len(err.splitlines()) == 1

@@ -30,7 +30,7 @@ from clockring import (
     standard_parts,
 )
 from clockring import cli, hamiltonian, promise
-from clockring.basis import HEAD, Data
+from clockring.basis import HEAD, Data, frozen_patterns
 from clockring.cli import main
 from clockring.circuit import format_circuit_text
 from clockring.hamiltonian import (
@@ -491,17 +491,20 @@ class TestSeparationOnSector:
             separation_experiment(*desk_pair(1), constants)
 
     def test_sector_cap_checked_before_bond_terms(self, monkeypatch):
+        # (3,1,200) has 120,801 touched patterns by their bound and 963,208
+        # touched states: a cap between the two refuses the states.
         from clockring import promise
 
-        def refuse(schedule):
+        def refuse(*args):
             raise AssertionError("bond terms built before the sector cap check")
 
-        monkeypatch.setattr(promise, "standard_parts", refuse)
-        monkeypatch.setattr(hamiltonian, "standard_parts", refuse)
+        for name in ("standard_parts", "shape_parts"):
+            monkeypatch.setattr(promise, name, refuse)
+            monkeypatch.setattr(hamiltonian, name, refuse)
+        monkeypatch.setattr(hamiltonian, "DIM_CAP", 500_000)
         shape = ProblemShape(3, 1, 200)
-        assert SpinBasis(shape).sector_dim == 402 ** 3 > DIM_CAP
         rejecting = schedule_from_placements([(1, 1, force_reject_gate())], 3, 1, 200)
-        with pytest.raises(BuildError, match="exceeds cap"):
+        with pytest.raises(BuildError, match="touched sector dim 963208 exceeds cap 500000"):
             separation_experiment(SweepSchedule(shape), rejecting)
 
     @pytest.mark.parametrize("n,want", [(4, 0.249880497142), (5, 0.199948462029)])
@@ -520,6 +523,108 @@ class TestSeparationOnSector:
         assert code == 0
         separation = float(out.splitlines()[-1].split()[1])
         assert separation == pytest.approx(want, rel=1e-9)
+
+
+def identity_pair(n: int, m: int, r: int):
+    return SweepSchedule(ProblemShape(n, m, r)), schedule_from_placements([(1, 1, force_reject_gate())], n, m, r)
+
+
+def random_pair(n: int, m: int, r: int):
+    rng = np.random.default_rng(n + m + r)
+    return random_schedule(ProblemShape(n, m, r), rng), random_schedule(ProblemShape(n, m, r), rng)
+
+
+def constants_variant(schedule, variant: str) -> CouplingConstants:
+    """The default constants, or those of `--j1 2` or `--j2 100 --alpha 3`."""
+    if variant == "j1":
+        return auto_constants(schedule, j1=2.0)
+    auto = auto_constants(schedule)
+    return auto if variant == "auto" else CouplingConstants(auto.j1, 100.0, 3.0, auto.w_out)
+
+
+class TestTouchedSeparation:
+    # The separation builds the V0 total only at the touched configurations.
+    PAIRS = {
+        **{f"desk-{r}": (lambda r=r: desk_pair(r)) for r in (1, 2, 4)},
+        **{f"identity-{n}-{m}-{r}": (lambda s=(n, m, r): identity_pair(*s))
+           for n, m, r in ((3, 1, 1), (3, 2, 1), (4, 1, 1))},
+        **{f"random-{n}-{m}-{r}": (lambda s=(n, m, r): random_pair(*s))
+           for n, m, r in ((2, 1, 3), (3, 1, 2), (3, 2, 1))},
+    }
+
+    @pytest.mark.parametrize("variant", ["auto", "j1", "j2-alpha"])
+    @pytest.mark.parametrize("pair", list(PAIRS), ids=str)
+    def test_frozen_minimum_is_the_lower_bound_bit_for_bit(self, pair, variant):
+        # A frozen configuration with every bit 0 holds only H_form's -1,
+        # weighted: the enumerated minimum over the V0 total's frozen keys.
+        for schedule in self.PAIRS[pair]():
+            shape, constants = schedule.shape, constants_variant(schedule, variant)
+            total = promise.sector_hamiltonian(schedule, constants).total
+            frozen = SpinBasis(shape).sector_keys(frozen_patterns(shape)).ravel()
+            assert frozen.size
+            assert total.diagonal().real[frozen].min().hex() == constants.lower_bound.hex()
+
+    @pytest.mark.parametrize("pair", ["desk-1", "desk-4", "identity-3-1-1", "random-3-1-2"])
+    def test_raw_lambda0_is_the_enumerated_minimum(self, pair):
+        accepting, rejecting = self.PAIRS[pair]()
+        report = separation_experiment(accepting, rejecting)
+        for schedule, side in ((accepting, report.yes), (rejecting, report.no)):
+            total = promise.sector_hamiltonian(schedule, report.constants).total
+            frozen = SpinBasis(schedule.shape).sector_keys(frozen_patterns(schedule.shape)).ravel()
+            want = min(side.lambda0_filtered, float(total.diagonal().real[frozen].min()))
+            assert side.lambda0_full.hex() == want.hex()
+
+    @pytest.mark.parametrize("row", [0, 7, -1])
+    def test_a_dropped_touched_pattern_is_refused(self, monkeypatch, row):
+        # Every touched pattern is coupled to another, so the block of the
+        # rest is not closed; row 0, the walk's first pattern, included.
+        touched = promise.touched_patterns
+        monkeypatch.setattr(promise, "touched_patterns",
+                            lambda shape, cap: np.delete(touched(shape, cap), row, axis=0))
+        with pytest.raises(BuildError, match="couples a sector configuration outside the sector"):
+            separation_experiment(*identity_pair(3, 1, 2))
+
+    def test_h_comp_on_an_untouched_pair_is_refused(self, monkeypatch):
+        # An H_comp entry on a frozen pattern's pair at bond 1 would change
+        # the diagonal of frozen configurations unseen.
+        pair = identity_pair(3, 1, 1)
+        shape = pair[0].shape
+        labels = frozen_patterns(shape)[0]
+        key = SpinBasis(shape).pair_keys(np.array([[1]]), [labels[:2]])[0, 0]
+        build = promise.standard_parts
+
+        def with_untouched_entry(schedule, shared=None):
+            parts = build(schedule, shared)
+            comp = parts["H_comp"]
+            rows, cols = np.append(comp.rows, key), np.append(comp.cols, key)
+            order = np.lexsort((cols, rows))
+            pairs = rows[order], cols[order], np.append(comp.vals, -5.0)[order]
+            parts["H_comp"] = hamiltonian.LocalTerm(comp.local_dim, "h_comp", pairs=pairs)
+            return parts
+
+        monkeypatch.setattr(promise, "standard_parts", with_untouched_entry)
+        with pytest.raises(SpectralError, match="H_comp holds a level pair no slot edge touches"):
+            separation_experiment(*pair)
+
+    def test_no_clock_pattern_enumeration(self, capsys, monkeypatch, tmp_path):
+        # (R+1)^N = 274,625 clock patterns at (3,1,64), 15,813,251 at (3,1,250).
+        from clockring import basis, spectral
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("clock patterns enumerated")
+
+        for module, name in ((basis, "frozen_patterns"), (spectral, "frozen_patterns"),
+                             (spectral, "frozen_config_indices")):
+            monkeypatch.setattr(module, name, refuse)
+        paths = []
+        for tag, schedule in zip(("yes", "no"), identity_pair(3, 1, 64)):
+            paths.append(tmp_path / f"{tag}.txt")
+            paths[-1].write_text(format_circuit_text(schedule))
+        argv = ["verify", "--mode", "separation", "--circuit", str(paths[0]), "--circuit-no", str(paths[1])]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("constants ")
+        assert main(["spectrum", "--n", "3", "--r", "250", "--orbit-restrict", "--frozen-scan", "--k", "1"]) == 0
+        assert capsys.readouterr().out.startswith("frozen_count 500008000\n")
 
 
 class TestOneOrbitOrder:
@@ -551,7 +656,7 @@ class TestOneOrbitOrder:
             monkeypatch.setattr(module, "assemble_sector", counted)
         for argv, want in ((["verify", "--mode", "decide", "--n", "2"], 1),
                            (["spectrum", "--n", "3", "--k", "8"], 1),
-                           (["verify", "--mode", "separation", "--desk-pair"], 2)):
+                           (["verify", "--mode", "separation", "--desk-pair"], 0)):
             v0_blocks.clear()
             assert main(argv) == 0
             assert len(v0_blocks) == want, argv
